@@ -140,16 +140,13 @@ def cmd_zeta(args):
 
 def cmd_verify(args):
     module = singular.build_module(args.m, args.n, args.N)
-    report = module.to_json()
+    mats = singular.seminormal_matrices(module)
+    report = module.to_json(mats=mats)
     report["isotype_ok"] = singular.isotype_check(module)
-    report["seminormal_ok"] = singular.seminormal_check(module)
+    report["seminormal_ok"] = singular.seminormal_check(module, mats)
     failing = [name for name, ok in
                [("isotype", report["isotype_ok"]),
                 ("seminormal", report["seminormal_ok"])] if not ok]
-    for el in module.elements:
-        for name, ok in el.certificates.items():
-            if not ok:
-                failing.append("%s@%s" % (name, el.sigma))
     if args.oracle:
         degree = comb.comp_weight(module.label.lam)
         kern = oracle.joint_kernel(args.N, degree, module.kappa0)
@@ -206,8 +203,8 @@ def cmd_critical(args):
 def cmd_repn(args):
     module = singular.build_module(args.m, args.n, args.N)
     mats = singular.seminormal_matrices(module)
-    ok = singular.seminormal_check(module)
-    spectra = singular.murphy_spectrum_check(module)
+    ok = singular.seminormal_check(module, mats)
+    spectra = singular.murphy_spectra(module)
     out = {
         "label": module.label.to_json(),
         "dimension": len(module.elements),

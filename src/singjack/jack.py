@@ -6,7 +6,7 @@ routes so the two can be cross-checked.  All arithmetic is exact.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 from . import combinatorics as comb
 from .exactarith import (
@@ -17,6 +17,7 @@ from .exactarith import (
     KR_ONE,
     KR_ZERO,
     kappa_linear,
+    poly_gcd,
     ratio_sum,
 )
 from .multipoly import (
@@ -30,7 +31,7 @@ from .multipoly import (
     poly_sub,
     word_apply,
 )
-from .operators import OperatorContext, cherednik, dunkl
+from .operators import OperatorContext, cherednik, cherednik_k_terms, dunkl
 
 
 class SpectralCollision(ArithmeticError):
@@ -69,6 +70,12 @@ class SolveFailure(ArithmeticError):
 
 # ------------------------------------------------------------ denominators
 
+def _int_form(kp):
+    """(integer coefficients, positive integer d) with kp = ints / d."""
+    d = lcm(*(c.denominator for c in kp.coeffs))
+    return [c.numerator * (d // c.denominator) for c in kp.coeffs], d
+
+
 def _linear_factors(kp):
     """Factor a monic KappaPoly into (monic linear, multiplicity) pairs.
 
@@ -81,11 +88,7 @@ def _linear_factors(kp):
     rem = kp.monic()
     # integer-primitive form for root candidates
     while rem.degree >= 1:
-        coeffs = rem.coeffs
-        den_lcm = 1
-        for c in coeffs:
-            den_lcm = den_lcm * c.denominator // _gcd_int(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in coeffs]
+        ints, _ = _int_form(rem)
         a0, an = ints[0], ints[-1]
         root = None
         if a0 == 0:
@@ -116,12 +119,6 @@ def _linear_factors(kp):
     return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
 
 
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a if a else 1
-
-
 def _divisors(n):
     out = []
     d = 1
@@ -138,12 +135,54 @@ def denominator_profile(f):
     """Distinct irreducible kappa-denominator factors across coefficients,
     each with its maximal multiplicity in any single coefficient."""
     best = {}
-    for c in f.terms.values():
-        for fac, mult in _linear_factors(c.den):
+    for den in {c.den for c in f.terms.values()}:
+        for fac, mult in _linear_factors(den):
             key = fac.coeffs
             if mult > best.get(key, (None, 0))[1]:
                 best[key] = (fac, mult)
     return sorted(best.values(), key=lambda t: (t[0].degree, t[0].coeffs))
+
+
+def _integer_layers(f):
+    """F = L*D*f split by kappa-degree as [F_0, F_1, ...], F_k in Z[x].
+
+    D is the lcm of the distinct coefficient denominators, so D*f lies in
+    Q[kappa][x], and L is the lcm of the rational denominators of D*f.
+    Each F_k is a dict exponent -> nonzero int.
+    """
+    dens = {c.den for c in f.terms.values()}
+    big_d = KP_ONE
+    for den in dens:
+        big_d = big_d * den.exact_div(poly_gcd(big_d, den))
+    cofactor = {}
+    for den in dens:
+        q, r = big_d.divmod(den)
+        if not r.is_zero():
+            raise SolveFailure("denominator %s does not divide the lcm" % den)
+        cofactor[den] = _int_form(q)
+    scaled = {}
+    big_l = 1
+    for e, c in f.terms.items():
+        nums, dn = _int_form(c.num)
+        qs, dq = cofactor[c.den]
+        prod = [0] * (len(nums) + len(qs) - 1)
+        for s, x in enumerate(nums):
+            if x:
+                for t, y in enumerate(qs):
+                    prod[s + t] += x * y
+        den = dn * dq
+        g = gcd(den, *prod)
+        den //= g
+        big_l = lcm(big_l, den)
+        scaled[e] = ([x // g for x in prod], den)
+    layers = [{} for _ in range(
+        max((len(p) for p, _ in scaled.values()), default=0))]
+    for e, (prod, den) in scaled.items():
+        m = big_l // den
+        for k, x in enumerate(prod):
+            if x:
+                layers[k][e] = x * m
+    return layers
 
 
 # ------------------------------------------------------------------ JackPoly
@@ -175,14 +214,34 @@ class JackPoly:
                 self._assert_x_monic()
 
     def _assert_eigen(self):
-        ctx = OperatorContext(self.n)
+        """Assert U_i f = xi_i f for every i, exactly, over Z[x].
+
+        With F = L*D*f = sum_k kappa^k F_k (see _integer_layers),
+        U_i = U_i^0 + kappa*K_i and xi_i = a_i*kappa + b_i, the identity
+        holds iff (U_i^0 - b_i) F_k + (K_i - a_i) F_{k-1} = 0 for every
+        k = 0 .. deg F + 1.
+        """
+        n = self.n
+        OperatorContext(n).check(self.poly)
+        layers = _integer_layers(self.poly)
         spec = comb.spectral_vector(self.alpha)
-        for i in range(1, self.n + 1):
-            xi = kappa_linear(*spec[i - 1])
-            if cherednik(ctx, i, self.poly) != poly_scale(self.poly, xi):
-                raise SolveFailure(
-                    "U_%d eigen-equation fails for alpha=%s" % (i, self.alpha)
-                )
+        for i in range(1, n + 1):
+            a, b = spec[i - 1]
+            i0 = i - 1
+            prev = {}
+            for cur in layers + [{}]:
+                out = {}
+                if prev:
+                    cherednik_k_terms(n, i, prev, out)
+                    for e, c in prev.items():
+                        out[e] = out.get(e, 0) - a * c
+                for e, c in cur.items():
+                    out[e] = out.get(e, 0) + (e[i0] + 1 - b) * c
+                if any(out.values()):
+                    raise SolveFailure(
+                        "U_%d eigen-equation fails for alpha=%s"
+                        % (i, self.alpha))
+                prev = cur
 
     def _assert_x_monic(self):
         lead = self.poly.terms.get(self.alpha)
@@ -229,8 +288,10 @@ _ZETA_CACHE = {}
 
 
 def clear_caches():
+    """Empty every module-level memo: each call after this starts cold."""
     _UMONO_CACHE.clear()
     _ZETA_CACHE.clear()
+    _PBASIS_CACHE.clear()
 
 
 def _u_monomial_terms(n, i, exp):

@@ -48,8 +48,8 @@ def _coerce_special(c):
         return c
     if isinstance(c, int):
         return Fraction(c)
-    if isinstance(c, KappaRatio) and c.is_const():
-        return c.const()
+    if isinstance(c, KappaRatio) and c.is_poly() and c.num.degree <= 0:
+        return c.num.coeffs[0] if c.num.coeffs else Fraction(0)
     raise TypeError("bad specialized coefficient %r" % (c,))
 
 
@@ -298,19 +298,25 @@ def poly_arith(f, g, op):
     raise ValueError("unknown op %r" % (op,))
 
 
+def perm_terms(w, terms):
+    """The terms of w applied to the polynomial with the given terms."""
+    n = len(w)
+    targets = [w[i] - 1 for i in range(n)]
+    out = {}
+    for e, c in terms.items():
+        we = [0] * n
+        for i in range(n):
+            we[targets[i]] = e[i]
+        out[tuple(we)] = c
+    return out
+
+
 def apply_perm(w, f):
     """w(x^a) = x^{wa} with (wa)_{w(i)} = a_i, extended linearly."""
     n = f.n
     if len(w) != n:
         raise SizeMismatch("permutation length %d, ambient %d" % (len(w), n))
-    targets = [w[i] - 1 for i in range(n)]
-    terms = {}
-    for e, c in f.terms.items():
-        out = [0] * n
-        for i in range(n):
-            out[targets[i]] = e[i]
-        terms[tuple(out)] = c
-    return MultiPoly(n, terms, field=f.field, _clean=True)
+    return MultiPoly(n, perm_terms(w, f.terms), field=f.field, _clean=True)
 
 
 def divided_difference(i, j, f):

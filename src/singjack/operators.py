@@ -15,6 +15,7 @@ from .multipoly import (
     apply_perm,
     mp_zero,
     partial,
+    perm_terms,
     poly_add,
     poly_scale,
     poly_sub,
@@ -64,10 +65,11 @@ def _accumulate(terms, key, c):
             del terms[key]
 
 
-def _pair_difference_terms(f, i0, j0, out):
-    # (f - (i,j)f)/(x_i - x_j) accumulated into out, term by term:
+def _pair_difference_terms(terms, i0, j0, out):
+    # (g - (i,j)g)/(x_i - x_j) for g given by its terms, accumulated into
+    # out term by term:
     # (x^a y^b - x^b y^a)/(x-y) = sign * sum_{u=lo}^{hi-1} x^u y^{a+b-1-u}
-    for e, c in f.terms.items():
+    for e, c in terms.items():
         a, b = e[i0], e[j0]
         if a == b:
             continue
@@ -83,6 +85,29 @@ def _pair_difference_terms(f, i0, j0, out):
             _accumulate(out, tuple(base), cc)
 
 
+def cherednik_k_terms(n, i, terms, out):
+    """Accumulate K_i g into out, where U_i = U_i^0 + kappa * K_i with
+    U_i^0 x^e = (e_i + 1) x^e and
+
+        K_i g = sum_{j != i} (x_i g - (ij)(x_i g))/(x_i - x_j)
+                - sum_{j < i} (j,i) g.
+
+    g is given by its terms dict; K_i has integer coefficients, so the
+    coefficients may lie in any ring (Z, Q or Q(kappa))."""
+    i0 = i - 1
+    shifted = {}
+    for e, c in terms.items():
+        xe = list(e)
+        xe[i0] += 1
+        shifted[tuple(xe)] = c
+    for j0 in range(n):
+        if j0 != i0:
+            _pair_difference_terms(shifted, i0, j0, out)
+    for j in range(1, i):
+        for e, c in perm_terms(transposition(n, j, i), terms).items():
+            _accumulate(out, e, -c)
+
+
 def dunkl(ctx, i, f):
     """D_i f = partial_i f + kappa * sum_{j != i} (f - (ij)f)/(x_i - x_j)."""
     ctx.check(f)
@@ -93,7 +118,7 @@ def dunkl(ctx, i, f):
     pair_terms = {}
     for j0 in range(n):
         if j0 != i0:
-            _pair_difference_terms(f, i0, j0, pair_terms)
+            _pair_difference_terms(f.terms, i0, j0, pair_terms)
     result = partial(i, f)
     if pair_terms:
         kpart = MultiPoly(n, pair_terms, field=f.field, _clean=True)
@@ -102,17 +127,20 @@ def dunkl(ctx, i, f):
 
 
 def cherednik(ctx, i, f):
-    """U_i f = D_i(x_i f) - kappa * sum_{j < i} (j,i) f."""
+    """U_i f = D_i(x_i f) - kappa * sum_{j < i} (j,i) f, applied as
+    U_i^0 f + kappa * K_i f (see cherednik_k_terms)."""
     ctx.check(f)
     n = ctx.n
     if not 1 <= i <= n:
         raise IndexOutOfRange("operator index %d outside [1,%d]" % (i, n))
-    result = dunkl(ctx, i, x_var(n, i, field=f.field) * f)
-    if i > 1 and f:
-        swaps = mp_zero(n, field=f.field)
-        for j in range(1, i):
-            swaps = poly_add(swaps, apply_perm(transposition(n, j, i), f))
-        result = poly_sub(result, poly_scale(swaps, ctx.kappa()))
+    i0 = i - 1
+    result = MultiPoly(n, {e: c * (e[i0] + 1) for e, c in f.terms.items()},
+                       field=f.field, _clean=True)
+    k_terms = {}
+    cherednik_k_terms(n, i, f.terms, k_terms)
+    if k_terms:
+        kpart = MultiPoly(n, k_terms, field=f.field, _clean=True)
+        result = poly_add(result, poly_scale(kpart, ctx.kappa()))
     return result
 
 

@@ -102,9 +102,12 @@ class SingularModule:
                 return e
         raise KeyError(sigma)
 
-    def to_json(self, include_timestamp=True):
-        mats = seminormal_matrices(self)
-        spectra = murphy_spectrum_check(self)
+    def to_json(self, include_timestamp=True, mats=None):
+        """The module report; mats are its seminormal_matrices, built here
+        unless the caller already has them."""
+        if mats is None:
+            mats = seminormal_matrices(self)
+        spectra = murphy_spectra(self)
         out = {
             "label": self.label.to_json(),
             "degree": comb.comp_weight(self.label.lam),
@@ -332,10 +335,12 @@ def murphy_rule_matrices(module):
     return out
 
 
-def seminormal_check(module):
+def seminormal_check(module, real=None):
     """Realized matrices match the tableau prediction, square to the
-    identity, and satisfy the braid relations."""
-    real = seminormal_matrices(module)
+    identity, and satisfy the braid relations.  real defaults to
+    seminormal_matrices(module)."""
+    if real is None:
+        real = seminormal_matrices(module)
     pred = murphy_rule_matrices(module)
     if real != pred:
         return False
@@ -356,17 +361,26 @@ def seminormal_check(module):
     return True
 
 
+def _tableau_contents(module):
+    return [[el.tableau.eta(j) for j in range(1, module.n + 1)]
+            for el in module.elements]
+
+
 def murphy_spectrum_check(module):
     """Eigenvalues of every Murphy element on every basis element equal
-    the contents of its tableau."""
+    the contents of its tableau, recomputed here."""
     ctx = ops.OperatorContext(module.n, module.kappa0)
-    ok = True
-    spectra = []
-    for el in module.elements:
-        spectra.append([el.tableau.eta(j) for j in range(1, module.n + 1)])
-        if not _murphy_ok(ctx, el, module.kappa0):
-            ok = False
-    return {"ok": ok, "spectra": spectra}
+    return {"ok": all(_murphy_ok(ctx, el, module.kappa0)
+                      for el in module.elements),
+            "spectra": _tableau_contents(module)}
+
+
+def murphy_spectra(module):
+    """The tableau contents of every basis element, with the Murphy
+    certificates that build_module established for them."""
+    return {"ok": all(el.certificates.get("murphy_spectrum_ok", False)
+                      for el in module.elements),
+            "spectra": _tableau_contents(module)}
 
 
 def isotype_check(module):

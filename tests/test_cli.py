@@ -221,3 +221,23 @@ def test_cache_tamper_detected_in_paranoid_mode(capsys, tmp_path,
                        "--N", "2")
     assert code == 4
     assert "falsified:" in err
+
+
+def test_cache_denominator_tamper_detected_in_paranoid_mode(
+        capsys, tmp_path, monkeypatch):
+    # the eigen check clears denominators read from the coefficients,
+    # not from the stored denominator_factors, which stay untouched here
+    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
+    code, good, _ = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
+    assert code == 0
+    path = tmp_path / (cli._cache_key((2, 0, 1), 3, "x") + ".json")
+    obj = json.loads(path.read_text())
+    factors = obj["denominator_factors"]
+    edited = next(t for t in obj["terms"] if t["coeff"]["den"] != ["1"])
+    edited["coeff"]["den"] = ["3"] + edited["coeff"]["den"][1:]
+    path.write_text(json.dumps(obj))
+    assert json.loads(path.read_text())["denominator_factors"] == factors
+    code, _, err = run(capsys, "--paranoid", "zeta", "--alpha", "2,0,1",
+                       "--N", "3")
+    assert code == 4
+    assert "falsified:" in err

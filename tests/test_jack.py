@@ -1,6 +1,7 @@
 """Eigenvector construction, basis changes, and step/differentiation laws."""
 
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -295,3 +296,104 @@ def test_jackpoly_json_round_trip():
     assert back.poly == z.poly
     assert [(f.coeffs, m) for f, m in back.denominator_factors] == [
         (f.coeffs, m) for f, m in z.denominator_factors]
+
+
+# ------------------------------------------------ the integer eigen check
+
+def _generic_eigen_ok(jp):
+    # reference: the generic Q(kappa) operators applied to the whole poly
+    ctx = OperatorContext(jp.n)
+    spec = comb.spectral_vector(jp.alpha)
+    return all(
+        cherednik(ctx, i, jp.poly)
+        == mp.poly_scale(jp.poly, kappa_linear(*spec[i - 1]))
+        for i in range(1, jp.n + 1))
+
+
+def test_eigen_check_accepts_every_small_zeta():
+    for n in range(1, 5):
+        for d in range(5):
+            for alpha in comb.compositions_of(d, n):
+                for jp in (jack.zeta_x(alpha, n), jack.zeta_p(alpha, n)):
+                    jp._assert_eigen()
+                    assert _generic_eigen_ok(jp)
+
+
+def _tampered(jp, e, c):
+    terms = dict(jp.poly.terms)
+    terms[e] = c
+    return jack.JackPoly(jp.alpha, jp.n, jp.basis,
+                         mp.MultiPoly(jp.n, terms), check=False)
+
+
+def _tampers(jp):
+    """One poly per edit: each coefficient with its numerator edited (low
+    and high in kappa), its denominator edited, 1/10**6 added; and one
+    extra monomial."""
+    d = jp.degree()
+    for e, c in jp.poly.terms.items():
+        yield _tampered(jp, e, KappaRatio(c.num + 1, c.den))
+        # past the top kappa-degree: at x^alpha only the last layer
+        # equation (K_i - a_i) F_top = 0 sees it
+        yield _tampered(jp, e, KappaRatio(c.num + KAPPA.num ** 9, c.den))
+        yield _tampered(jp, e, KappaRatio(c.num, c.den * kappa_linear(1, 7)))
+        yield _tampered(jp, e, c + Fraction(1, 10**6))
+    extra = next(e for e in chain(comb.compositions_of(d, jp.n),
+                                  comb.compositions_of(d + 1, jp.n))
+                 if e not in jp.poly.terms)
+    yield _tampered(jp, extra, KR_ONE)
+
+
+def test_eigen_check_rejects_tampered_zeta():
+    # zeta_p of (2,0) has no kappa-denominators at all
+    for alpha, n in (((2, 0), 2), ((2, 0, 1), 3), ((2, 1, 0), 3),
+                     ((1, 0, 2, 1), 4)):
+        for jp in (jack.zeta_x(alpha, n), jack.zeta_p(alpha, n)):
+            count = 0
+            for bad in _tampers(jp):
+                assert not _generic_eigen_ok(bad)
+                with pytest.raises(jack.SolveFailure):
+                    bad._assert_eigen()
+                count += 1
+            assert count == 4 * len(jp.poly.terms) + 1
+
+
+def test_eigen_check_asserts_the_last_operator():
+    # zeta_alpha + zeta_beta, with beta of another degree sharing the first
+    # N-1 eigenvalues of alpha, is an eigenvector of U_1..U_{N-1} but not
+    # of U_N: on homogeneous polys U_N is implied by the others, so a
+    # check that skipped it would pass this sum
+    for alpha, n in (((2, 0), 2), ((2, 0, 1), 3), ((2, 0, 0, 1), 4)):
+        spec = comb.spectral_vector(alpha)
+        beta = next(b for d in range(sum(alpha) + 1, sum(alpha) + 3)
+                    for b in comb.compositions_of(d, n)
+                    if comb.spectral_vector(b)[:-1] == spec[:-1])
+        za = jack.zeta_x(alpha, n)
+        bad = jack.JackPoly(alpha, n, "x",
+                            za.poly + jack.zeta_x(beta, n).poly, check=False)
+        ctx = OperatorContext(n)
+        for i in range(1, n):
+            xi = kappa_linear(*spec[i - 1])
+            assert cherednik(ctx, i, bad.poly) == mp.poly_scale(bad.poly, xi)
+        assert not _generic_eigen_ok(bad)
+        with pytest.raises(jack.SolveFailure):
+            bad._assert_eigen()
+
+
+def test_eigen_check_rejects_a_specialized_poly():
+    z = jack.zeta_x((2, 1, 0), 3)
+    with pytest.raises(mp.FieldMismatch):
+        jack.JackPoly(z.alpha, 3, "x", mp.specialize(z.poly, Fraction(-1, 2)),
+                      denominator_factors=[])
+
+
+def test_clear_caches_empties_every_memo():
+    memos = {name: val for name, val in vars(jack).items()
+             if name.endswith("_CACHE")}
+    assert set(memos) >= {"_UMONO_CACHE", "_ZETA_CACHE", "_PBASIS_CACHE"}
+    jack.zeta_x((2, 0, 1), 3)
+    jack.zeta_p((1, 1, 0), 3)
+    jack.p_expand(jack.zeta_x((1, 1), 2).poly, 2)
+    assert all(memos.values())
+    jack.clear_caches()
+    assert not any(memos.values())

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from singjack import multipoly as mp
 from singjack.combinatorics import transposition, compose
-from singjack.exactarith import KAPPA, KR_ONE, PoleError
+from singjack.exactarith import (KAPPA, KR_ONE, KR_ZERO, KappaRatio,
+                                 PoleError, kappa_linear)
 from singjack.multipoly import (
     AmbientMismatch,
     FieldMismatch,
@@ -211,3 +212,25 @@ def test_perm_action_involution(f):
 def test_divided_difference_degree_drop(f):
     d = mp.divided_difference(1, 2, f)
     assert d.is_zero() or d.degree() <= max(f.degree() - 1, 0)
+
+
+def test_specialized_scale_by_constant_ratio():
+    q = Fraction(-1, 2)
+    f = mp.x_var(2, 1, field=q) + mp.monomial(2, (0, 2), 3, field=q)
+    assert mp.poly_scale(f, KappaRatio.const(3)) == mp.poly_scale(f, 3)
+    assert mp.poly_scale(f, KappaRatio.const(Fraction(2, 7))) == \
+        mp.poly_scale(f, Fraction(2, 7))
+    assert mp.poly_scale(f, KR_ZERO).is_zero()
+    g = mp.MultiPoly(2, {(1, 0): KappaRatio.const(5)}, field=q)
+    assert g.terms == {(1, 0): Fraction(5)}
+
+
+def test_specialized_scale_rejects_kappa_dependent_ratio():
+    q = Fraction(-1, 2)
+    f = mp.x_var(2, 1, field=q)
+    with pytest.raises(TypeError):
+        mp.poly_scale(f, KAPPA)
+    with pytest.raises(TypeError):
+        mp.poly_scale(f, KappaRatio(1, kappa_linear(1, 1)))
+    with pytest.raises(TypeError):
+        mp.MultiPoly(2, {(1, 0): KAPPA + 1}, field=q)

@@ -154,3 +154,32 @@ def test_context_guards():
         ops.dunkl(c, 1, mp.x_var(3, 1))
     with pytest.raises(IndexOutOfRange):
         ops.murphy(c, 0, mp.x_var(2, 1))
+
+
+def test_cherednik_matches_dunkl_route():
+    # reference: U_i f = D_i(x_i f) - kappa * sum_{j<i} (j,i) f
+    rng = random.Random(33)
+    for kappa0 in (None, Fraction(-2, 3)):
+        c3 = ops.OperatorContext(3, kappa0)
+        kappa = c3.kappa()
+        for _ in range(6):
+            f = _random_poly(rng, 3, 4, field=kappa0)
+            for i in (1, 2, 3):
+                ref = ops.dunkl(c3, i, mp.x_var(3, i, field=kappa0) * f)
+                for j in range(1, i):
+                    ref = ref - mp.poly_scale(
+                        mp.apply_perm(transposition(3, j, i), f), kappa)
+                assert ops.cherednik(c3, i, f) == ref
+
+
+def test_cherednik_k_terms_over_the_integers():
+    # U_i = U_i^0 + kappa*K_i; K_i acts on integer coefficients unchanged
+    f = mp.monomial(3, (2, 0, 1), 3) + mp.monomial(3, (0, 1, 2), -2)
+    out = {}
+    ops.cherednik_k_terms(3, 2, {e: int(c.num.coeffs[0])
+                                 for e, c in f.terms.items()}, out)
+    assert all(isinstance(v, int) for v in out.values())
+    c3 = ops.OperatorContext(3)
+    u = ops.cherednik(c3, 2, f)
+    diag = mp.MultiPoly(3, {e: c * (e[1] + 1) for e, c in f.terms.items()})
+    assert u == diag + mp.poly_scale(mp.MultiPoly(3, out), KAPPA)
