@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from fractions import Fraction
 
 from . import __version__
@@ -91,8 +92,8 @@ def cached_zeta(alpha, n, basis="x", paranoid=False):
     jp = jack.zeta_x(alpha, n) if basis == "x" else jack.zeta_p(alpha, n)
     if path:
         os.makedirs(cdir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
+        fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
             json.dump(jp.to_json(), fh, indent=1)
         os.replace(tmp, path)
     return jp
@@ -211,9 +212,7 @@ def cmd_repn(args):
         "e_tau": [list(e.sigma) for e in module.elements],
         "tableaux": [[list(r) for r in e.tableau.rows()]
                      for e in module.elements],
-        "seminormal": {"s%d" % p: [[rat_to_str(v) for v in row]
-                                   for row in mat]
-                       for p, mat in mats.items()},
+        "seminormal": singular.seminormal_json(mats),
         "murphy_spectra": spectra["spectra"],
         "murphy_spectra_ok": spectra["ok"],
         "seminormal_ok": ok,

@@ -104,13 +104,7 @@ def rank(alpha, i):
     n = len(alpha)
     if not 1 <= i <= n:
         raise IndexOutOfRange("rank index %d outside [1,%d]" % (i, n))
-    i0 = i - 1
-    ai = alpha[i0]
-    r = 1
-    for j in range(n):
-        if alpha[j] > ai or (alpha[j] == ai and j < i0):
-            r += 1
-    return r
+    return rank_vector(alpha)[i - 1]
 
 
 def rank_vector(alpha):
@@ -169,34 +163,6 @@ def triangle_greater(alpha, beta):
     return _prefix_ge(ap, bp)
 
 
-def compare(alpha, beta, order="dominance"):
-    """Returns one of 'greater', 'less', 'equal', 'incomparable'."""
-    n = max(len(alpha), len(beta))
-    a, b = pad(alpha, n), pad(beta, n)
-    if order == "dominance":
-        if a == b:
-            return "equal"
-        ge, le = _prefix_ge(a, b), _prefix_ge(b, a)
-        if ge and not le:
-            return "greater"
-        if le and not ge:
-            return "less"
-        if ge and le:
-            return "equal"
-        return "incomparable"
-    if order == "triangle":
-        if comp_weight(a) != comp_weight(b):
-            raise DegreeMismatch("triangle order needs equal degrees")
-        if a == b:
-            return "equal"
-        if triangle_greater(a, b):
-            return "greater"
-        if triangle_greater(b, a):
-            return "less"
-        return "incomparable"
-    raise ParameterViolation("unknown order %r" % order)
-
-
 # ---------------------------------------------------------------- permutations
 
 def identity_perm(n):
@@ -249,32 +215,8 @@ def longest_perm(n):
 # Group-algebra words: tuples of (coefficient, permutation).  Coefficients may
 # be ints or KappaRatio; no like-term combination is attempted.
 
-def word_unit(n):
-    return ((1, identity_perm(n)),)
-
-
 def word_scale(c, word):
     return tuple((c * coeff, w) for coeff, w in word)
-
-
-def word_concat(*words):
-    out = []
-    for word in words:
-        out.extend(word)
-    return tuple(out)
-
-
-def word_mul(a, b):
-    return tuple((ca * cb, compose(wa, wb)) for ca, wa in a for cb, wb in b)
-
-
-def word_supported_in(word, m):
-    """True when every permutation in the word fixes positions > m."""
-    for _, w in word:
-        for i in range(m, len(w)):
-            if w[i] != i + 1:
-                return False
-    return True
 
 
 # ------------------------------------------------------------------- tilde
@@ -842,13 +784,6 @@ class BigDiffPlan:
         """(N + 1 - i_s)kappa + lam_{i_s} as a KappaPoly."""
         i_s = self.points[s - 1]
         return kappa_linear(self.n + 1 - i_s, self.lam[i_s - 1])
-
-    def block_of(self, i):
-        """The j with i_{j-1} < i <= i_j, or None for i > i_M."""
-        for j, p in enumerate(self.points, start=1):
-            if i <= p:
-                return j
-        return None
 
 
 def bigdiff_plan(lam):

@@ -7,7 +7,7 @@ monic denominator, so equality is structural.  No floating point anywhere.
 """
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd, lcm
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -220,15 +220,14 @@ def kappa_linear(a, b):
     return KappaPoly((Fraction(b), Fraction(a)))
 
 
-def _int_content(v):
-    g = 0
-    for x in v:
-        g = int_gcd(g, x)
-    return g or 1
+def _int_form(kp):
+    """(integer coefficients, positive integer d) with kp = ints / d."""
+    d = lcm(*(c.denominator for c in kp.coeffs))
+    return [c.numerator * (d // c.denominator) for c in kp.coeffs], d
 
 
 def _int_primitive(v):
-    g = _int_content(v)
+    g = gcd(*v) or 1
     if v[-1] < 0:
         g = -g
     return [x // g for x in v]
@@ -292,11 +291,7 @@ def poly_gcd(a, b):
 
 
 def _to_int_primitive(p):
-    lcm = 1
-    for c in p.coeffs:
-        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p.coeffs]
-    return _int_primitive(ints)
+    return _int_primitive(_int_form(p)[0])
 
 
 def root_multiplicity(p, q0):

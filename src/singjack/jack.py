@@ -16,14 +16,17 @@ from .exactarith import (
     KappaRatio,
     KR_ONE,
     KR_ZERO,
+    _int_form,
     kappa_linear,
     poly_gcd,
     ratio_sum,
+    root_multiplicity,
 )
 from .multipoly import (
     MultiPoly,
     apply_perm,
     coeff,
+    expand_in_basis,
     monomial,
     mp_zero,
     poly_add,
@@ -70,12 +73,6 @@ class SolveFailure(ArithmeticError):
 
 # ------------------------------------------------------------ denominators
 
-def _int_form(kp):
-    """(integer coefficients, positive integer d) with kp = ints / d."""
-    d = lcm(*(c.denominator for c in kp.coeffs))
-    return [c.numerator * (d // c.denominator) for c in kp.coeffs], d
-
-
 def _linear_factors(kp):
     """Factor a monic KappaPoly into (monic linear, multiplicity) pairs.
 
@@ -86,35 +83,23 @@ def _linear_factors(kp):
     if kp.degree <= 0:
         return out
     rem = kp.monic()
-    # integer-primitive form for root candidates
     while rem.degree >= 1:
+        # rational-root candidates p/q from the integer form
         ints, _ = _int_form(rem)
         a0, an = ints[0], ints[-1]
-        root = None
         if a0 == 0:
             root = Fraction(0)
         else:
-            for p in _divisors(abs(a0)):
-                for q in _divisors(abs(an)):
-                    for cand in (Fraction(p, q), Fraction(-p, q)):
-                        if rem.eval_at(cand) == 0:
-                            root = cand
-                            break
-                    if root is not None:
-                        break
-                if root is not None:
-                    break
+            root = next((cand for p in _divisors(abs(a0))
+                         for q in _divisors(abs(an))
+                         for cand in (Fraction(p, q), Fraction(-p, q))
+                         if rem.eval_at(cand) == 0), None)
         if root is None:
             out.append((rem, 1))
             return out
         lin = KappaPoly((-root, 1))
-        mult = 0
-        while True:
-            q, r = rem.divmod(lin)
-            if not r.is_zero():
-                break
-            rem = q
-            mult += 1
+        mult = root_multiplicity(rem, root)
+        rem = rem.exact_div(lin ** mult)
         out.append((lin, mult))
     return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
 
@@ -305,6 +290,15 @@ def _u_monomial_terms(n, i, exp):
     return got
 
 
+def _ambient(alpha, n):
+    """alpha as an int tuple padded to n entries."""
+    alpha = tuple(int(a) for a in alpha)
+    if comb.comp_length(alpha) > n:
+        raise AmbientTooSmall(
+            "composition %s does not fit in %d variables" % (alpha, n))
+    return comb.pad(alpha, n)
+
+
 def zeta_x(alpha, n):
     """The x-monic simultaneous eigenvector for composition alpha.
 
@@ -312,11 +306,7 @@ def zeta_x(alpha, n):
     determined from already-solved ones via the least Cherednik operator
     separating the spectra, then every eigen-equation is asserted.
     """
-    alpha = tuple(int(a) for a in alpha)
-    if comb.comp_length(alpha) > n:
-        raise AmbientTooSmall(
-            "composition %s does not fit in %d variables" % (alpha, n))
-    alpha = comb.pad(alpha, n)
+    alpha = _ambient(alpha, n)
     key = (alpha, n, "x")
     got = _ZETA_CACHE.get(key)
     if got is not None:
@@ -365,28 +355,21 @@ def p_to_x_factor(alpha):
 
 
 def zeta_p(alpha, n):
-    """The p-monic eigenvector: zeta_x rescaled by the hook/E factor."""
-    alpha = tuple(int(a) for a in alpha)
-    if comb.comp_length(alpha) > n:
-        raise AmbientTooSmall(
-            "composition %s does not fit in %d variables" % (alpha, n))
-    alpha = comb.pad(alpha, n)
+    """The p-monic eigenvector: zeta_x rescaled by the hook/E factor.
+
+    The rescaling is by a nonzero scalar, so the eigen-equations certified
+    on zeta_x hold here too and are not checked again.
+    """
+    alpha = _ambient(alpha, n)
     key = (alpha, n, "p")
     got = _ZETA_CACHE.get(key)
     if got is not None:
         return got
     zx = zeta_x(alpha, n)
     poly = poly_scale(zx.poly, p_to_x_factor(alpha))
-    zp = JackPoly(alpha, n, "p", poly)
+    zp = JackPoly(alpha, n, "p", poly, check=False)
     _ZETA_CACHE[key] = zp
     return zp
-
-
-def _rising(base, k):
-    out = KP_ONE
-    for q in range(k):
-        out = out * (base + q)
-    return out
 
 
 def p_basis(alpha, n):
@@ -396,11 +379,7 @@ def p_basis(alpha, n):
     pinning the y_j-degree to alpha_j before moving on.  The x-degree always
     equals the pinned y-weight, so no spurious terms are carried.
     """
-    alpha = tuple(int(a) for a in alpha)
-    if comb.comp_length(alpha) > n:
-        raise AmbientTooSmall(
-            "composition %s does not fit in %d variables" % (alpha, n))
-    alpha = comb.pad(alpha, n)
+    alpha = _ambient(alpha, n)
     state = {(0,) * n: KP_ONE}
     for j in range(1, n + 1):
         cap = alpha[j - 1]
@@ -408,8 +387,8 @@ def p_basis(alpha, n):
             continue
         layers = [state] + [{} for _ in range(cap)]
         for i in range(1, n + 1):
-            base = kappa_linear(1, 1) if i == j else KAPPA
-            series = [_rising(base, t) * Fraction(1, factorial(t))
+            base = kappa_linear(1, 1 if i == j else 0)
+            series = [comb.pochhammer(base, (t,)) * Fraction(1, factorial(t))
                       for t in range(cap + 1)]
             new = [{} for _ in range(cap + 1)]
             for t_prev in range(cap + 1):
@@ -466,64 +445,52 @@ def z2sz_step(zeta, i):
     return JackPoly(comb.perm_on_comp(sigma, alpha), n, zeta.basis, flipped)
 
 
-def movert_step(zeta, i, s):
-    """Move a larger entry right across a block of equal smaller entries:
-    alpha_i = a > b = alpha_{i+1} = ... = alpha_{i+s}.  p-monic only."""
-    alpha, n = zeta.alpha, zeta.n
+def _check_window(zeta, i, s, name):
     if zeta.basis != "p":
-        raise PreconditionViolation("movert_step needs the p-monic basis")
-    if not (1 <= i and i + s <= n and s >= 1):
-        raise PreconditionViolation("window [%d,%d] outside [1,%d]" % (i, i + s, n))
-    a, b = alpha[i - 1], alpha[i + s - 1]
+        raise PreconditionViolation("%s needs the p-monic basis" % name)
+    if not (1 <= i and i + s <= zeta.n and s >= 1):
+        raise PreconditionViolation(
+            "window [%d,%d] outside [1,%d]" % (i, i + s, zeta.n))
+    a, b = zeta.alpha[i - 1], zeta.alpha[i + s - 1]
     if not a > b:
         raise PreconditionViolation(
             "alpha_%d=%d not greater than alpha_%d=%d" % (i, a, i + s, b))
-    for j in range(1, s + 1):
-        if alpha[i + j - 1] != b:
+
+
+def _check_block(alpha, lo, hi, value):
+    for j in range(lo, hi):
+        if alpha[j - 1] != value:
             raise PreconditionViolation(
                 "alpha_%d=%d breaks the constant block of %d"
-                % (i + j, alpha[i + j - 1], b))
+                % (j, alpha[j - 1], value))
+
+
+def _move_step(zeta, i, s, swaps):
+    """zeta_{(i,i+s)alpha} = ((i,i+s) - bracket * (1 + sum of swaps)) zeta."""
+    alpha, n = zeta.alpha, zeta.n
     d_r = comb.rank(alpha, i + s) - comb.rank(alpha, i)
-    bracket = KAPPA / kappa_linear(d_r, a - b)
+    bracket = KAPPA / kappa_linear(d_r, alpha[i - 1] - alpha[i + s - 1])
     word = [(1, comb.identity_perm(n))]
-    for j in range(1, s):
-        word.append((1, comb.transposition(n, i, i + j)))
-    moved = poly_sub(
-        apply_perm(comb.transposition(n, i, i + s), zeta.poly),
-        poly_scale(word_apply(word, zeta.poly), bracket),
-    )
-    new_alpha = comb.perm_on_comp(comb.transposition(n, i, i + s), alpha)
-    return JackPoly(new_alpha, n, "p", moved)
+    word.extend((1, comb.transposition(n, u, v)) for u, v in swaps)
+    t = comb.transposition(n, i, i + s)
+    moved = _chain_word_apply([(t, bracket, word)], zeta.poly)
+    return JackPoly(comb.perm_on_comp(t, alpha), n, "p", moved)
+
+
+def movert_step(zeta, i, s):
+    """Move a larger entry right across a block of equal smaller entries:
+    alpha_i = a > b = alpha_{i+1} = ... = alpha_{i+s}.  p-monic only."""
+    _check_window(zeta, i, s, "movert_step")
+    _check_block(zeta.alpha, i + 1, i + s + 1, zeta.alpha[i + s - 1])
+    return _move_step(zeta, i, s, [(i, i + j) for j in range(1, s)])
 
 
 def movelt_step(zeta, i, s):
     """Move a smaller entry left across a block of equal larger entries:
     alpha_i = ... = alpha_{i+s-1} = b > a = alpha_{i+s}.  p-monic only."""
-    alpha, n = zeta.alpha, zeta.n
-    if zeta.basis != "p":
-        raise PreconditionViolation("movelt_step needs the p-monic basis")
-    if not (1 <= i and i + s <= n and s >= 1):
-        raise PreconditionViolation("window [%d,%d] outside [1,%d]" % (i, i + s, n))
-    b, a = alpha[i - 1], alpha[i + s - 1]
-    if not b > a:
-        raise PreconditionViolation(
-            "alpha_%d=%d not greater than alpha_%d=%d" % (i, b, i + s, a))
-    for j in range(1, s):
-        if alpha[i + j - 1] != b:
-            raise PreconditionViolation(
-                "alpha_%d=%d breaks the constant block of %d"
-                % (i + j, alpha[i + j - 1], b))
-    d_r = comb.rank(alpha, i + s) - comb.rank(alpha, i)
-    bracket = KAPPA / kappa_linear(d_r, b - a)
-    word = [(1, comb.identity_perm(n))]
-    for j in range(1, s):
-        word.append((1, comb.transposition(n, i + j, i + s)))
-    moved = poly_sub(
-        apply_perm(comb.transposition(n, i, i + s), zeta.poly),
-        poly_scale(word_apply(word, zeta.poly), bracket),
-    )
-    new_alpha = comb.perm_on_comp(comb.transposition(n, i, i + s), alpha)
-    return JackPoly(new_alpha, n, "p", moved)
+    _check_window(zeta, i, s, "movelt_step")
+    _check_block(zeta.alpha, i + 1, i + s, zeta.alpha[i - 1])
+    return _move_step(zeta, i, s, [(i + j, i + s) for j in range(1, s)])
 
 
 # ------------------------------------------------- differentiation formulas
@@ -689,35 +656,6 @@ def ks_coefficient_check(lam, n):
 
 # --------------------------------------------------------- p-basis expansion
 
-def _solve_square(mat, rhs):
-    """Solve mat * x = rhs exactly; entries KappaPoly/KappaRatio."""
-    size = len(mat)
-    a = [[KR_ZERO + mat[r][c] for c in range(size)] for r in range(size)]
-    b = [KR_ZERO + rhs[r] for r in range(size)]
-    for col in range(size):
-        piv = None
-        for r in range(col, size):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise SolveFailure("matrix is singular at column %d" % col)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        inv = a[col][col].reciprocal()
-        for c in range(col, size):
-            a[col][c] = a[col][c] * inv
-        b[col] = b[col] * inv
-        for r in range(size):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                for c in range(col, size):
-                    a[r][c] = a[r][c] - f * a[col][c]
-                b[r] = b[r] - f * b[col]
-    return b
-
-
 _PBASIS_CACHE = {}
 
 
@@ -742,17 +680,8 @@ def p_expand(f, n):
     if d < 0:
         return {}
     gammas = list(comb.compositions_of(d, n))
-    monos = gammas  # same index set: exponent vectors of degree d
-    index = {e: r for r, e in enumerate(monos)}
-    mat = [[KR_ZERO for _ in gammas] for _ in monos]
-    for c, gamma in enumerate(gammas):
-        for e, v in _p_basis_cached(gamma, n).terms.items():
-            mat[index[e]][c] = v
-    rhs = [KR_ZERO for _ in monos]
-    for e, v in f.terms.items():
-        rhs[index[e]] = v
-    sol = _solve_square(mat, rhs)
-    return {g: sol[c] for c, g in enumerate(gammas) if sol[c]}
+    sol, = expand_in_basis([_p_basis_cached(g, n) for g in gammas], [f])
+    return {g: v for g, v in zip(gammas, sol) if v}
 
 
 def difp_support_check(alpha, n):

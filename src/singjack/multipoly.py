@@ -11,7 +11,6 @@ from fractions import Fraction
 from .exactarith import (
     KappaPoly,
     KappaRatio,
-    KR_ONE,
     KR_ZERO,
     PoleError,
     rat_from_str,
@@ -32,6 +31,10 @@ class SizeMismatch(ValueError):
 
 
 class InexactDivision(ArithmeticError):
+    pass
+
+
+class ExpansionFailure(Exception):
     pass
 
 
@@ -286,18 +289,6 @@ def poly_scale(f, c):
     )
 
 
-def poly_arith(f, g, op):
-    if op == "add":
-        return poly_add(f, g)
-    if op == "sub":
-        return poly_sub(f, g)
-    if op == "mul":
-        return poly_mul(f, g)
-    if op == "scale":
-        return poly_scale(f, g)
-    raise ValueError("unknown op %r" % (op,))
-
-
 def perm_terms(w, terms):
     """The terms of w applied to the polynomial with the given terms."""
     n = len(w)
@@ -442,3 +433,37 @@ def word_apply(word, f):
             g = poly_scale(g, c)
         acc = poly_add(acc, g)
     return acc
+
+
+def expand_in_basis(basis, targets):
+    """Coefficients of each target in the basis, one list per target.
+
+    Gauss-Jordan elimination on the augmented matrix [basis | targets],
+    one row per monomial in graded-lex descending order.  Raises
+    ExpansionFailure when the basis is linearly dependent or a target lies
+    outside its span.
+    """
+    polys = list(basis) + list(targets)
+    k = len(basis)
+    zero = polys[0].zero_coeff()
+    exps = sorted({e for f in polys for e in f.terms},
+                  key=lambda e: (sum(e), e), reverse=True)
+    rows = [[f.terms.get(e, zero) for f in polys] for e in exps]
+    for c in range(k):
+        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if p is None:
+            raise ExpansionFailure("basis is linearly dependent")
+        rows[c], rows[p] = rows[p], rows[c]
+        piv = rows[c]
+        inv = 1 / piv[c]
+        piv[c:] = [x * inv if x else x for x in piv[c:]]
+        for r, row in enumerate(rows):
+            t = row[c]
+            if r != c and t:
+                # entries that cancel share one zero, which keeps the
+                # matrix of many in-span targets small
+                row[c:] = [(a - t * b) or zero if b else a
+                           for a, b in zip(row[c:], piv[c:])]
+    if any(x for row in rows[k:] for x in row[k:]):
+        raise ExpansionFailure("target lies outside the basis span")
+    return [[rows[j][k + t] for j in range(k)] for t in range(len(targets))]

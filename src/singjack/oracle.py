@@ -8,6 +8,7 @@ the constructed module without sharing any of its code path.
 
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import lcm
 
 from . import combinatorics as comb
 from . import multipoly as mp
@@ -125,9 +126,7 @@ def joint_kernel(N, degree, kappa0):
         stacked.extend(m)
     introws = []
     for row in stacked:
-        den = 1
-        for v in row:
-            den = den * v.denominator // _gcd(den, v.denominator)
+        den = lcm(*(v.denominator for v in row))
         introws.append([int(v * den) for v in row])
     ech, pivots = _bareiss_echelon(introws)
     free = [c for c in range(len(cols)) if c not in set(pivots)]
@@ -148,12 +147,6 @@ def joint_kernel(N, degree, kappa0):
                     raise KernelInvariantError(
                         "computed kernel vector is not annihilated")
     return KernelReport(N, degree, kappa0, cols, basis, free)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def compare_with_module(report, module):

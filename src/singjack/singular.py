@@ -19,6 +19,7 @@ from . import operators as ops
 from .combinatorics import ParameterViolation
 from .exactarith import (PoleError, kappa_linear, rat_to_str,
                          root_multiplicity)
+from .multipoly import ExpansionFailure
 
 
 class GcdConditionViolated(Exception):
@@ -42,10 +43,6 @@ class NotAnnihilated(Exception):
         Exception.__init__(
             self, "Dunkl operator %d does not kill the element of w=%s"
             % (i, self.w))
-
-
-class ExpansionFailure(Exception):
-    pass
 
 
 def _syt_count(tau):
@@ -84,23 +81,8 @@ class SingularModule:
         self.kappa0 = label.kappa0
 
     @property
-    def basis(self):
-        return [(e.w, e.sigma, e.zeta) for e in self.elements]
-
-    @property
-    def e_tau(self):
-        return [e.sigma for e in self.elements]
-
-    @property
     def certificates(self):
         return {e.sigma: dict(e.certificates) for e in self.elements}
-
-    def find_element(self, sigma):
-        sigma = tuple(sigma)
-        for e in self.elements:
-            if e.sigma == sigma:
-                return e
-        raise KeyError(sigma)
 
     def to_json(self, include_timestamp=True, mats=None):
         """The module report; mats are its seminormal_matrices, built here
@@ -131,10 +113,7 @@ class SingularModule:
                 }
                 for i, e in enumerate(self.elements)
             ],
-            "seminormal": {
-                "s%d" % p: [[rat_to_str(v) for v in row] for row in mat]
-                for p, mat in mats.items()
-            },
+            "seminormal": seminormal_json(mats),
             "murphy_spectra_ok": spectra["ok"],
         }
         if include_timestamp:
@@ -214,87 +193,30 @@ def build_module(m, n, N):
 
 # ------------------------------------------------------------- linear algebra
 
-def _basis_rref(module):
-    """Row-reduce the coefficient matrix of the basis, tracking the
-    transform; returns (exponent order, reduced rows, transform, pivots)."""
-    exps = sorted({e for el in module.elements for e in el.zeta.terms},
-                  key=lambda e: (sum(e), e), reverse=True)
-    col = {e: i for i, e in enumerate(exps)}
-    k = len(module.elements)
-    rows = []
-    for el in module.elements:
-        v = [Fraction(0)] * len(exps)
-        for e, c in el.zeta.terms.items():
-            v[col[e]] = c
-        rows.append(v)
-    trans = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    pivots = []
-    r = 0
-    for c in range(len(exps)):
-        p = next((i for i in range(r, k) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        trans[r], trans[p] = trans[p], trans[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        trans[r] = [x * inv for x in trans[r]]
-        for i in range(k):
-            if i != r and rows[i][c]:
-                t = rows[i][c]
-                rows[i] = [a - t * b for a, b in zip(rows[i], rows[r])]
-                trans[i] = [a - t * b for a, b in zip(trans[i], trans[r])]
-        pivots.append(c)
-        r += 1
-        if r == k:
-            break
-    if r < k:
-        raise ExpansionFailure("basis is linearly dependent")
-    return exps, col, rows, trans, pivots
-
-
-def _expand(module, f, cache=None):
-    """Coefficients of f in the module basis; ExpansionFailure if f is
-    outside the span."""
-    if cache is None:
-        cache = _basis_rref(module)
-    exps, col, rows, trans, pivots = cache
-    v = [Fraction(0)] * len(exps)
-    for e, c in f.terms.items():
-        if e not in col:
-            raise ExpansionFailure("monomial %s outside basis support" % (e,))
-        v[col[e]] = c
-    k = len(module.elements)
-    coeff = [Fraction(0)] * k
-    for r, c in enumerate(pivots):
-        t = v[c]
-        if not t:
-            continue
-        v = [a - t * b for a, b in zip(v, rows[r])]
-        coeff = [a + t * b for a, b in zip(coeff, trans[r])]
-    if any(v):
-        raise ExpansionFailure("polynomial lies outside the basis span")
-    return coeff
-
-
 def basis_rank(module):
-    return len(_basis_rref(module)[4])
+    """The dimension of the module; ExpansionFailure if its basis is
+    linearly dependent."""
+    basis = [el.zeta for el in module.elements]
+    mp.expand_in_basis(basis, [])
+    return len(basis)
 
 
 def seminormal_matrices(module):
     """Row-convention matrices of the adjacent transpositions: row j
     holds the basis coefficients of (p,p+1) applied to basis element j."""
     n = module.n
-    cache = _basis_rref(module)
-    out = {}
-    for p in range(1, n):
-        w = comb.transposition(n, p, p + 1)
-        mat = []
-        for el in module.elements:
-            img = mp.apply_perm(w, el.zeta)
-            mat.append(_expand(module, img, cache))
-        out[p] = mat
-    return out
+    basis = [el.zeta for el in module.elements]
+    images = [mp.apply_perm(comb.transposition(n, p, p + 1), f)
+              for p in range(1, n) for f in basis]
+    rows = mp.expand_in_basis(basis, images)
+    k = len(basis)
+    return {p: rows[(p - 1) * k:p * k] for p in range(1, n)}
+
+
+def seminormal_json(mats):
+    """The seminormal matrices as the reports print them."""
+    return {"s%d" % p: [[rat_to_str(v) for v in row] for row in mat]
+            for p, mat in mats.items()}
 
 
 def murphy_rule_matrices(module):

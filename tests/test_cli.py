@@ -205,6 +205,20 @@ def test_cache_round_trip(capsys, tmp_path, monkeypatch):
     assert code == 0 and out3 == out1
 
 
+def test_cache_write_does_not_collide_on_a_shared_temp_name(
+        capsys, tmp_path, monkeypatch):
+    # a stale or concurrent writer holding path + ".tmp" must not block
+    # another writer of the same entry
+    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
+    path = tmp_path / (cli._cache_key((2, 0, 1), 3, "x") + ".json")
+    (tmp_path / (path.name + ".tmp")).mkdir()
+    code, out, _ = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
+    assert code == 0
+    assert json.loads(path.read_text()) == json.loads(out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [path.name, path.name + ".tmp"])
+
+
 def test_cache_tamper_detected_in_paranoid_mode(capsys, tmp_path,
                                                 monkeypatch):
     monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))

@@ -104,7 +104,7 @@ def test_p_basis_small_values():
 
 
 def test_p_expand_inverts_p_basis():
-    for n, d in ((2, 2), (3, 2)):
+    for n, d in ((2, 2), (3, 2), (3, 3)):
         for gamma in comb.compositions_of(d, n):
             got = jack.p_expand(jack.p_basis(gamma, n), n)
             assert got == {gamma: KR_ONE}

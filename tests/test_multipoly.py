@@ -43,11 +43,6 @@ def test_arithmetic():
     f = xv(1) + xv(2)
     g = xv(1) - xv(2)
     assert f * g == xv(1) * xv(1) - xv(2) * xv(2)
-    assert mp.poly_arith(f, g, "add") == f + g
-    assert mp.poly_arith(f, g, "sub") == f - g
-    assert mp.poly_arith(f, g, "mul") == f * g
-    with pytest.raises(ValueError):
-        mp.poly_arith(f, g, "div")
 
 
 def test_ambient_and_field_guards():
@@ -234,3 +229,44 @@ def test_specialized_scale_rejects_kappa_dependent_ratio():
         mp.poly_scale(f, KappaRatio(1, kappa_linear(1, 1)))
     with pytest.raises(TypeError):
         mp.MultiPoly(2, {(1, 0): KAPPA + 1}, field=q)
+
+
+def test_expand_in_basis_specialized_several_targets():
+    q = Fraction(-1, 3)
+    x1, x2, x3 = (xv(i, field=q) for i in (1, 2, 3))
+    basis = [x1 + x2, x1 - x3, mp.poly_scale(x3, Fraction(1, 2))]
+    targets = [x1, x1 + x2 + x3, mp.mp_zero(3, field=q), basis[1]]
+    got = mp.expand_in_basis(basis, targets)
+    assert got == [[0, 1, 2], [1, 0, 2], [0, 0, 0], [0, 1, 0]]
+    for coeffs, f in zip(got, targets):
+        assert all(isinstance(c, Fraction) for c in coeffs)
+        rebuilt = mp.mp_zero(3, field=q)
+        for c, b in zip(coeffs, basis):
+            rebuilt = rebuilt + mp.poly_scale(b, c)
+        assert rebuilt == f
+
+
+def test_expand_in_basis_generic_coefficients():
+    x1, x2 = mp.x_var(2, 1), mp.x_var(2, 2)
+    basis = [mp.poly_scale(x1, kappa_linear(1, 1)) + x2,
+             mp.poly_scale(x2, KAPPA)]
+    target = x1 + x2
+    (a, b), = mp.expand_in_basis(basis, [target])
+    assert a == b == KappaRatio(1, kappa_linear(1, 1))
+    assert mp.poly_scale(basis[0], a) + mp.poly_scale(basis[1], b) == target
+    assert mp.expand_in_basis(basis, []) == []
+
+
+def test_expand_in_basis_rejects_dependent_basis():
+    basis = [xv(1) + xv(2), xv(3), mp.poly_scale(xv(1) + xv(2), KAPPA)]
+    with pytest.raises(mp.ExpansionFailure, match="dependent"):
+        mp.expand_in_basis(basis, [xv(3)])
+
+
+def test_expand_in_basis_rejects_target_outside_span():
+    basis = [xv(1) + xv(2), xv(3)]
+    with pytest.raises(mp.ExpansionFailure, match="outside"):
+        mp.expand_in_basis(basis, [xv(3), xv(1)])
+    # a monomial no basis element carries is outside the span as well
+    with pytest.raises(mp.ExpansionFailure, match="outside"):
+        mp.expand_in_basis(basis, [xv(1) * xv(2)])

@@ -95,7 +95,8 @@ def test_dimension_counts_standard_tableaux():
 def test_expand_rejects_outside_span():
     mod = module_133()
     with pytest.raises(singular.ExpansionFailure):
-        singular._expand(mod, mp.x_var(3, 1, field=-THIRD))
+        mp.expand_in_basis([el.zeta for el in mod.elements],
+                           [mp.x_var(3, 1, field=-THIRD)])
 
 
 def test_cherednik_closure():
