@@ -150,7 +150,8 @@ def cmd_verify(args):
                 ("seminormal", report["seminormal_ok"])] if not ok]
     if args.oracle:
         degree = comb.comp_weight(module.label.lam)
-        kern = oracle.joint_kernel(args.N, degree, module.kappa0)
+        kern = oracle.joint_kernel(args.N, degree, module.kappa0,
+                                   [el.zeta for el in module.elements])
         comparison = oracle.compare_with_module(kern, module)
         report["kernel"] = kern.to_json(include_timestamp=False)
         if not comparison["contains_module"]:

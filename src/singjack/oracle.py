@@ -4,6 +4,16 @@ Brute force on purpose: build the matrix of every D_i on the full
 monomial basis of a fixed degree, stack them, and compute the exact
 nullspace by fraction-free elimination.  The result is compared against
 the constructed module without sharing any of its code path.
+
+A caller may offer candidate polynomials, such as the module's, as
+vectors that might span the kernel.  They are never trusted: their span
+is taken as the kernel only when it is proven to be.  Every vector of
+the span is checked exactly to be killed by the oracle's own stacked
+matrix, so dim ker >= r, the exact rank of the candidates over Q.  The
+rank of that matrix modulo the prime 2^61 - 1 never exceeds its rank
+over Q, so dim ker <= cols - rank_p.  When cols - rank_p = r the two
+bounds meet.  If a check fails or the bound is not tight, the exact
+Bareiss elimination runs as it does without candidates.
 """
 
 from datetime import datetime, timezone
@@ -14,6 +24,10 @@ from . import combinatorics as comb
 from . import multipoly as mp
 from . import operators as ops
 from .exactarith import rat_from_str, rat_to_str
+
+
+# The prime of the one-sided rank bound, 2^61 - 1.
+MODULUS = (1 << 61) - 1
 
 
 class KernelInvariantError(Exception):
@@ -111,9 +125,131 @@ class KernelReport:
         return rep
 
 
-def joint_kernel(N, degree, kappa0):
+def _integer_rows(mat, cols):
+    """Each row of a Fraction matrix times the lcm of its denominators,
+    as a dense integer row built from the nonzero entries only."""
+    out = []
+    for row in mat:
+        nz = [(j, v) for j, v in enumerate(row) if v]
+        den = lcm(*(v.denominator for _, v in nz))
+        irow = [0] * cols
+        for j, v in nz:
+            irow[j] = v.numerator * (den // v.denominator)
+        out.append(irow)
+    return out
+
+
+def _rank_mod_p(introws, stop=None):
+    """Rank of an integer matrix modulo MODULUS, never above its rank
+    over Q; the elimination ends once the rank reaches `stop`.
+
+    Sparse rows, pivot on the last nonzero column, rows taken by that
+    column from the right: of the orders tried on the stacked Dunkl
+    matrices, this one did the fewest row updates."""
+    rows = []
+    for row in introws:
+        d = {}
+        for j, v in enumerate(row):
+            if v:
+                v %= MODULUS
+                if v:
+                    d[j] = v
+        if d:
+            rows.append(d)
+    rows.sort(key=max, reverse=True)
+    pivots = {}  # pivot column -> row scaled to 1 there
+    for d in rows:
+        while d:
+            c = max(d)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(d[c], -1, MODULUS)
+                pivots[c] = {j: v * inv % MODULUS for j, v in d.items()}
+                break
+            t = d[c]
+            for j, v in prow.items():
+                w = (d.get(j, 0) - t * v) % MODULUS
+                if w:
+                    d[j] = w
+                else:
+                    d.pop(j, None)
+        if len(pivots) == stop:
+            break
+    return len(pivots)
+
+
+def _subtract_multiple(dst, t, src):
+    """dst -= t * src on sparse Fraction vectors, dropping zeros."""
+    for j, w in src.items():
+        x = dst.get(j, 0) - t * w
+        if x:
+            dst[j] = x
+        else:
+            dst.pop(j, None)
+
+
+def _candidate_span(candidates, N, kappa0, cols):
+    """Right-to-left Gauss-Jordan over Q on the candidates' coefficient
+    vectors: {pivot column: row}, the pivot being the last nonzero column,
+    each row 1 there and 0 on every other pivot column.  None when a
+    candidate is not a specialized polynomial on the monomial columns."""
+    colix = {e: c for c, e in enumerate(cols)}
+    span = {}
+    for f in candidates:
+        if f.n != N or f.field != kappa0 or not all(e in colix
+                                                   for e in f.terms):
+            return None
+        v = {colix[e]: Fraction(c) for e, c in f.terms.items()}
+        for c, row in span.items():
+            if v.get(c):
+                _subtract_multiple(v, v[c], row)
+        if not v:
+            continue
+        c = max(v)
+        inv = 1 / v[c]
+        v = {j: x * inv for j, x in v.items()}
+        for row in span.values():
+            if row.get(c):
+                _subtract_multiple(row, row[c], v)
+        span[c] = v
+    return span
+
+
+def _annihilated(vec, introws):
+    """Exact check that every integer row kills the sparse Fraction
+    vector `vec`, done over Z after clearing its denominators."""
+    den = lcm(*(x.denominator for x in vec.values()))
+    ivec = [(j, x.numerator * (den // x.denominator)) for j, x in vec.items()]
+    return not any(sum(row[j] * x for j, x in ivec) for row in introws)
+
+
+def _certified_span(candidates, N, kappa0, cols, introws):
+    """The reduced span of the candidates when it is proven to be the
+    whole kernel of `introws`, else None.
+
+    Each reduced vector is checked exactly to be killed by every row, so
+    dim ker >= r, the exact rank of the candidates.  The rank modulo a
+    prime never exceeds the rank over Q, so dim ker <= cols - rank_p.
+    When cols - rank_p = r the two bounds meet; the modular rank alone
+    never decides equality."""
+    span = _candidate_span(candidates, N, kappa0, cols)
+    if span is None or not all(_annihilated(v, introws)
+                               for v in span.values()):
+        return None
+    target = len(cols) - len(span)
+    if _rank_mod_p(introws, stop=target) != target:
+        return None
+    return span
+
+
+def joint_kernel(N, degree, kappa0, candidates=None):
     """Exact nullspace of all D_i on homogeneous degree-`degree`
-    polynomials at kappa0; one canonical basis vector per free column."""
+    polynomials at kappa0; one canonical basis vector per free column.
+
+    `candidates`, specialized polynomials expected to span the kernel,
+    are never trusted: the report is read off their span only when
+    `_certified_span` proves that span is the kernel.  Otherwise, and
+    without candidates, the stacked matrix is eliminated by Bareiss."""
     if degree < 1:
         raise comb.ParameterViolation("degree must be positive")
     kappa0 = Fraction(kappa0)
@@ -124,10 +260,19 @@ def joint_kernel(N, degree, kappa0):
         m = dunkl_matrix(N, degree, i, kappa0)
         per_op.append(m)
         stacked.extend(m)
-    introws = []
-    for row in stacked:
-        den = lcm(*(v.denominator for v in row))
-        introws.append([int(v * den) for v in row])
+    introws = _integer_rows(stacked, len(cols))
+    span = None
+    if candidates is not None:
+        span = _certified_span(candidates, N, kappa0, cols, introws)
+    if span is not None:
+        free = sorted(span)
+        basis = []
+        for f in free:
+            x = [Fraction(0)] * len(cols)
+            for j, v in span[f].items():
+                x[j] = v
+            basis.append(x)
+        return KernelReport(N, degree, kappa0, cols, basis, free)
     ech, pivots = _bareiss_echelon(introws)
     free = [c for c in range(len(cols)) if c not in set(pivots)]
     basis = []
@@ -138,7 +283,7 @@ def joint_kernel(N, degree, kappa0):
             c = pivots[r]
             s = sum(Fraction(ech[r][j]) * x[j]
                     for j in range(c + 1, len(cols)) if ech[r][j] and x[j])
-            x[c] = -s / ech[r][c]
+            x[c] = Fraction(-s, ech[r][c])
         basis.append(x)
     for vec in basis:
         for m in per_op:

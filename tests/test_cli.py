@@ -111,6 +111,16 @@ def test_verify_with_oracle_and_report(capsys, tmp_path):
     assert "all certificates hold" in err
 
 
+def test_verify_oracle_certifies_module_344(capsys):
+    code, out, err = run(capsys, "verify", "--m", "3", "--n", "4",
+                         "--N", "4", "--oracle")
+    assert code == 0
+    comparison = json.loads(out)["kernel"]["comparison"]
+    assert comparison["equal_to_module"]
+    assert all(comparison["per_element"])
+    assert "all certificates hold" in err
+
+
 def test_verify_determinism_modulo_timestamp(capsys):
     code1, out1, _ = run(capsys, "verify", "--m", "1", "--n", "3", "--N", "3")
     code2, out2, _ = run(capsys, "verify", "--m", "1", "--n", "3", "--N", "3")

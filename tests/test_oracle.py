@@ -1,10 +1,14 @@
 """Joint-kernel brute force: matrices, nullspace, module comparison."""
 
+import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from singjack import combinatorics as comb
+from singjack import multipoly as mp
 from singjack import oracle, singular
 from singjack.combinatorics import ParameterViolation
 
@@ -173,3 +177,134 @@ def test_bareiss_against_plain_rref_on_random_matrices():
         for v in fast:
             for row in mat:
                 assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the candidate certificate: exact annihilation, exact candidate rank, and
+# the one-sided mod-p rank bound, with Bareiss as the fallback
+
+def _module_kernel(m, n, N):
+    mod = singular.build_module(m, n, N)
+    degree = comb.comp_weight(mod.label.lam)
+    return mod, degree, [el.zeta for el in mod.elements]
+
+
+def _spy_bareiss(monkeypatch):
+    calls = []
+    real = oracle._bareiss_echelon
+
+    def spy(mat):
+        calls.append(len(mat))
+        return real(mat)
+
+    monkeypatch.setattr(oracle, "_bareiss_echelon", spy)
+    return calls
+
+
+def _stand_in(mod, zetas):
+    return SimpleNamespace(label=mod.label, kappa0=mod.kappa0,
+                           elements=[SimpleNamespace(zeta=z) for z in zetas])
+
+
+def _json(rep):
+    return json.dumps(rep.to_json(include_timestamp=False))
+
+
+def test_back_solve_keeps_fractions_245():
+    mod, degree, _ = _module_kernel(2, 4, 5)
+    rep = oracle.joint_kernel(5, degree, Fraction(-1, 2))
+    assert rep.dimension == 6
+    assert all(type(v) is Fraction for vec in rep.basis for v in vec)
+    cmpres = oracle.compare_with_module(rep, mod)
+    assert cmpres["contains_module"] and cmpres["equal_to_module"]
+
+
+@pytest.mark.parametrize("mnN", [(1, 3, 3), (1, 2, 3), (1, 3, 5),
+                                 (2, 4, 5), (3, 4, 4), (4, 3, 4)])
+def test_certified_report_is_the_bareiss_report(mnN, monkeypatch):
+    mod, degree, zetas = _module_kernel(*mnN)
+    N = mnN[2]
+    brute = oracle.joint_kernel(N, degree, mod.kappa0)
+    calls = _spy_bareiss(monkeypatch)
+    cert = oracle.joint_kernel(N, degree, mod.kappa0, zetas)
+    assert calls == []
+    assert _json(cert) == _json(brute)
+    oracle.compare_with_module(brute, mod)
+    oracle.compare_with_module(cert, mod)
+    assert _json(cert) == _json(brute)
+    assert cert.comparison["equal_to_module"]
+
+
+def test_certified_report_ignores_the_candidates_basis(monkeypatch):
+    mod, degree, zetas = _module_kernel(2, 4, 5)
+    want = _json(oracle.joint_kernel(5, degree, mod.kappa0))
+    calls = _spy_bareiss(monkeypatch)
+    rng = random.Random(7)
+    for _ in range(3):
+        scaled = [mp.poly_scale(z, Fraction(rng.choice([-3, -1, 2, 5]),
+                                            rng.randint(1, 4)))
+                  for z in zetas]
+        # unit upper-triangular recombination, then a shuffle
+        mixed = []
+        for i, z in enumerate(scaled):
+            for w in scaled[i + 1:]:
+                z = mp.poly_add(z, mp.poly_scale(w, rng.randint(-2, 2)))
+            mixed.append(z)
+        rng.shuffle(mixed)
+        got = oracle.joint_kernel(5, degree, mod.kappa0, mixed + mixed[:2])
+        assert _json(got) == want
+    assert calls == []
+
+
+def test_candidates_short_of_the_kernel_fall_back(monkeypatch):
+    mod, degree, zetas = _module_kernel(1, 3, 5)
+    want = _json(oracle.joint_kernel(5, degree, mod.kappa0))
+    calls = _spy_bareiss(monkeypatch)
+    got = oracle.joint_kernel(5, degree, mod.kappa0, zetas[:-1])
+    assert len(calls) == 1
+    assert _json(got) == want
+    assert got.dimension == len(zetas)
+    # a candidate outside the monomial basis of the degree
+    stray = mp.monomial(5, (1, 0, 0, 0, 0), Fraction(1), field=mod.kappa0)
+    got = oracle.joint_kernel(5, degree, mod.kappa0, zetas + [stray])
+    assert len(calls) == 2
+    assert _json(got) == want
+
+
+def test_edited_candidate_falls_back_and_is_rejected(monkeypatch):
+    mod, degree, zetas = _module_kernel(1, 3, 5)
+    terms = dict(zetas[0].terms)
+    e = next(iter(terms))
+    terms[e] += 1
+    edited = [mp.MultiPoly(5, terms, field=mod.kappa0)] + zetas[1:]
+    calls = _spy_bareiss(monkeypatch)
+    rep = oracle.joint_kernel(5, degree, mod.kappa0, edited)
+    assert len(calls) == 1
+    assert rep.dimension == len(zetas)
+    cmpres = oracle.compare_with_module(rep, _stand_in(mod, edited))
+    assert cmpres["per_element"] == [False] + [True] * (len(zetas) - 1)
+    assert not cmpres["contains_module"]
+    assert not cmpres["equal_to_module"]
+
+
+def test_rank_mod_p():
+    p = oracle.MODULUS
+    assert oracle._rank_mod_p([[p]]) == 0
+    assert oracle._rank_mod_p([[p, 0], [0, 2 * p]]) == 0
+    assert oracle._rank_mod_p([[1, 2], [2, 4]]) == 1
+    assert oracle._rank_mod_p([[1, 2], [2, 4 + p]]) == 1
+    assert oracle._rank_mod_p([[0, 1, 3], [1, 0, 0], [0, 2, 5]]) == 3
+    assert oracle._rank_mod_p([[0, 1, 3], [1, 0, 0], [0, 2, 5]],
+                              stop=2) == 2
+
+
+def test_loose_rank_bound_does_not_certify(monkeypatch):
+    mod, degree, zetas = _module_kernel(1, 3, 5)
+    want = _json(oracle.joint_kernel(5, degree, mod.kappa0))
+    real = oracle._rank_mod_p
+    monkeypatch.setattr(oracle, "_rank_mod_p",
+                        lambda rows, stop=None: real(rows, stop) - 1)
+    calls = _spy_bareiss(monkeypatch)
+    got = oracle.joint_kernel(5, degree, mod.kappa0, zetas)
+    assert len(calls) == 1
+    assert _json(got) == want
