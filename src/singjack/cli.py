@@ -4,7 +4,8 @@ Machine-readable JSON goes to stdout, human-readable summaries to
 stderr.  Exit codes: 0 success, 2 usage or parameter problems, 3 pole at
 the requested value, 4 a falsified certificate, 5 search budget
 exhausted.  Set SINGJACK_CACHE_DIR to reuse constructed polynomials
-across runs; --paranoid re-runs the eigen-assertions on cache loads.
+across runs; every load checks the entry's key and shape, and --paranoid
+also re-runs the eigen-assertions and recomputes the denominators.
 """
 
 import argparse
@@ -80,6 +81,38 @@ def _cache_key(alpha, n, basis):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _load_entry(path, alpha, n, basis, paranoid):
+    """The cache entry at path, checked against the request.
+
+    Always checked: the stored alpha, N, basis and field, the support
+    (alpha and exponents strictly below it) and, in basis x, the
+    coefficient 1 at x^alpha.  --paranoid adds the eigen check and
+    recomputes the denominator factors.  A failed check raises
+    SolveFailure; an entry that does not parse is None, a miss."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        jp = jack.JackPoly.from_json(obj, check=False)
+    except (ValueError, KeyError, TypeError, AttributeError,
+            ZeroDivisionError) as e:
+        _note("cache: unreadable entry %s (%s: %s), recomputing"
+              % (path, type(e).__name__, e))
+        return None
+    if (obj["alpha"], obj["N"], obj["basis"], jp.poly.field) != (
+            list(comb.pad(alpha, n)), n, basis, None):
+        raise jack.SolveFailure("cache entry %s is not zeta_%s of %s, N=%d"
+                                % (path, basis, alpha, n))
+    jp.assert_shape()
+    if paranoid:
+        jp._assert_eigen()
+        stored = jp.denominator_factors
+        if jack.denominator_profile(
+                jp.poly, [fac for fac, _ in stored]) != stored:
+            raise jack.SolveFailure(
+                "stored denominator factors of %s are wrong" % path)
+    return jp
+
+
 def cached_zeta(alpha, n, basis="x", paranoid=False):
     """zeta in the requested basis, via SINGJACK_CACHE_DIR when set."""
     cdir = os.environ.get("SINGJACK_CACHE_DIR")
@@ -87,8 +120,9 @@ def cached_zeta(alpha, n, basis="x", paranoid=False):
     if cdir:
         path = os.path.join(cdir, _cache_key(alpha, n, basis) + ".json")
         if os.path.exists(path):
-            with open(path) as fh:
-                return jack.JackPoly.from_json(json.load(fh), check=paranoid)
+            jp = _load_entry(path, alpha, n, basis, paranoid)
+            if jp is not None:
+                return jp
     jp = jack.zeta_x(alpha, n) if basis == "x" else jack.zeta_p(alpha, n)
     if path:
         os.makedirs(cdir, exist_ok=True)
@@ -236,7 +270,8 @@ def build_parser():
         description="Exact construction and certification of singular "
                     "polynomials for the symmetric group.")
     parser.add_argument("--paranoid", action="store_true",
-                        help="re-verify eigen-assertions on cache loads")
+                        help="re-verify eigen-assertions and denominators "
+                             "on cache loads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("label", help="resolve (m, n, N) to isotype and weight")

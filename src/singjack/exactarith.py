@@ -98,10 +98,6 @@ class KappaPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = KappaPoly.const(other)
-        if not isinstance(other, KappaPoly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -130,12 +126,8 @@ class KappaPoly:
         if n < 0:
             raise ValueError("negative power of a KappaPoly")
         out = KappaPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            out = out * self
         return out
 
     def eval_at(self, q0):
@@ -278,12 +270,6 @@ def poly_gcd(a, b):
         return a.monic()
     if a.degree == 0 or b.degree == 0:
         return KP_ONE
-    for p, q in ((a, b), (b, a)):
-        if p.degree == 1:
-            root = -p.coeffs[0] / p.coeffs[1]
-            if not q.eval_at(root):
-                return p.monic()
-            return KP_ONE
     u = _to_int_primitive(a)
     v = _to_int_primitive(b)
     w = _int_subresultant_gcd(u, v)
@@ -395,9 +381,6 @@ class KappaRatio:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -446,15 +429,10 @@ class KappaRatio:
         return other * self.reciprocal()
 
     def __pow__(self, n):
-        if n < 0:
-            return self.reciprocal() ** (-n)
+        base = self if n >= 0 else self.reciprocal()
         out = KR_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for _ in range(abs(n)):
+            out = out * base
         return out
 
     def eval_at(self, q0):

@@ -12,6 +12,7 @@ from . import combinatorics as comb
 from .exactarith import (
     KAPPA,
     KP_ONE,
+    KP_ZERO,
     KappaPoly,
     KappaRatio,
     KR_ONE,
@@ -19,7 +20,6 @@ from .exactarith import (
     _int_form,
     kappa_linear,
     poly_gcd,
-    ratio_sum,
     root_multiplicity,
 )
 from .multipoly import (
@@ -27,28 +27,19 @@ from .multipoly import (
     apply_perm,
     coeff,
     expand_in_basis,
-    monomial,
     mp_zero,
     poly_add,
     poly_scale,
     poly_sub,
     word_apply,
 )
-from .operators import OperatorContext, cherednik, cherednik_k_terms, dunkl
-
-
-class SpectralCollision(ArithmeticError):
-    pass
+from .operators import OperatorContext, cherednik_k_terms, dunkl
 
 
 class NotDecreasingAt(ValueError):
     def __init__(self, i, msg=None):
         self.i = i
         super().__init__(msg or "entry %d is not greater than its successor" % i)
-
-
-class DegenerateFactor(ArithmeticError):
-    pass
 
 
 class PreconditionViolation(ValueError):
@@ -73,59 +64,23 @@ class SolveFailure(ArithmeticError):
 
 # ------------------------------------------------------------ denominators
 
-def _linear_factors(kp):
-    """Factor a monic KappaPoly into (monic linear, multiplicity) pairs.
-
-    Roots are found by rational-root extraction; any rootless remainder of
-    positive degree is returned as a single factor with multiplicity 1.
-    """
-    out = []
-    if kp.degree <= 0:
-        return out
-    rem = kp.monic()
-    while rem.degree >= 1:
-        # rational-root candidates p/q from the integer form
-        ints, _ = _int_form(rem)
-        a0, an = ints[0], ints[-1]
-        if a0 == 0:
-            root = Fraction(0)
-        else:
-            root = next((cand for p in _divisors(abs(a0))
-                         for q in _divisors(abs(an))
-                         for cand in (Fraction(p, q), Fraction(-p, q))
-                         if rem.eval_at(cand) == 0), None)
-        if root is None:
-            out.append((rem, 1))
-            return out
-        lin = KappaPoly((-root, 1))
-        mult = root_multiplicity(rem, root)
-        rem = rem.exact_div(lin ** mult)
-        out.append((lin, mult))
-    return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
-
-
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def denominator_profile(f):
-    """Distinct irreducible kappa-denominator factors across coefficients,
-    each with its maximal multiplicity in any single coefficient."""
+def denominator_profile(f, candidates):
+    """The denominator factors kappa + c across the coefficients of f, each
+    with its largest multiplicity in one coefficient.  They are sought
+    among the linear candidates only, and SolveFailure is raised if those
+    leave a denominator unfactored, so a factor is never mislabelled."""
+    consts = {fac.monic().coeffs[0] for fac in candidates if fac.degree == 1}
     best = {}
     for den in {c.den for c in f.terms.values()}:
-        for fac, mult in _linear_factors(den):
-            key = fac.coeffs
-            if mult > best.get(key, (None, 0))[1]:
-                best[key] = (fac, mult)
-    return sorted(best.values(), key=lambda t: (t[0].degree, t[0].coeffs))
+        for c in consts:
+            mult = root_multiplicity(den, -c)
+            if mult:
+                den = den.exact_div(kappa_linear(1, c) ** mult)
+                best[c] = max(best.get(c, 0), mult)
+        if not den.is_one():
+            raise SolveFailure(
+                "denominator factor %s is not among the candidates" % den)
+    return [(kappa_linear(1, c), best[c]) for c in sorted(best)]
 
 
 def _integer_layers(f):
@@ -141,10 +96,7 @@ def _integer_layers(f):
         big_d = big_d * den.exact_div(poly_gcd(big_d, den))
     cofactor = {}
     for den in dens:
-        q, r = big_d.divmod(den)
-        if not r.is_zero():
-            raise SolveFailure("denominator %s does not divide the lcm" % den)
-        cofactor[den] = _int_form(q)
+        cofactor[den] = _int_form(big_d.exact_div(den))
     scaled = {}
     big_l = 1
     for e, c in f.terms.items():
@@ -178,6 +130,8 @@ class JackPoly:
     basis "x": coefficient of x^alpha is 1 and the rest of the support is
     strictly below alpha in the triangle order.  basis "p": the same
     polynomial rescaled so its p-expansion is monic at p_alpha.
+    denominator_factors lists (kappa + c, multiplicity) pairs, as
+    denominator_profile gives them; None when they are not known.
     """
 
     __slots__ = ("alpha", "n", "basis", "poly", "denominator_factors")
@@ -190,13 +144,10 @@ class JackPoly:
         self.n = n
         self.basis = basis
         self.poly = poly
-        if denominator_factors is None:
-            denominator_factors = denominator_profile(poly)
         self.denominator_factors = denominator_factors
         if check:
             self._assert_eigen()
-            if basis == "x":
-                self._assert_x_monic()
+            self.assert_shape()
 
     def _assert_eigen(self):
         """Assert U_i f = xi_i f for every i, exactly, over Z[x].
@@ -228,15 +179,17 @@ class JackPoly:
                         % (i, self.alpha))
                 prev = cur
 
-    def _assert_x_monic(self):
+    def assert_shape(self):
+        """Assert the support is alpha and exponents strictly below it,
+        and in basis x that the coefficient at x^alpha is 1."""
         lead = self.poly.terms.get(self.alpha)
-        if lead != KR_ONE:
+        if not lead or (self.basis == "x" and lead != KR_ONE):
             raise SolveFailure("leading coefficient at x^alpha is %r" % (lead,))
+        weight = comb.comp_weight(self.alpha)
         for e in self.poly.terms:
-            if e != self.alpha and not comb.triangle_greater(self.alpha, e):
-                raise SolveFailure(
-                    "support %s not below %s" % (e, self.alpha)
-                )
+            if e != self.alpha and not (
+                    sum(e) == weight and comb.triangle_greater(self.alpha, e)):
+                raise SolveFailure("support %s not below %s" % (e, self.alpha))
 
     def degree(self):
         return comb.comp_weight(self.alpha)
@@ -256,7 +209,7 @@ class JackPoly:
         poly = MultiPoly.from_json(obj)
         factors = [
             (KappaPoly.from_json(d["factor"]), d["multiplicity"])
-            for d in obj.get("denominator_factors", [])
+            for d in obj["denominator_factors"]
         ]
         return cls(obj["alpha"], obj["N"], obj["basis"], poly,
                    denominator_factors=factors, check=check)
@@ -268,25 +221,23 @@ class JackPoly:
 
 # ------------------------------------------------------------- construction
 
-_UMONO_CACHE = {}
+_KTERMS_CACHE = {}
 _ZETA_CACHE = {}
 
 
 def clear_caches():
     """Empty every module-level memo: each call after this starts cold."""
-    _UMONO_CACHE.clear()
+    _KTERMS_CACHE.clear()
     _ZETA_CACHE.clear()
     _PBASIS_CACHE.clear()
 
 
-def _u_monomial_terms(n, i, exp):
-    """Terms of U_i x^exp at generic kappa, cached."""
-    key = (n, i, exp)
-    got = _UMONO_CACHE.get(key)
+def _k_monomial_terms(n, i, exp):
+    """Integer terms of K_i x^exp, where U_i = U_i^0 + kappa*K_i; cached."""
+    got = _KTERMS_CACHE.get((n, i, exp))
     if got is None:
-        ctx = OperatorContext(n)
-        got = cherednik(ctx, i, monomial(n, exp)).terms
-        _UMONO_CACHE[key] = got
+        got = _KTERMS_CACHE[n, i, exp] = {}
+        cherednik_k_terms(n, i, {exp: 1}, got)
     return got
 
 
@@ -299,12 +250,77 @@ def _ambient(alpha, n):
     return comb.pad(alpha, n)
 
 
+# Z[kappa] as int lists, low degree first.  A coefficient of zeta_x is
+# (num, d0, facs): num / (d0 * prod f^m) with d0 a positive int and facs a
+# sorted tuple of (f, m), f = (a, b) the primitive factor a*kappa + b, a > 0.
+
+def _axpy(acc, num, k):
+    """acc += k * num, in place."""
+    acc.extend([0] * (len(num) - len(acc)))
+    for j, x in enumerate(num):
+        acc[j] += k * x
+
+
+def _times(num, a, b):
+    return [b * x + a * y for x, y in zip(num + [0], [0] + num)]
+
+
+def _at_root(num, a, b):
+    """a^deg * num(-b/a) by homogenised Horner: 0 iff a*kappa + b | num."""
+    acc, apow = 0, 1
+    for x in reversed(num):
+        acc = acc * -b + x * apow
+        apow *= a
+    return acc
+
+
+def _solve_step(groups, s, t):
+    """kappa * (sum of groups) / (s*kappa + t), or None when it vanishes;
+    groups maps (d0, facs) to a numerator.  The sum is taken over the lcm
+    of the denominators; each factor is divided out as often as its root is
+    a root of the numerator, and d0 is cancelled against the content."""
+    d0 = lcm(*(gd for gd, _ in groups))
+    top = {}
+    for _, facs in groups:
+        for f, m in facs:
+            top[f] = max(top.get(f, 0), m)
+    total = []
+    for (gd, facs), num in groups.items():
+        have = dict(facs)
+        for (a, b), m in top.items():
+            for _ in range(m - have.get((a, b), 0)):
+                num = _times(num, a, b)
+        _axpy(total, num, d0 // gd)
+    while total and not total[-1]:
+        total.pop()
+    if not total:
+        return None
+    num, g = [0] + total, t
+    if s:
+        g = gcd(s, t) if s > 0 else -gcd(s, t)
+        top[s // g, t // g] = top.get((s // g, t // g), 0) + 1
+    num, d0 = [x if g > 0 else -x for x in num], d0 * abs(g)
+    for (a, b), m in top.items():
+        while m and not _at_root(num, a, b):
+            quo, r = [0] * (len(num) - 1), num[-1]
+            for j in range(len(num) - 2, -1, -1):
+                quo[j] = r // a
+                r = num[j] - b * quo[j]
+            num, m = quo, m - 1
+        top[a, b] = m
+    g = gcd(d0, *num)
+    return ([x // g for x in num], d0 // g,
+            tuple(sorted((f, m) for f, m in top.items() if m)))
+
+
 def zeta_x(alpha, n):
     """The x-monic simultaneous eigenvector for composition alpha.
 
-    Triangular solve over the down-set of alpha: each lower coefficient is
-    determined from already-solved ones via the least Cherednik operator
-    separating the spectra, then every eigen-equation is asserted.
+    Triangular solve over the down-set of alpha: the coefficient at a lower
+    beta is kappa * sum_gamma c_gamma [x^beta] K_i x^gamma over
+    xi_i(alpha) - xi_i(beta), i the least index where the spectra differ.
+    It runs over Z[kappa] with the linear denominators known (_solve_step),
+    with no polynomial gcd; then every eigen-equation is asserted.
     """
     alpha = _ambient(alpha, n)
     key = (alpha, n, "x")
@@ -314,33 +330,46 @@ def zeta_x(alpha, n):
 
     dset = comb.down_set(alpha)
     spec_a = comb.spectral_vector(alpha)
-    coeffs = {alpha: KR_ONE}
-    order = [alpha]
+    pivots = {}
     for beta in dset[1:]:
         spec_b = comb.spectral_vector(beta)
-        piv = None
-        for i in range(n):
-            if spec_a[i] != spec_b[i]:
-                piv = i + 1
-                break
-        if piv is None:
-            raise SpectralCollision(
-                "eigenvalue vectors of %s and %s coincide" % (alpha, beta))
-        da, db = spec_a[piv - 1], spec_b[piv - 1]
-        denom = kappa_linear(da[0] - db[0], da[1] - db[1])
-        items = []
-        for gamma in order:
-            c = _u_monomial_terms(n, piv, gamma).get(beta)
-            if c is not None:
-                items.append(coeffs[gamma] * c)
-        if items:
-            val = ratio_sum(items) / denom
-            if val:
-                coeffs[beta] = val
-                order.append(beta)
+        # xi_i = (N - rank_i)kappa + beta_i + 1, so spectra differ somewhere
+        i = next(i for i in range(n) if spec_a[i] != spec_b[i])
+        pivots[beta] = (i + 1, spec_a[i][0] - spec_b[i][0],
+                        spec_a[i][1] - spec_b[i][1])
+    used = {p[0] for p in pivots.values()}
+    # pending[beta]: the contributions of the solved gammas, grouped by
+    # denominator.  K_i x^gamma lies triangle-below gamma, so all of them
+    # arrive before beta is reached in down-set order.
+    pending = {}
+    coeffs = {}
+    for beta in dset:
+        groups = pending.pop(beta, None)
+        c = ([1], 1, ()) if beta == alpha else (
+            groups and _solve_step(groups, *pivots[beta][1:]))
+        if not c:
+            continue
+        coeffs[beta] = num, d0, facs = c
+        for i in used:
+            for b2, k in _k_monomial_terms(n, i, beta).items():
+                if b2 != beta and pivots.get(b2, (0,))[0] == i:
+                    _axpy(pending.setdefault(b2, {}).setdefault(
+                        (d0, facs), []), num, k)
 
-    poly = MultiPoly(n, dict(coeffs), field=None, _clean=True)
-    zp = JackPoly(alpha, n, "x", poly)
+    terms, best, dens = {}, {}, {}
+    for beta, (num, d0, facs) in coeffs.items():
+        if facs not in dens:
+            den = [1]
+            for (a, b), m in facs:
+                for _ in range(m):
+                    den = _times(den, a, b)
+                best[Fraction(b, a)] = max(best.get(Fraction(b, a), 0), m)
+            dens[facs] = KappaPoly([Fraction(x, den[-1]) for x in den]), den[-1]
+        den, lead = dens[facs]
+        terms[beta] = KappaRatio(KappaPoly(
+            [Fraction(x, d0 * lead) for x in num]), den, _canonical=True)
+    zp = JackPoly(alpha, n, "x", MultiPoly(n, terms, field=None, _clean=True),
+                  [(kappa_linear(1, c), best[c]) for c in sorted(best)])
     _ZETA_CACHE[key] = zp
     return zp
 
@@ -355,11 +384,9 @@ def p_to_x_factor(alpha):
 
 
 def zeta_p(alpha, n):
-    """The p-monic eigenvector: zeta_x rescaled by the hook/E factor.
-
-    The rescaling is by a nonzero scalar, so the eigen-equations certified
-    on zeta_x hold here too and are not checked again.
-    """
+    """The p-monic eigenvector: zeta_x rescaled by the hook/E factor.  The
+    scalar is nonzero, so the eigen-equations certified on zeta_x hold here
+    too and are not checked again."""
     alpha = _ambient(alpha, n)
     key = (alpha, n, "p")
     got = _ZETA_CACHE.get(key)
@@ -367,7 +394,16 @@ def zeta_p(alpha, n):
         return got
     zx = zeta_x(alpha, n)
     poly = poly_scale(zx.poly, p_to_x_factor(alpha))
-    zp = JackPoly(alpha, n, "p", poly, check=False)
+    # the factor's denominators: hook lengths at t = 1 and E-factor pairs
+    lam, rv = comb.sort_desc(alpha), comb.rank_vector(alpha)
+    divided = [comb.hook_length(lam, 1, i, j) for i in range(1, n + 1)
+               for j in range(1, lam[i - 1] + 1)]
+    divided += [kappa_linear(rv[i] - rv[j], alpha[j] - alpha[i])
+                for i in range(n) for j in range(i + 1, n)
+                if alpha[i] < alpha[j]]
+    zp = JackPoly(alpha, n, "p", poly, denominator_profile(
+        poly, [fac for fac, _ in zx.denominator_factors] + divided),
+        check=False)
     _ZETA_CACHE[key] = zp
     return zp
 
@@ -391,32 +427,12 @@ def p_basis(alpha, n):
             series = [comb.pochhammer(base, (t,)) * Fraction(1, factorial(t))
                       for t in range(cap + 1)]
             new = [{} for _ in range(cap + 1)]
-            for t_prev in range(cap + 1):
-                src = layers[t_prev]
-                if not src:
-                    continue
+            for t_prev, src in enumerate(layers):
                 for t in range(cap + 1 - t_prev):
-                    c = series[t]
-                    if c.is_zero():
-                        continue
                     dst = new[t_prev + t]
                     for e, v in src.items():
-                        if t:
-                            e2 = list(e)
-                            e2[i - 1] += t
-                            e2 = tuple(e2)
-                        else:
-                            e2 = e
-                        vc = v * c
-                        acc = dst.get(e2)
-                        if acc is None:
-                            dst[e2] = vc
-                        else:
-                            acc = acc + vc
-                            if acc.is_zero():
-                                del dst[e2]
-                            else:
-                                dst[e2] = acc
+                        e2 = e[:i - 1] + (e[i - 1] + t,) + e[i:]
+                        dst[e2] = dst.get(e2, KP_ZERO) + v * series[t]
             layers = new
         state = layers[cap]
     return MultiPoly(n, state)
@@ -433,16 +449,18 @@ def z2sz_step(zeta, i):
     if alpha[i - 1] <= alpha[i]:
         raise NotDecreasingAt(i)
     d_r = comb.rank(alpha, i + 1) - comb.rank(alpha, i)
-    denom = kappa_linear(d_r, alpha[i - 1] - alpha[i])
-    a = KAPPA / denom
+    diff = alpha[i - 1] - alpha[i]
+    a = KAPPA / kappa_linear(d_r, diff)
     sigma = comb.transposition(n, i, i + 1)
     flipped = poly_sub(apply_perm(sigma, zeta.poly), poly_scale(zeta.poly, a))
     if zeta.basis == "x":
-        fac = KR_ONE - a * a
-        if not fac:
-            raise DegenerateFactor("1 - a^2 vanishes at position %d" % i)
-        flipped = poly_scale(flipped, fac.reciprocal())
-    return JackPoly(comb.perm_on_comp(sigma, alpha), n, zeta.basis, flipped)
+        # 1 - a^2 = ((d_r - 1)kappa + diff)((d_r + 1)kappa + diff) / denom^2,
+        # nonzero as diff > 0
+        flipped = poly_scale(flipped, (KR_ONE - a * a).reciprocal())
+    divided = [kappa_linear(d_r + e, diff) for e in (-1, 0, 1)]
+    return JackPoly(comb.perm_on_comp(sigma, alpha), n, zeta.basis, flipped,
+                    denominator_profile(flipped, [
+                        fac for fac, _ in zeta.denominator_factors] + divided))
 
 
 def _check_window(zeta, i, s, name):
@@ -469,12 +487,15 @@ def _move_step(zeta, i, s, swaps):
     """zeta_{(i,i+s)alpha} = ((i,i+s) - bracket * (1 + sum of swaps)) zeta."""
     alpha, n = zeta.alpha, zeta.n
     d_r = comb.rank(alpha, i + s) - comb.rank(alpha, i)
-    bracket = KAPPA / kappa_linear(d_r, alpha[i - 1] - alpha[i + s - 1])
+    divided = kappa_linear(d_r, alpha[i - 1] - alpha[i + s - 1])
+    bracket = KAPPA / divided
     word = [(1, comb.identity_perm(n))]
     word.extend((1, comb.transposition(n, u, v)) for u, v in swaps)
     t = comb.transposition(n, i, i + s)
     moved = _chain_word_apply([(t, bracket, word)], zeta.poly)
-    return JackPoly(comb.perm_on_comp(t, alpha), n, "p", moved)
+    return JackPoly(comb.perm_on_comp(t, alpha), n, "p", moved,
+                    denominator_profile(moved, [
+                        fac for fac, _ in zeta.denominator_factors] + [divided]))
 
 
 def movert_step(zeta, i, s):
@@ -526,7 +547,8 @@ def dm_formula(zeta):
             raise FormulaMismatch(
                 "D_%d zeta_%s expected to vanish" % (i, alpha),
                 lhs=dunkl(ctx, i, zeta.poly), rhs=mp_zero(n))
-    out = JackPoly(at, n, "p", rotated, check=False)
+    # a permutation of zt: the same coefficients, so the same factors
+    out = JackPoly(at, n, "p", rotated, zt.denominator_factors, check=False)
     return scalar, out
 
 

@@ -265,3 +265,80 @@ def test_cache_denominator_tamper_detected_in_paranoid_mode(
                        "--N", "3")
     assert code == 4
     assert "falsified:" in err
+
+
+def _cached_entry(capsys, tmp_path, monkeypatch, alpha, n):
+    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "zeta", "--alpha",
+                       ",".join(map(str, alpha)), "--N", str(n))
+    assert code == 0
+    return tmp_path / (cli._cache_key(alpha, n, "x") + ".json"), out
+
+
+def test_cache_edited_leading_coefficient_is_refused(capsys, tmp_path,
+                                                     monkeypatch):
+    # without --paranoid, the stored leading coefficient edited to 5 was
+    # served as "coeff": "5" with exit 0
+    path, _ = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3)
+    obj = json.loads(path.read_text())
+    lead = next(t for t in obj["terms"] if t["exp"] == [2, 0, 1])
+    lead["coeff"] = {"num": ["5"], "den": ["1"]}
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3",
+                         "--kappa", "-1/3")
+    assert code == 4
+    assert out == ""
+    assert "falsified:" in err
+
+
+def test_cache_load_checks_the_key_and_the_support(capsys, tmp_path,
+                                                   monkeypatch):
+    path, _ = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3)
+    good = json.loads(path.read_text())
+    above = dict(good, terms=good["terms"] + [
+        {"exp": [3, 0, 0], "coeff": {"num": ["1"], "den": ["1"]}}])
+    other_degree = dict(good, terms=good["terms"] + [
+        {"exp": [0, 0, 1], "coeff": {"num": ["1"], "den": ["1"]}}])
+    for bad in (dict(good, alpha=[1, 0, 2]), dict(good, basis="p"), above,
+                other_degree):
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
+        assert (code, out) == (4, "")
+        assert "falsified:" in err
+    # another key's entry stored under this key's name
+    other, _ = _cached_entry(capsys, tmp_path, monkeypatch, (1, 0, 2), 3)
+    path.write_text(other.read_text())
+    code, _, err = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
+    assert code == 4 and "falsified:" in err
+
+
+def test_cache_unreadable_entry_is_recomputed(capsys, tmp_path,
+                                              monkeypatch):
+    path, fresh = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3)
+    text = path.read_text()
+    missing = json.loads(text)
+    del missing["denominator_factors"]
+    for broken in (text[:len(text) // 2], "", json.dumps(missing)):
+        path.write_text(broken)
+        code, out, err = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
+        assert code == 0
+        assert out == fresh
+        assert "recomputing" in err
+        assert json.loads(path.read_text()) == json.loads(fresh)
+
+
+def test_cache_stored_denominator_factors_checked_in_paranoid_mode(
+        capsys, tmp_path, monkeypatch):
+    path, fresh = _cached_entry(capsys, tmp_path, monkeypatch, (0, 3, 0), 3)
+    obj = json.loads(path.read_text())
+    assert [d["multiplicity"] for d in obj["denominator_factors"]] == [1, 1]
+    for factors in (obj["denominator_factors"][:1],
+                    [dict(d, multiplicity=2)
+                     for d in obj["denominator_factors"]]):
+        path.write_text(json.dumps(dict(obj, denominator_factors=factors)))
+        code, _, _ = run(capsys, "zeta", "--alpha", "0,3,0", "--N", "3")
+        assert code == 0  # taken as stored without --paranoid
+        code, _, err = run(capsys, "--paranoid", "zeta", "--alpha", "0,3,0",
+                           "--N", "3")
+        assert code == 4
+        assert "falsified:" in err

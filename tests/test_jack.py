@@ -1,7 +1,9 @@
 """Eigenvector construction, basis changes, and step/differentiation laws."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
+from math import lcm
 
 import pytest
 
@@ -13,9 +15,11 @@ from singjack.exactarith import (
     KAPPA,
     KR_ONE,
     KR_ZERO,
+    KappaPoly,
     KappaRatio,
     PoleError,
     kappa_linear,
+    ratio_sum,
     root_multiplicity,
 )
 from singjack.operators import OperatorContext, cherednik, dunkl
@@ -390,10 +394,109 @@ def test_eigen_check_rejects_a_specialized_poly():
 def test_clear_caches_empties_every_memo():
     memos = {name: val for name, val in vars(jack).items()
              if name.endswith("_CACHE")}
-    assert set(memos) >= {"_UMONO_CACHE", "_ZETA_CACHE", "_PBASIS_CACHE"}
+    assert set(memos) >= {"_KTERMS_CACHE", "_ZETA_CACHE", "_PBASIS_CACHE"}
     jack.zeta_x((2, 0, 1), 3)
     jack.zeta_p((1, 1, 0), 3)
     jack.p_expand(jack.zeta_x((1, 1), 2).poly, 2)
     assert all(memos.values())
     jack.clear_caches()
     assert not any(memos.values())
+
+
+# ------------------------------------ the fraction-free solve vs Q(kappa)
+
+@lru_cache(maxsize=None)
+def _u_monomial(n, i, exp):
+    return cherednik(OperatorContext(n), i, mp.monomial(n, exp)).terms
+
+
+def _reference_zeta_x(alpha, n):
+    """The triangular solve in generic Q(kappa) arithmetic, with the
+    denominators factored by a rational-root search."""
+    alpha = comb.pad(alpha, n)
+    spec_a = comb.spectral_vector(alpha)
+    coeffs = {alpha: KR_ONE}
+    for beta in comb.down_set(alpha)[1:]:
+        spec_b = comb.spectral_vector(beta)
+        piv = next(i for i in range(n) if spec_a[i] != spec_b[i])
+        (sa, ta), (sb, tb) = spec_a[piv], spec_b[piv]
+        items = [c * _u_monomial(n, piv + 1, g)[beta]
+                 for g, c in coeffs.items()
+                 if beta in _u_monomial(n, piv + 1, g)]
+        val = ratio_sum(items) / kappa_linear(sa - sb, ta - tb)
+        if val:
+            coeffs[beta] = val
+    poly = mp.MultiPoly(n, coeffs)
+    return poly, _reference_profile(poly)
+
+
+def _rational_roots(kp):
+    # the candidates p/q of the rational-root theorem
+    d = lcm(*(c.denominator for c in kp.coeffs))
+    a0, an = int(kp.coeffs[0] * d), int(kp.coeffs[-1] * d)
+    if a0 == 0:
+        return [Fraction(0)]
+    return [Fraction(s * p, q) for p in range(1, abs(a0) + 1) if a0 % p == 0
+            for q in range(1, abs(an) + 1) if an % q == 0 for s in (1, -1)]
+
+
+def _reference_profile(poly):
+    best = {}
+    for den in {c.den for c in poly.terms.values()}:
+        while den.degree >= 1:
+            root = next((r for r in _rational_roots(den)
+                         if den.eval_at(r) == 0), None)
+            fac = den if root is None else kappa_linear(1, -root)
+            mult = 1 if root is None else root_multiplicity(den, root)
+            den = den.exact_div(fac ** mult)
+            if mult > best.get(fac, 0):
+                best[fac] = mult
+    return sorted(best.items(), key=lambda t: (t[0].degree, t[0].coeffs))
+
+
+def _small_compositions():
+    for n in range(1, 5):
+        for d in range(5):
+            for alpha in comb.compositions_of(d, n):
+                yield alpha, n
+    yield from (((0, 3, 0), 3), ((2, 0, 1), 3), ((3, 2, 1, 0), 4))
+
+
+def test_zeta_x_matches_the_q_kappa_solve():
+    for alpha, n in _small_compositions():
+        z = jack.zeta_x(alpha, n)
+        poly, profile = _reference_zeta_x(alpha, n)
+        assert z.poly.terms == poly.terms
+        assert z.denominator_factors == profile
+        zp = jack.zeta_p(alpha, n)
+        assert zp.denominator_factors == _reference_profile(zp.poly)
+
+
+def test_step_formula_denominators_match_the_search():
+    for alpha, n in _small_compositions():
+        for i in range(1, n):
+            if alpha[i - 1] <= alpha[i]:
+                continue
+            for build in (jack.zeta_x, jack.zeta_p):
+                stepped = jack.z2sz_step(build(alpha, n), i)
+                assert stepped.denominator_factors == _reference_profile(
+                    stepped.poly)
+    for moved in (jack.movert_step(jack.zeta_p((2, 1, 1), 3), 1, 2),
+                  jack.movelt_step(jack.zeta_p((2, 2, 1), 3), 1, 2)):
+        assert moved.denominator_factors == _reference_profile(moved.poly)
+
+
+def test_denominator_profile_refuses_a_missing_candidate():
+    z = jack.zeta_x((0, 3, 0), 3)
+    facs = [fac for fac, _ in z.denominator_factors]
+    assert len(facs) == 2
+    # scaled, repeated, unused and constant candidates change nothing
+    extra = [fac * 4 for fac in facs] + facs + [
+        kappa_linear(1, 7), kappa_linear(0, 5), KappaPoly((1, 0, 1))]
+    assert jack.denominator_profile(z.poly, extra) == z.denominator_factors
+    for missing in facs:
+        with pytest.raises(jack.SolveFailure):
+            jack.denominator_profile(
+                z.poly, [fac for fac in extra if fac.monic() != missing])
+    with pytest.raises(jack.SolveFailure):
+        jack.denominator_profile(jack.zeta_x((2, 0, 1), 3).poly, [])

@@ -158,3 +158,16 @@ def test_syt_count_hook_lengths():
     assert singular._syt_count((2, 2)) == 2
     assert singular._syt_count((3, 1, 1)) == 6
     assert singular._syt_count((5,)) == 1
+
+
+def test_staircase_126():
+    # lambda = (5,4,3,2,1,0), a down-set of 2932 compositions
+    mod = singular.build_module(1, 2, 6)
+    assert mod.label.lam == (5, 4, 3, 2, 1, 0)
+    assert len(mod.elements) == 1
+    el, = mod.elements
+    assert el.certificates == {"pole_free": True, "annihilated": True,
+                               "murphy_spectrum_ok": True}
+    assert el.denominator_factors
+    assert all(fac.degree == 1 and fac.coeffs[1] == 1 and mult >= 1
+               for fac, mult in el.denominator_factors)
