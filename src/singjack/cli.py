@@ -3,9 +3,11 @@
 Machine-readable JSON goes to stdout, human-readable summaries to
 stderr.  Exit codes: 0 success, 2 usage or parameter problems, 3 pole at
 the requested value, 4 a falsified certificate, 5 search budget
-exhausted.  Set SINGJACK_CACHE_DIR to reuse constructed polynomials
-across runs; every load checks the entry's key and shape, and --paranoid
-also re-runs the eigen-assertions and recomputes the denominators.
+exhausted, 6 an internal fault: any other exception, noted on stderr as
+"internal error:".  Set SINGJACK_CACHE_DIR to reuse constructed
+polynomials across runs; every load checks the entry's key and shape,
+and --paranoid also re-runs the eigen-assertions and recomputes the
+denominators.
 """
 
 import argparse
@@ -32,11 +34,12 @@ EXIT_USAGE = 2
 EXIT_POLE = 3
 EXIT_CERT = 4
 EXIT_BUDGET = 5
+EXIT_INTERNAL = 6
 
 _USAGE_ERRORS = (ParameterViolation, DegreeMismatch, ShapeViolation,
                  IndexOutOfRange, ZeroComposition,
                  singular.GcdConditionViolated, jack.AmbientTooSmall,
-                 jack.PreconditionViolation, ValueError)
+                 jack.PreconditionViolation)
 _CERT_ERRORS = (singular.NotAnnihilated, singular.ExpansionFailure,
                 jack.FormulaMismatch, jack.SolveFailure,
                 oracle.KernelInvariantError)
@@ -199,8 +202,11 @@ def cmd_verify(args):
         _note("  w=%s wlambda=%s certificates=%s"
               % (el.w, el.sigma, el.certificates))
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=1)
+        try:
+            with open(args.report, "w") as fh:
+                json.dump(report, fh, indent=1)
+        except OSError as e:
+            raise ParameterViolation("cannot write --report: %s" % e)
         _note("report written to", args.report)
     _emit(report)
     if failing:
@@ -348,6 +354,11 @@ def main(argv=None):
     except SearchBudgetExceeded as e:
         _note("budget:", e)
         return EXIT_BUDGET
+    except Exception as e:
+        import traceback  # kept off the start-up path: only faults need it
+        _note("internal error: %s: %s" % (type(e).__name__, e))
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

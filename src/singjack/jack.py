@@ -83,43 +83,28 @@ def denominator_profile(f, candidates):
     return [(kappa_linear(1, c), best[c]) for c in sorted(best)]
 
 
-def _integer_layers(f):
-    """F = L*D*f split by kappa-degree as [F_0, F_1, ...], F_k in Z[x].
+def _integer_form(f):
+    """F = L*D*f as {exponent: Z[kappa] int list, low degree first}.
 
     D is the lcm of the distinct coefficient denominators, so D*f lies in
-    Q[kappa][x], and L is the lcm of the rational denominators of D*f.
-    Each F_k is a dict exponent -> nonzero int.
+    Q[kappa][x], and the integer L > 0 clears its rational denominators.
     """
     dens = {c.den for c in f.terms.values()}
     big_d = KP_ONE
     for den in dens:
         big_d = big_d * den.exact_div(poly_gcd(big_d, den))
-    cofactor = {}
-    for den in dens:
-        cofactor[den] = _int_form(big_d.exact_div(den))
+    cofactor = {den: _int_form(big_d.exact_div(den)) for den in dens}
     scaled = {}
-    big_l = 1
     for e, c in f.terms.items():
-        nums, dn = _int_form(c.num)
+        num, dn = _int_form(c.num)
         qs, dq = cofactor[c.den]
-        prod = [0] * (len(nums) + len(qs) - 1)
-        for s, x in enumerate(nums):
-            if x:
-                for t, y in enumerate(qs):
-                    prod[s + t] += x * y
-        den = dn * dq
-        g = gcd(den, *prod)
-        den //= g
-        big_l = lcm(big_l, den)
-        scaled[e] = ([x // g for x in prod], den)
-    layers = [{} for _ in range(
-        max((len(p) for p, _ in scaled.values()), default=0))]
-    for e, (prod, den) in scaled.items():
-        m = big_l // den
-        for k, x in enumerate(prod):
-            if x:
-                layers[k][e] = x * m
-    return layers
+        prod = []
+        for s, x in enumerate(num):
+            _axpy(prod, [0] * s + qs, x)
+        scaled[e] = prod, dn * dq
+    big_l = lcm(*(d for _, d in scaled.values()))
+    return {e: [x * (big_l // d) for x in prod]
+            for e, (prod, d) in scaled.items()}
 
 
 # ------------------------------------------------------------------ JackPoly
@@ -150,34 +135,32 @@ class JackPoly:
             self.assert_shape()
 
     def _assert_eigen(self):
-        """Assert U_i f = xi_i f for every i, exactly, over Z[x].
+        """Assert U_i f = xi_i f for every i, exactly, over Z[kappa][x].
 
-        With F = L*D*f = sum_k kappa^k F_k (see _integer_layers),
-        U_i = U_i^0 + kappa*K_i and xi_i = a_i*kappa + b_i, the identity
-        holds iff (U_i^0 - b_i) F_k + (K_i - a_i) F_{k-1} = 0 for every
-        k = 0 .. deg F + 1.
+        F = L*D*f (see _integer_form) is f times a nonzero element of
+        Q[kappa].  With U_i = U_i^0 + kappa*K_i and xi_i = a_i*kappa + b_i,
+        the identity holds iff (U_i^0 - b_i - a_i*kappa) F + kappa*K_i F = 0,
+        checked in one pass per operator with K_i x^e from the solve's memo.
+        Its kappa^k coefficient is the layer equation
+        (U_i^0 - b_i) F_k + (K_i - a_i) F_{k-1} = 0.
         """
         n = self.n
         OperatorContext(n).check(self.poly)
-        layers = _integer_layers(self.poly)
+        big_f = _integer_form(self.poly)
         spec = comb.spectral_vector(self.alpha)
         for i in range(1, n + 1):
             a, b = spec[i - 1]
-            i0 = i - 1
-            prev = {}
-            for cur in layers + [{}]:
-                out = {}
-                if prev:
-                    cherednik_k_terms(n, i, prev, out)
-                    for e, c in prev.items():
-                        out[e] = out.get(e, 0) - a * c
-                for e, c in cur.items():
-                    out[e] = out.get(e, 0) + (e[i0] + 1 - b) * c
-                if any(out.values()):
-                    raise SolveFailure(
-                        "U_%d eigen-equation fails for alpha=%s"
-                        % (i, self.alpha))
-                prev = cur
+            # (U_i^0 - b_i - a_i*kappa) F, as U_i^0 x^e = (e_i + 1) x^e
+            out = {e: _times(num, -a, e[i - 1] + 1 - b)
+                   for e, num in big_f.items()}
+            for e, num in big_f.items():
+                shifted = [0] + num
+                for e2, k in _k_monomial_terms(n, i, e).items():
+                    _axpy(out.setdefault(e2, []), shifted, k)
+            if any(any(v) for v in out.values()):
+                raise SolveFailure(
+                    "U_%d eigen-equation fails for alpha=%s"
+                    % (i, self.alpha))
 
     def assert_shape(self):
         """Assert the support is alpha and exponents strictly below it,
@@ -492,7 +475,7 @@ def _move_step(zeta, i, s, swaps):
     word = [(1, comb.identity_perm(n))]
     word.extend((1, comb.transposition(n, u, v)) for u, v in swaps)
     t = comb.transposition(n, i, i + s)
-    moved = _chain_word_apply([(t, bracket, word)], zeta.poly)
+    moved = _word_step(t, bracket, word, zeta.poly)
     return JackPoly(comb.perm_on_comp(t, alpha), n, "p", moved,
                     denominator_profile(moved, [
                         fac for fac, _ in zeta.denominator_factors] + [divided]))
@@ -552,15 +535,11 @@ def dm_formula(zeta):
     return scalar, out
 
 
-def _chain_word_apply(pairs, poly):
-    # pairs: sequence of (transposition, bracket KappaRatio, block word);
-    # applies ((t) - bracket*word) left-factor steps in the given order
-    for t, bracket, word in pairs:
-        poly = poly_sub(
-            apply_perm(t, poly),
-            poly_scale(word_apply(word, poly), bracket),
-        )
-    return poly
+def _word_step(t, bracket, word, poly):
+    """(t - bracket * word) poly: t a transposition, bracket in Q(kappa)
+    and word a block word."""
+    return poly_sub(apply_perm(t, poly),
+                    poly_scale(word_apply(word, poly), bracket))
 
 
 def bigdiff_verify(lam, n):
@@ -615,12 +594,12 @@ def bigdiff_verify(lam, n):
         expect = [plan.nu[(k, j)] for k in range(j - 1, -1, -1)]
         if (j - 1, j) not in plan.Cp:
             # adjacent blocks: nu(j-1,j) == nu(j,j), no step emitted
-            expect = expect[1:] if j >= 1 else expect
+            expect = expect[1:]
             if plan.nu.get((j - 1, j)) != plan.nu[(j, j)]:
                 raise FormulaMismatch(
                     "expected nu(%d,%d) == nu(%d,%d)" % (j - 1, j, j, j), at=j)
         for target, (t, bracket, word) in zip(expect, steps):
-            cur = _chain_word_apply([(t, bracket, word)], cur)
+            cur = _word_step(t, bracket, word, cur)
             ok = cur == zeta_p(target, n).poly
             report["nu_chain"].append({"j": j, "target": list(target), "ok": ok})
             if not ok:
@@ -631,8 +610,7 @@ def bigdiff_verify(lam, n):
     d_rec = {}
     for j in range(M, 0, -1):
         scalar, rotated = dm_formula(zeta_p(plan.mu[(j, M)], n))
-        acc = rotated.poly
-        acc = poly_scale(acc, scalar)
+        acc = poly_scale(rotated.poly, scalar)
         for r in range(M - 1, j - 1, -1):
             acc = apply_perm(comb.transposition(n, pts[r - 1], pts[r]), acc)
         for s in range(j + 1, M + 1):
@@ -682,12 +660,9 @@ _PBASIS_CACHE = {}
 
 
 def _p_basis_cached(gamma, n):
-    key = (gamma, n)
-    got = _PBASIS_CACHE.get(key)
-    if got is None:
-        got = p_basis(gamma, n)
-        _PBASIS_CACHE[key] = got
-    return got
+    if (gamma, n) not in _PBASIS_CACHE:
+        _PBASIS_CACHE[gamma, n] = p_basis(gamma, n)
+    return _PBASIS_CACHE[gamma, n]
 
 
 def p_expand(f, n):

@@ -153,7 +153,8 @@ def build_module(m, n, N):
     """Construct and certify the span of the zeta^x_{w.lam} at kappa0.
 
     Builds each generic polynomial first, specializes, then checks
-    annihilation and Murphy eigenvalues element by element.
+    annihilation and Murphy eigenvalues element by element.  The jack
+    memos serve one module: they are emptied when this returns or raises.
     """
     label = comb.resolve_label(m, n, N)
     if label.family == "two_part":
@@ -164,30 +165,34 @@ def build_module(m, n, N):
     kappa0 = label.kappa0
     sigmas = comb.rlp_enumerate(label.lam)
     if len(sigmas) != _syt_count(label.tau):
-        raise ParameterViolation(
+        raise RuntimeError(
             "internal: %d rearrangements vs %d standard tableaux"
             % (len(sigmas), _syt_count(label.tau)))
     ctx = ops.OperatorContext(N, kappa0)
     elements = []
-    for sigma in sigmas:
-        w, tab = comb.tableau_from_rlp(label.lam, sigma)
-        jp = jack.zeta_x(sigma, N)
-        try:
-            f = mp.specialize(jp.poly, kappa0)
-        except PoleError:
-            raise PoleAtSingularValue(sigma, kappa0, jp.denominator_factors)
-        el = BasisElement(w, sigma, tab, f, jp.denominator_factors)
-        el.certificates["pole_free"] = True
-        for i in range(1, N + 1):
-            if not ops.dunkl(ctx, i, f).is_zero():
-                raise NotAnnihilated(i, w)
-        el.certificates["annihilated"] = True
-        if not _murphy_ok(ctx, el, kappa0):
-            raise jack.FormulaMismatch(
-                "Murphy spectrum of w=%s disagrees with tableau contents"
-                % (w,))
-        el.certificates["murphy_spectrum_ok"] = True
-        elements.append(el)
+    try:
+        for sigma in sigmas:
+            w, tab = comb.tableau_from_rlp(label.lam, sigma)
+            jp = jack.zeta_x(sigma, N)
+            try:
+                f = mp.specialize(jp.poly, kappa0)
+            except PoleError:
+                raise PoleAtSingularValue(sigma, kappa0,
+                                          jp.denominator_factors)
+            el = BasisElement(w, sigma, tab, f, jp.denominator_factors)
+            el.certificates["pole_free"] = True
+            for i in range(1, N + 1):
+                if not ops.dunkl(ctx, i, f).is_zero():
+                    raise NotAnnihilated(i, w)
+            el.certificates["annihilated"] = True
+            if not _murphy_ok(ctx, el, kappa0):
+                raise jack.FormulaMismatch(
+                    "Murphy spectrum of w=%s disagrees with tableau contents"
+                    % (w,))
+            el.certificates["murphy_spectrum_ok"] = True
+            elements.append(el)
+    finally:
+        jack.clear_caches()
     return SingularModule(label, elements)
 
 

@@ -7,6 +7,9 @@ import pytest
 
 from singjack import cli
 from singjack import combinatorics as comb
+from singjack import multipoly as mp
+from singjack import singular
+from singjack.exactarith import KappaPoly, ZeroPolynomial, kappa_linear
 
 
 def run(capsys, *argv):
@@ -111,6 +114,16 @@ def test_verify_with_oracle_and_report(capsys, tmp_path):
     assert "all certificates hold" in err
 
 
+def test_verify_report_to_a_missing_directory_is_a_usage_error(capsys,
+                                                              tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    code, _, err = run(capsys, "verify", "--m", "1", "--n", "3",
+                       "--N", "3", "--report", str(path))
+    assert code == 2
+    assert "error: cannot write --report" in err
+    assert "internal error" not in err
+
+
 def test_verify_oracle_certifies_module_344(capsys):
     code, out, err = run(capsys, "verify", "--m", "3", "--n", "4",
                          "--N", "4", "--oracle")
@@ -182,6 +195,39 @@ def test_search_budget_exit(capsys, monkeypatch):
                        "--m", "1", "--n", "2", "--search")
     assert code == 5
     assert "budget:" in err
+
+
+def _inexact_division():
+    with pytest.raises(ValueError, match="inexact polynomial division") as e:
+        KappaPoly((1,)).exact_div(kappa_linear(1, 0))
+    return e.value
+
+
+@pytest.mark.parametrize("fault", [
+    mp.FieldMismatch("polynomial field None, context kappa -1/2"),
+    ZeroPolynomial("root multiplicity of the zero polynomial"),
+    _inexact_division(),
+])
+def test_internal_faults_exit_6(capsys, monkeypatch, fault):
+    # ValueErrors raised inside the program are not usage errors
+    def build_module(*args):
+        raise fault
+
+    monkeypatch.setattr(singular, "build_module", build_module)
+    code, out, err = run(capsys, "verify", "--m", "1", "--n", "2",
+                         "--N", "4")
+    assert code == cli.EXIT_INTERNAL == 6
+    assert out == ""
+    assert err.startswith("internal error: %s: " % type(fault).__name__)
+
+
+def test_internal_consistency_check_exits_6(capsys, monkeypatch):
+    rlp = comb.rlp_enumerate
+    monkeypatch.setattr(comb, "rlp_enumerate", lambda lam: rlp(lam)[1:])
+    code, out, err = run(capsys, "verify", "--m", "1", "--n", "3",
+                         "--N", "3")
+    assert code == 6
+    assert out == "" and err.startswith("internal error: RuntimeError: ")
 
 
 def test_repn_sign_isotype(capsys):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -13,16 +13,20 @@ from singjack import multipoly as mp
 from singjack.combinatorics import ZeroComposition
 from singjack.exactarith import (
     KAPPA,
+    KP_ONE,
     KR_ONE,
     KR_ZERO,
     KappaPoly,
     KappaRatio,
     PoleError,
+    _int_form,
     kappa_linear,
+    poly_gcd,
     ratio_sum,
     root_multiplicity,
 )
-from singjack.operators import OperatorContext, cherednik, dunkl
+from singjack.operators import (OperatorContext, cherednik,
+                                cherednik_k_terms, dunkl)
 
 
 def test_zeta_x_smallest_cases():
@@ -314,12 +318,79 @@ def _generic_eigen_ok(jp):
         for i in range(1, jp.n + 1))
 
 
+def _integer_layers(f):
+    # F = L*D*f split by kappa-degree as [F_0, F_1, ...], F_k in Z[x]
+    dens = {c.den for c in f.terms.values()}
+    big_d = KP_ONE
+    for den in dens:
+        big_d = big_d * den.exact_div(poly_gcd(big_d, den))
+    cofactor = {}
+    for den in dens:
+        cofactor[den] = _int_form(big_d.exact_div(den))
+    scaled = {}
+    big_l = 1
+    for e, c in f.terms.items():
+        nums, dn = _int_form(c.num)
+        qs, dq = cofactor[c.den]
+        prod = [0] * (len(nums) + len(qs) - 1)
+        for s, x in enumerate(nums):
+            if x:
+                for t, y in enumerate(qs):
+                    prod[s + t] += x * y
+        den = dn * dq
+        g = gcd(den, *prod)
+        den //= g
+        big_l = lcm(big_l, den)
+        scaled[e] = ([x // g for x in prod], den)
+    layers = [{} for _ in range(
+        max((len(p) for p, _ in scaled.values()), default=0))]
+    for e, (prod, den) in scaled.items():
+        m = big_l // den
+        for k, x in enumerate(prod):
+            if x:
+                layers[k][e] = x * m
+    return layers
+
+
+def _layered_eigen_ok(jp):
+    """Reference: the eigen check one kappa-layer at a time, K_i applied
+    afresh to each layer: (U_i^0 - b_i) F_k + (K_i - a_i) F_{k-1} = 0 for
+    every i and k = 0 .. deg F + 1."""
+    n = jp.n
+    layers = _integer_layers(jp.poly)
+    spec = comb.spectral_vector(jp.alpha)
+    for i in range(1, n + 1):
+        a, b = spec[i - 1]
+        prev = {}
+        for cur in layers + [{}]:
+            out = {}
+            if prev:
+                cherednik_k_terms(n, i, prev, out)
+                for e, c in prev.items():
+                    out[e] = out.get(e, 0) - a * c
+            for e, c in cur.items():
+                out[e] = out.get(e, 0) + (e[i - 1] + 1 - b) * c
+            if any(out.values()):
+                return False
+            prev = cur
+    return True
+
+
+def _one_pass_eigen_ok(jp):
+    try:
+        jp._assert_eigen()
+    except jack.SolveFailure:
+        return False
+    return True
+
+
 def test_eigen_check_accepts_every_small_zeta():
     for n in range(1, 5):
         for d in range(5):
             for alpha in comb.compositions_of(d, n):
                 for jp in (jack.zeta_x(alpha, n), jack.zeta_p(alpha, n)):
                     jp._assert_eigen()
+                    assert _layered_eigen_ok(jp)
                     assert _generic_eigen_ok(jp)
 
 
@@ -362,6 +433,35 @@ def test_eigen_check_rejects_tampered_zeta():
             assert count == 4 * len(jp.poly.terms) + 1
 
 
+def _kappa_end_edits(jp):
+    """One poly per edit: each coefficient with the top, then the constant
+    kappa-coefficient of its numerator edited; and one extra monomial."""
+    for e, c in jp.poly.terms.items():
+        top = c.num.coeffs[-1]
+        yield _tampered(jp, e, KappaRatio(
+            c.num + KappaPoly((0,) * c.num.degree + (top,)), c.den))
+        yield _tampered(jp, e, KappaRatio(
+            c.num + (c.num.coeffs[0] or 1), c.den))
+    d = jp.degree()
+    extra = next(e for e in chain(comb.compositions_of(d, jp.n),
+                                  comb.compositions_of(d + 1, jp.n))
+                 if e not in jp.poly.terms)
+    yield _tampered(jp, extra, KR_ONE)
+
+
+def test_eigen_check_agrees_with_the_layered_reference_on_edits():
+    for alpha, n in (((2, 0), 2), ((2, 0, 1), 3), ((2, 1, 0), 3),
+                     ((0, 3, 0), 3), ((1, 0, 2, 1), 4), ((3, 2, 1, 0), 4)):
+        for jp in (jack.zeta_x(alpha, n), jack.zeta_p(alpha, n)):
+            assert _one_pass_eigen_ok(jp) and _layered_eigen_ok(jp)
+            count = 0
+            for bad in _kappa_end_edits(jp):
+                assert not _one_pass_eigen_ok(bad)
+                assert not _layered_eigen_ok(bad)
+                count += 1
+            assert count == 2 * len(jp.poly.terms) + 1
+
+
 def test_eigen_check_asserts_the_last_operator():
     # zeta_alpha + zeta_beta, with beta of another degree sharing the first
     # N-1 eigenvalues of alpha, is an eigenvector of U_1..U_{N-1} but not
@@ -380,6 +480,7 @@ def test_eigen_check_asserts_the_last_operator():
             xi = kappa_linear(*spec[i - 1])
             assert cherednik(ctx, i, bad.poly) == mp.poly_scale(bad.poly, xi)
         assert not _generic_eigen_ok(bad)
+        assert not _layered_eigen_ok(bad)
         with pytest.raises(jack.SolveFailure):
             bad._assert_eigen()
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from singjack import combinatorics as comb
+from singjack import jack
 from singjack import multipoly as mp
 from singjack import singular
 from singjack.combinatorics import ParameterViolation
@@ -171,3 +172,21 @@ def test_staircase_126():
     assert el.denominator_factors
     assert all(fac.degree == 1 and fac.coeffs[1] == 1 and mult >= 1
                for fac, mult in el.denominator_factors)
+
+
+def test_build_module_empties_the_jack_memos(monkeypatch):
+    memos = [val for name, val in vars(jack).items() if name.endswith("_CACHE")]
+    jack.zeta_p((2, 0, 1), 3)
+    singular.build_module(1, 2, 4)
+    assert not any(memos)
+    filled = []
+
+    def murphy_fails(*args):
+        filled.append(bool(jack._KTERMS_CACHE) and bool(jack._ZETA_CACHE))
+        return False
+
+    monkeypatch.setattr(singular, "_murphy_ok", murphy_fails)
+    with pytest.raises(jack.FormulaMismatch):
+        singular.build_module(1, 2, 4)
+    assert filled == [True]
+    assert not any(memos)
