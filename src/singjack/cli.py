@@ -5,12 +5,12 @@ stderr.  Exit codes: 0 success, 2 usage or parameter problems, 3 pole at
 the requested value, 4 a falsified certificate, 5 search budget
 exhausted, 6 an internal fault: any other exception, noted on stderr as
 "internal error:".  Set SINGJACK_CACHE_DIR to reuse constructed
-polynomials across runs; every load checks the entry's key and shape,
-and --paranoid also re-runs the eigen-assertions and recomputes the
-denominators.
+polynomials across runs; every load checks the entry's key, its shape and
+normalization, the eigen-equations and the denominator factors.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -84,19 +84,19 @@ def _cache_key(alpha, n, basis):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _load_entry(path, alpha, n, basis, paranoid):
-    """The cache entry at path, checked against the request.
+def _load_entry(path, alpha, n, basis):
+    """The cache entry at path, certified for the request.
 
-    Always checked: the stored alpha, N, basis and field, the support
-    (alpha and exponents strictly below it) and, in basis x, the
-    coefficient 1 at x^alpha.  --paranoid adds the eigen check and
-    recomputes the denominator factors.  A failed check raises
-    SolveFailure; an entry that does not parse is None, a miss."""
+    Checked in order: the stored alpha, N, basis and field, the shape and
+    normalization (assert_shape), the eigen-equations, and the stored
+    denominator factors, which must equal those recomputed from the
+    coefficients.  A failed check raises SolveFailure; an entry that
+    cannot be read or parsed is None, a miss."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
         jp = jack.JackPoly.from_json(obj, check=False)
-    except (ValueError, KeyError, TypeError, AttributeError,
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
             ZeroDivisionError) as e:
         _note("cache: unreadable entry %s (%s: %s), recomputing"
               % (path, type(e).__name__, e))
@@ -106,33 +106,34 @@ def _load_entry(path, alpha, n, basis, paranoid):
         raise jack.SolveFailure("cache entry %s is not zeta_%s of %s, N=%d"
                                 % (path, basis, alpha, n))
     jp.assert_shape()
-    if paranoid:
-        jp._assert_eigen()
-        stored = jp.denominator_factors
-        if jack.denominator_profile(
-                jp.poly, [fac for fac, _ in stored]) != stored:
-            raise jack.SolveFailure(
-                "stored denominator factors of %s are wrong" % path)
+    jp._assert_eigen()
+    stored = jp.denominator_factors
+    if jack.denominator_profile(jp.poly, [fac for fac, _ in stored]) != stored:
+        raise jack.SolveFailure(
+            "stored denominator factors of %s are wrong" % path)
     return jp
 
 
-def cached_zeta(alpha, n, basis="x", paranoid=False):
+def cached_zeta(alpha, n, basis="x"):
     """zeta in the requested basis, via SINGJACK_CACHE_DIR when set."""
     cdir = os.environ.get("SINGJACK_CACHE_DIR")
     path = None
     if cdir:
         path = os.path.join(cdir, _cache_key(alpha, n, basis) + ".json")
         if os.path.exists(path):
-            jp = _load_entry(path, alpha, n, basis, paranoid)
+            jp = _load_entry(path, alpha, n, basis)
             if jp is not None:
                 return jp
     jp = jack.zeta_x(alpha, n) if basis == "x" else jack.zeta_p(alpha, n)
     if path:
-        os.makedirs(cdir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(jp.to_json(), fh, indent=1)
-        os.replace(tmp, path)
+        try:
+            os.makedirs(cdir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
+            with os.fdopen(fd, "w") as fh:
+                json.dump(jp.to_json(), fh, indent=1)
+            os.replace(tmp, path)
+        except OSError as e:
+            raise ParameterViolation("cannot use SINGJACK_CACHE_DIR: %s" % e)
     return jp
 
 
@@ -152,7 +153,7 @@ def cmd_zeta(args):
     if len(alpha) > args.N:
         raise ParameterViolation("len(alpha)=%d exceeds N=%d"
                                  % (len(alpha), args.N))
-    jp = cached_zeta(alpha, args.N, args.basis, paranoid=args.paranoid)
+    jp = cached_zeta(alpha, args.N, args.basis)
     if args.kappa is None:
         _note("zeta_%s at alpha=%s N=%d: %d terms, generic kappa"
               % (args.basis, alpha, args.N, len(jp.poly.terms)))
@@ -270,14 +271,12 @@ def cmd_repn(args):
 
 # ------------------------------------------------------------------- parsing
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="singjack",
         description="Exact construction and certification of singular "
                     "polynomials for the symmetric group.")
-    parser.add_argument("--paranoid", action="store_true",
-                        help="re-verify eigen-assertions and denominators "
-                             "on cache loads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("label", help="resolve (m, n, N) to isotype and weight")

@@ -560,8 +560,8 @@ def tableau_from_rlp(lam, sigma):
 def is_critical_pair(alpha, beta, m, n):
     """True iff alpha |> beta and every rank/value difference is proportional
     to (n*kappa + m): (r(beta,i)-r(alpha,i))*m = (alpha_i-beta_i)*n."""
-    if gcd(m, n) != 1:
-        raise ParameterViolation("need gcd(m,n)=1")
+    if m < 1 or n < 1 or gcd(m, n) != 1:
+        raise ParameterViolation("need m, n >= 1 and gcd(m,n)=1")
     big = max(len(alpha), len(beta))
     a, b = pad(alpha, big), pad(beta, big)
     if comp_weight(a) != comp_weight(b):
@@ -607,8 +607,8 @@ def find_critical_partners(lam, m, n, max_len, value_cap=None,
     """All beta with ell(beta) <= max_len, parts <= value_cap, |beta| = |lam|,
     forming a critical pair with lam.  Depth-first search in descending
     lexicographic order with residue, rank-range, and sum pruning."""
-    if gcd(m, n) != 1:
-        raise ParameterViolation("need gcd(m,n)=1")
+    if m < 1 or n < 1 or gcd(m, n) != 1:
+        raise ParameterViolation("need m, n >= 1 and gcd(m,n)=1")
     if max_len < 1:
         raise ParameterViolation("max_len must be positive")
     lam = tuple(lam)

@@ -163,11 +163,12 @@ class JackPoly:
                     % (i, self.alpha))
 
     def assert_shape(self):
-        """Assert the support is alpha and exponents strictly below it,
-        and in basis x that the coefficient at x^alpha is 1."""
+        """Assert the support is alpha and exponents strictly below it, with
+        1 at x^alpha in basis x and p_to_x_factor(alpha) in basis p."""
         lead = self.poly.terms.get(self.alpha)
-        if not lead or (self.basis == "x" and lead != KR_ONE):
-            raise SolveFailure("leading coefficient at x^alpha is %r" % (lead,))
+        want = KR_ONE if self.basis == "x" else p_to_x_factor(self.alpha)
+        if lead != want:
+            raise SolveFailure("coefficient at x^alpha is %r" % (lead,))
         weight = comb.comp_weight(self.alpha)
         for e in self.poly.terms:
             if e != self.alpha and not (

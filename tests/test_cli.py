@@ -2,6 +2,7 @@
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -186,6 +187,18 @@ def test_critical_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--m", "1", "--n", "0", "--beta", "1,1,1"],
+    ["--m", "1", "--n", "0", "--search"],
+    ["--m", "-1", "--n", "2", "--search"],
+    ["--m", "0", "--n", "1", "--search"],
+])
+def test_critical_refuses_nonpositive_m_or_n(capsys, argv):
+    code, out, err = run(capsys, "critical", "--lambda", "2,1", *argv)
+    assert (code, out) == (2, "")
+    assert "error:" in err
+
+
 def test_search_budget_exit(capsys, monkeypatch):
     def tripped(*a, **k):
         raise comb.SearchBudgetExceeded(123)
@@ -254,11 +267,17 @@ def test_cache_round_trip(capsys, tmp_path, monkeypatch):
     _, out1, _ = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
     files = list(tmp_path.glob("*.json"))
     assert len(files) == 1
-    _, out2, _ = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
-    assert out1 == out2
-    code, out3, _ = run(capsys, "--paranoid", "zeta", "--alpha", "2,0,1",
-                        "--N", "3")
-    assert code == 0 and out3 == out1
+    code, out2, _ = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
+    assert code == 0 and out1 == out2
+
+
+def test_unusable_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(not_a_dir))
+    code, out, err = run(capsys, "zeta", "--alpha", "1,0", "--N", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot use SINGJACK_CACHE_DIR: ")
 
 
 def test_cache_write_does_not_collide_on_a_shared_temp_name(
@@ -275,8 +294,8 @@ def test_cache_write_does_not_collide_on_a_shared_temp_name(
         [path.name, path.name + ".tmp"])
 
 
-def test_cache_tamper_detected_in_paranoid_mode(capsys, tmp_path,
-                                                monkeypatch):
+def test_cache_tampered_coefficient_is_refused(capsys, tmp_path,
+                                               monkeypatch):
     monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
     run(capsys, "zeta", "--alpha", "1,0", "--N", "2")
     path = tmp_path / (cli._cache_key((1, 0), 2, "x") + ".json")
@@ -285,16 +304,13 @@ def test_cache_tamper_detected_in_paranoid_mode(capsys, tmp_path,
         if t["exp"] == [0, 1]:
             t["coeff"] = {"num": ["0", "1"], "den": ["2", "1"]}
     path.write_text(json.dumps(obj))
-    code, _, _ = run(capsys, "zeta", "--alpha", "1,0", "--N", "2")
-    assert code == 0  # load is not re-verified without --paranoid
-    code, _, err = run(capsys, "--paranoid", "zeta", "--alpha", "1,0",
-                       "--N", "2")
-    assert code == 4
+    code, out, err = run(capsys, "zeta", "--alpha", "1,0", "--N", "2")
+    assert (code, out) == (4, "")
     assert "falsified:" in err
 
 
-def test_cache_denominator_tamper_detected_in_paranoid_mode(
-        capsys, tmp_path, monkeypatch):
+def test_cache_tampered_denominator_is_refused(capsys, tmp_path,
+                                               monkeypatch):
     # the eigen check clears denominators read from the coefficients,
     # not from the stored denominator_factors, which stay untouched here
     monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
@@ -307,24 +323,29 @@ def test_cache_denominator_tamper_detected_in_paranoid_mode(
     edited["coeff"]["den"] = ["3"] + edited["coeff"]["den"][1:]
     path.write_text(json.dumps(obj))
     assert json.loads(path.read_text())["denominator_factors"] == factors
-    code, _, err = run(capsys, "--paranoid", "zeta", "--alpha", "2,0,1",
-                       "--N", "3")
-    assert code == 4
+    code, out, err = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
+    assert (code, out) == (4, "")
     assert "falsified:" in err
 
 
-def _cached_entry(capsys, tmp_path, monkeypatch, alpha, n):
+def _cached_entry(capsys, tmp_path, monkeypatch, alpha, n, basis="x"):
     monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
     code, out, _ = run(capsys, "zeta", "--alpha",
-                       ",".join(map(str, alpha)), "--N", str(n))
+                       ",".join(map(str, alpha)), "--N", str(n),
+                       "--basis", basis)
     assert code == 0
-    return tmp_path / (cli._cache_key(alpha, n, "x") + ".json"), out
+    return tmp_path / (cli._cache_key(alpha, n, basis) + ".json"), out
+
+
+def _refused(capsys, alpha, basis):
+    code, out, err = run(capsys, "zeta", "--alpha", ",".join(map(str, alpha)),
+                         "--N", str(len(alpha)), "--basis", basis)
+    return code == 4 and out == "" and "falsified:" in err
 
 
 def test_cache_edited_leading_coefficient_is_refused(capsys, tmp_path,
                                                      monkeypatch):
-    # without --paranoid, the stored leading coefficient edited to 5 was
-    # served as "coeff": "5" with exit 0
+    # once served as "coeff": "5" with exit 0
     path, _ = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3)
     obj = json.loads(path.read_text())
     lead = next(t for t in obj["terms"] if t["exp"] == [2, 0, 1])
@@ -373,8 +394,8 @@ def test_cache_unreadable_entry_is_recomputed(capsys, tmp_path,
         assert json.loads(path.read_text()) == json.loads(fresh)
 
 
-def test_cache_stored_denominator_factors_checked_in_paranoid_mode(
-        capsys, tmp_path, monkeypatch):
+def test_cache_stored_denominator_factors_are_checked(capsys, tmp_path,
+                                                      monkeypatch):
     path, fresh = _cached_entry(capsys, tmp_path, monkeypatch, (0, 3, 0), 3)
     obj = json.loads(path.read_text())
     assert [d["multiplicity"] for d in obj["denominator_factors"]] == [1, 1]
@@ -382,9 +403,52 @@ def test_cache_stored_denominator_factors_checked_in_paranoid_mode(
                     [dict(d, multiplicity=2)
                      for d in obj["denominator_factors"]]):
         path.write_text(json.dumps(dict(obj, denominator_factors=factors)))
-        code, _, _ = run(capsys, "zeta", "--alpha", "0,3,0", "--N", "3")
-        assert code == 0  # taken as stored without --paranoid
-        code, _, err = run(capsys, "--paranoid", "zeta", "--alpha", "0,3,0",
-                           "--N", "3")
-        assert code == 4
+        code, out, err = run(capsys, "zeta", "--alpha", "0,3,0", "--N", "3")
+        assert (code, out) == (4, "")
         assert "falsified:" in err
+
+
+def test_cache_edited_coefficient_below_the_lead_is_refused(capsys, tmp_path,
+                                                            monkeypatch):
+    # once served with exit 0: of the load checks, only the eigen check
+    # sees this edit
+    path, _ = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3)
+    obj = json.loads(path.read_text())
+    edited = next(t for t in obj["terms"] if t["exp"] == [1, 1, 1])
+    edited["coeff"] = {"num": ["5"], "den": ["1"]}
+    path.write_text(json.dumps(obj))
+    assert _refused(capsys, (2, 0, 1), "x")
+
+
+def test_cache_rescaled_p_entry_is_refused(capsys, tmp_path, monkeypatch):
+    # once served with every coefficient doubled, with exit 0: the eigen
+    # check and the denominator factors cannot see a constant scalar
+    path, _ = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3, "p")
+    obj = json.loads(path.read_text())
+    for t in obj["terms"]:
+        t["coeff"]["num"] = [str(2 * Fraction(c)) for c in t["coeff"]["num"]]
+    path.write_text(json.dumps(obj))
+    assert _refused(capsys, (2, 0, 1), "p")
+
+
+@pytest.mark.parametrize("basis", ["x", "p"])
+def test_cache_swapped_alpha_or_basis_is_refused(capsys, tmp_path,
+                                                 monkeypatch, basis):
+    alpha = (2, 0, 1)
+    keys = [(a, b) for a in comb.rearrangements(alpha, 3) for b in "xp"]
+    entries = {(a, b): _cached_entry(capsys, tmp_path, monkeypatch, a, 3,
+                                     b)[0].read_text()
+               for a, b in keys}
+    path = tmp_path / (cli._cache_key(alpha, 3, basis) + ".json")
+    for key in keys:
+        if key == (alpha, basis):
+            continue
+        # another key's entry, as stored and with its key edited to match
+        other = json.loads(entries[key])
+        for bad in (other, dict(other, alpha=list(alpha), basis=basis)):
+            path.write_text(json.dumps(bad))
+            assert _refused(capsys, alpha, basis), (key, bad["basis"])
+        # this key's entry with the stored alpha and basis of the other
+        path.write_text(json.dumps(dict(json.loads(entries[(alpha, basis)]),
+                                        alpha=list(key[0]), basis=key[1])))
+        assert _refused(capsys, alpha, basis), key

@@ -251,6 +251,11 @@ def test_is_critical_pair():
         comb.is_critical_pair(lam, (1, 0), 1, 2)
     with pytest.raises(ParameterViolation):
         comb.is_critical_pair(lam, beta, 2, 4)  # gcd != 1
+    for m, n in ((1, 0), (0, 1), (-1, 2)):
+        with pytest.raises(ParameterViolation):
+            comb.is_critical_pair(lam, beta, m, n)
+        with pytest.raises(ParameterViolation):
+            comb.find_critical_partners(lam, m, n, max_len=6)
 
 
 def test_critical_partner_small():
