@@ -24,9 +24,8 @@ from . import jack
 from . import multipoly as mp
 from . import oracle
 from . import singular
-from .combinatorics import (DegreeMismatch, IndexOutOfRange,
-                            ParameterViolation, SearchBudgetExceeded,
-                            ShapeViolation, ZeroComposition)
+from .combinatorics import (ParameterViolation, SearchBudgetExceeded,
+                            UsageError)
 from .exactarith import PoleError, rat_to_str
 
 EXIT_OK = 0
@@ -36,10 +35,6 @@ EXIT_CERT = 4
 EXIT_BUDGET = 5
 EXIT_INTERNAL = 6
 
-_USAGE_ERRORS = (ParameterViolation, DegreeMismatch, ShapeViolation,
-                 IndexOutOfRange, ZeroComposition,
-                 singular.GcdConditionViolated, jack.AmbientTooSmall,
-                 jack.PreconditionViolation)
 _CERT_ERRORS = (singular.NotAnnihilated, singular.ExpansionFailure,
                 jack.FormulaMismatch, jack.SolveFailure,
                 oracle.KernelInvariantError)
@@ -115,23 +110,30 @@ def _load_entry(path, alpha, n, basis):
 
 
 def cached_zeta(alpha, n, basis="x"):
-    """zeta in the requested basis, via SINGJACK_CACHE_DIR when set."""
+    """zeta in the requested basis, via SINGJACK_CACHE_DIR when set.  The
+    jack memos serve this one call: they are emptied when it returns or
+    raises.  A failed cache write leaves no temporary file behind."""
     cdir = os.environ.get("SINGJACK_CACHE_DIR")
-    path = None
-    if cdir:
-        path = os.path.join(cdir, _cache_key(alpha, n, basis) + ".json")
-        if os.path.exists(path):
+    path = cdir and os.path.join(cdir, _cache_key(alpha, n, basis) + ".json")
+    try:
+        if path and os.path.exists(path):
             jp = _load_entry(path, alpha, n, basis)
             if jp is not None:
                 return jp
-    jp = jack.zeta_x(alpha, n) if basis == "x" else jack.zeta_p(alpha, n)
+        jp = jack.zeta_x(alpha, n) if basis == "x" else jack.zeta_p(alpha, n)
+    finally:
+        jack.clear_caches()
     if path:
         try:
             os.makedirs(cdir, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                json.dump(jp.to_json(), fh, indent=1)
-            os.replace(tmp, path)
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    json.dump(jp.to_json(), fh, indent=1)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
         except OSError as e:
             raise ParameterViolation("cannot use SINGJACK_CACHE_DIR: %s" % e)
     return jp
@@ -341,7 +343,7 @@ def main(argv=None):
     args = parser.parse_args(_glue_values(argv))
     try:
         return args.func(args)
-    except _USAGE_ERRORS as e:
+    except UsageError as e:
         _note("error:", e)
         return EXIT_USAGE
     except (PoleError, singular.PoleAtSingularValue) as e:

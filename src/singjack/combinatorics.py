@@ -10,31 +10,26 @@ Permutations w are tuples with w[i-1] = w(i), acting on compositions by
 from fractions import Fraction
 from math import comb, gcd
 
-from .exactarith import (
-    KP_ONE,
-    KappaPoly,
-    KappaRatio,
-    kappa_linear,
-)
+from .exactarith import KP_ONE, KappaRatio, kappa_linear
 
 
-class IndexOutOfRange(IndexError):
+class UsageError(Exception):
+    """Base of the errors in what the user asked for: the CLI exits 2."""
+
+
+class IndexOutOfRange(UsageError, IndexError):
     pass
 
 
-class DegreeMismatch(ValueError):
+class DegreeMismatch(UsageError, ValueError):
     pass
 
 
-class ZeroComposition(ValueError):
+class ZeroComposition(UsageError, ValueError):
     pass
 
 
-class NodeOutsideDiagram(ValueError):
-    pass
-
-
-class ParameterViolation(ValueError):
+class ParameterViolation(UsageError, ValueError):
     pass
 
 
@@ -44,7 +39,7 @@ class SearchBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-class ShapeViolation(ValueError):
+class ShapeViolation(UsageError, ValueError):
     pass
 
 
@@ -231,55 +226,48 @@ def tilde(alpha):
 
 # ---------------------------------------------------------- hooks, pochhammer
 
-def _as_kp(t):
-    if isinstance(t, KappaPoly):
-        return t
-    return KappaPoly.const(t)
-
-
-def hook_length(lam, t, i, j):
-    """h(lam,t;i,j) = lam_i - j + t + kappa * #{l > i : lam_l >= j}."""
+def hooks(lam):
+    """(leg, arm) at each node (i, j) of lam, row by row: the hook length
+    h(lam, t; i, j) = t + leg*kappa + arm, with arm = lam_i - j and
+    leg = #{l > i : lam_l >= j}."""
     lam = tuple(lam)
-    if not (1 <= i <= len(lam) and 1 <= j <= (lam[i - 1] if i <= len(lam) else 0)):
-        raise NodeOutsideDiagram("node (%d,%d) outside diagram of %s" % (i, j, lam))
-    leg = sum(1 for l in range(i, len(lam)) if lam[l] >= j)
-    return _as_kp(t) + kappa_linear(leg, lam[i - 1] - j)
+    return [(sum(1 for l in range(i, len(lam)) if lam[l] >= j),
+             lam[i - 1] - j)
+            for i in range(1, len(lam) + 1) for j in range(1, lam[i - 1] + 1)]
 
 
 def hook_product(lam, t):
-    lam = tuple(lam)
     out = KP_ONE
-    for i in range(1, len(lam) + 1):
-        for j in range(1, lam[i - 1] + 1):
-            out = out * hook_length(lam, t, i, j)
+    for leg, arm in hooks(lam):
+        out = out * (kappa_linear(leg, arm) + t)
     return out
 
 
 def pochhammer(t, lam):
     """(t)_lam = prod over nodes (i,j) of (t - (i-1)kappa + j - 1)."""
-    t = _as_kp(t)
     out = KP_ONE
     for i in range(1, len(lam) + 1):
         for j in range(1, lam[i - 1] + 1):
-            out = out * (t + kappa_linear(-(i - 1), j - 1))
+            out = out * (kappa_linear(-(i - 1), j - 1) + t)
     return out
+
+
+def e_factors(alpha, sign):
+    """The factors of e_factor(alpha, sign) as (numerators, denominators),
+    each a list of int pairs (a, b) for a*kappa + b."""
+    if sign not in (1, -1):
+        raise ParameterViolation("sign must be +1 or -1")
+    n = len(alpha)
+    rv = rank_vector(alpha)
+    den = [(rv[i] - rv[j], alpha[j] - alpha[i]) for i in range(n)
+           for j in range(i + 1, n) if alpha[i] < alpha[j]]
+    return [(a + sign, b) for a, b in den], den
 
 
 def e_factor(alpha, sign):
     """Product over pairs i<j with a_i < a_j of
     1 + sign*kappa/(kappa(r(alpha,i)-r(alpha,j)) + a_j - a_i)."""
-    if sign not in (1, -1):
-        raise ParameterViolation("sign must be +1 or -1")
-    n = len(alpha)
-    rv = rank_vector(alpha)
-    out = KappaRatio.const(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if alpha[i] < alpha[j]:
-                den = kappa_linear(rv[i] - rv[j], alpha[j] - alpha[i])
-                num = den + kappa_linear(sign, 0)
-                out = out * KappaRatio(num, den)
-    return out
+    return KappaRatio.from_factors(*e_factors(alpha, sign))
 
 
 # ------------------------------------------------------------- label machinery

@@ -122,14 +122,6 @@ class KappaPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a KappaPoly")
-        out = KappaPoly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def eval_at(self, q0):
         q0 = Fraction(q0)
         acc = Fraction(0)
@@ -225,6 +217,44 @@ def _int_primitive(v):
     return [x // g for x in v]
 
 
+# Z[k] as int lists, low degree first.  A linear factor a*k + b is the
+# int pair (a, b); it is primitive when gcd(a, b) = 1 and a > 0.
+
+def _axpy(acc, num, k):
+    """acc += k * num, in place."""
+    acc.extend([0] * (len(num) - len(acc)))
+    for j, x in enumerate(num):
+        acc[j] += k * x
+
+
+def _times(num, a, b):
+    """num * (a*k + b)."""
+    return [b * x + a * y for x, y in zip(num + [0], [0] + num)]
+
+
+def _at_root(num, a, b):
+    """a^deg * num(-b/a) by homogenised Horner: 0 iff a*k + b | num."""
+    acc, apow = 0, 1
+    for x in reversed(num):
+        acc = acc * -b + x * apow
+        apow *= a
+    return acc
+
+
+def _divide_out(num, a, b, most):
+    """(num / (a*k + b)^m, m) for the largest m <= most with (a*k + b)^m
+    dividing the nonzero num, by synthetic division; a*k + b primitive, so
+    each quotient stays in Z[k] (Gauss's lemma)."""
+    m = 0
+    while m < most and not _at_root(num, a, b):
+        quo, r = [0] * (len(num) - 1), num[-1]
+        for j in range(len(num) - 2, -1, -1):
+            quo[j] = r // a
+            r = num[j] - b * quo[j]
+        num, m = quo, m + 1
+    return num, m
+
+
 def _int_pseudo_rem(u, v):
     """prem(u, v) over Z, deg u >= deg v >= 0."""
     du, dv = len(u) - 1, len(v) - 1
@@ -270,14 +300,9 @@ def poly_gcd(a, b):
         return a.monic()
     if a.degree == 0 or b.degree == 0:
         return KP_ONE
-    u = _to_int_primitive(a)
-    v = _to_int_primitive(b)
-    w = _int_subresultant_gcd(u, v)
+    w = _int_subresultant_gcd(_int_primitive(_int_form(a)[0]),
+                              _int_primitive(_int_form(b)[0]))
     return KappaPoly(w).monic()
-
-
-def _to_int_primitive(p):
-    return _int_primitive(_int_form(p)[0])
 
 
 def root_multiplicity(p, q0):
@@ -285,14 +310,8 @@ def root_multiplicity(p, q0):
     if p.is_zero():
         raise ZeroPolynomial("root multiplicity of the zero polynomial")
     q0 = Fraction(q0)
-    lin = kappa_linear(1, -q0)
-    mult = 0
-    while True:
-        quo, rem = p.divmod(lin)
-        if not rem.is_zero():
-            return mult
-        mult += 1
-        p = quo
+    num = _int_form(p)[0]
+    return _divide_out(num, q0.denominator, -q0.numerator, len(num))[1]
 
 
 class KappaRatio:
@@ -327,6 +346,33 @@ class KappaRatio:
     @classmethod
     def const(cls, q):
         return cls(KappaPoly.const(q), KP_ONE, _canonical=True)
+
+    @classmethod
+    def from_factors(cls, num, den):
+        """prod(a*k + b over num) / prod(a*k + b over den), canonical with
+        no gcd.  num and den list nonzero int pairs (a, b), repeated for
+        multiplicity.  Each factor is made primitive with a >= 0, its
+        content (all of it when a = 0) going into a rational constant;
+        equal factors then cancel in pairs, so the products left are
+        coprime."""
+        c, count = Fraction(1), {}
+        for side, facs in ((1, num), (-1, den)):
+            for a, b in facs:
+                g = b if not a else gcd(a, b) if a > 0 else -gcd(a, b)
+                c *= Fraction(g) ** side
+                if a:
+                    f = (a // g, b // g)
+                    count[f] = count.get(f, 0) + side
+        top, bottom = [1], [1]
+        for (a, b), m in count.items():
+            for _ in range(m):
+                top = _times(top, a, b)
+            for _ in range(-m):
+                bottom = _times(bottom, a, b)
+        c /= bottom[-1]
+        return cls(KappaPoly([c * x for x in top]),
+                   KappaPoly([Fraction(x, bottom[-1]) for x in bottom]),
+                   _canonical=True)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -473,18 +519,3 @@ def _coerce(x):
 KR_ZERO = KappaRatio.const(0)
 KR_ONE = KappaRatio.const(1)
 KAPPA = KappaRatio(kappa_linear(1, 0), KP_ONE, _canonical=True)
-
-
-def ratio_sum(items):
-    """Sum KappaRatios, grouping by denominator to limit gcd work."""
-    groups = {}
-    for r in items:
-        key = r.den.coeffs
-        cur = groups.get(key)
-        groups[key] = r.num if cur is None else cur + r.num
-    total = KR_ZERO
-    for key, num in groups.items():
-        if num.is_zero():
-            continue
-        total = total + KappaRatio(num, KappaPoly(key))
-    return total

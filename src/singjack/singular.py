@@ -16,13 +16,13 @@ from . import combinatorics as comb
 from . import jack
 from . import multipoly as mp
 from . import operators as ops
-from .combinatorics import ParameterViolation
+from .combinatorics import ParameterViolation, UsageError
 from .exactarith import (PoleError, kappa_linear, rat_to_str,
                          root_multiplicity)
 from .multipoly import ExpansionFailure
 
 
-class GcdConditionViolated(Exception):
+class GcdConditionViolated(UsageError):
     pass
 
 

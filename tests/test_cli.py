@@ -8,6 +8,7 @@ import pytest
 
 from singjack import cli
 from singjack import combinatorics as comb
+from singjack import jack
 from singjack import multipoly as mp
 from singjack import singular
 from singjack.exactarith import KappaPoly, ZeroPolynomial, kappa_linear
@@ -278,6 +279,53 @@ def test_unusable_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "zeta", "--alpha", "1,0", "--N", "2")
     assert (code, out) == (2, "")
     assert err.startswith("error: cannot use SINGJACK_CACHE_DIR: ")
+
+
+def test_failed_cache_write_leaves_no_temp_file(capsys, tmp_path,
+                                                monkeypatch):
+    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
+    (tmp_path / (cli._cache_key((1, 0), 2, "x") + ".json")).mkdir()
+    code, out, err = run(capsys, "zeta", "--alpha", "1,0", "--N", "2")
+    assert (code, out) == (2, "")
+    assert "error: cannot use SINGJACK_CACHE_DIR: " in err
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_zeta_empties_the_jack_memos(capsys, tmp_path, monkeypatch):
+    memos = [val for name, val in vars(jack).items() if name.endswith("_CACHE")]
+    jack.zeta_p((2, 0, 1), 3)
+    # a miss without a cache, then a miss and a hit with one
+    for cdir in (None, tmp_path, tmp_path):
+        if cdir:
+            monkeypatch.setenv("SINGJACK_CACHE_DIR", str(cdir))
+        code, _, _ = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3",
+                         "--basis", "p")
+        assert code == 0
+        assert not any(memos)
+    filled = []
+    zeta_x = jack.zeta_x
+
+    def zeta_x_fails(alpha, n):
+        zeta_x(alpha, n)
+        filled.append(bool(jack._KTERMS_CACHE) and bool(jack._ZETA_CACHE))
+        raise jack.SolveFailure("injected")
+
+    monkeypatch.setattr(jack, "zeta_x", zeta_x_fails)
+    code, _, _ = run(capsys, "zeta", "--alpha", "1,0,1", "--N", "3")
+    assert code == 4 and filled == [True]
+    assert not any(memos)
+
+
+def test_usage_errors_share_one_base():
+    # the classes that exit 2, and no others
+    def subclasses(cls):
+        return {c for s in cls.__subclasses__() for c in {s} | subclasses(s)}
+
+    assert subclasses(comb.UsageError) == {
+        comb.ParameterViolation, comb.DegreeMismatch, comb.ShapeViolation,
+        comb.IndexOutOfRange, comb.ZeroComposition,
+        singular.GcdConditionViolated, jack.AmbientTooSmall,
+        jack.PreconditionViolation}
 
 
 def test_cache_write_does_not_collide_on_a_shared_temp_name(

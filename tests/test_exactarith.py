@@ -21,7 +21,6 @@ from singjack.exactarith import (
     poly_gcd,
     rat_from_str,
     rat_to_str,
-    ratio_sum,
     root_multiplicity,
 )
 
@@ -75,10 +74,21 @@ def test_poly_gcd():
 
 
 def test_root_multiplicity():
-    p = kappa_linear(1, 1) ** 2 * kappa_linear(2, 1)
+    p = kappa_linear(1, 1) * kappa_linear(1, 1) * kappa_linear(2, 1)
     assert root_multiplicity(p, Fraction(-1)) == 2
     assert root_multiplicity(p, Fraction(-1, 2)) == 1
     assert root_multiplicity(p, Fraction(3)) == 0
+
+
+def test_ratio_from_factors():
+    # 2(k + 2) * k * 3 / ((k + 2) * -2(k + 1) * 6) = -k / (2(k + 1))
+    r = KappaRatio.from_factors([(2, 4), (1, 0), (0, 3)],
+                                [(1, 2), (-2, -2), (0, 6)])
+    assert (r.num, r.den) == (kappa_linear(Fraction(-1, 2), 0),
+                              kappa_linear(1, 1))
+    assert r == KappaRatio(kappa_linear(-1, 0), kappa_linear(2, 2))
+    assert KappaRatio.from_factors([(1, 1)], [(3, 3)]) == Fraction(1, 3)
+    assert KappaRatio.from_factors([], []) == KR_ONE
 
 
 def test_ratio_canonical_form():
@@ -108,19 +118,6 @@ def test_ratio_eval_and_pole():
     with pytest.raises(PoleError) as ei:
         r.eval_at(-1)
     assert ei.value.at == Fraction(-1)
-
-
-def test_ratio_sum_telescopes():
-    items = [KR_ONE / ((KAPPA + i) * (KAPPA + i + 1)) for i in range(1, 6)]
-    total = ratio_sum(items)
-    assert total == KR_ONE / (KAPPA + 1) - KR_ONE / (KAPPA + 6)
-
-
-def test_ratio_sum_groups_by_denominator():
-    d = KAPPA + 1
-    assert ratio_sum([KR_ONE / d, KAPPA / d]) == (KAPPA + 1) / d
-    assert ratio_sum([]) == KR_ZERO
-    assert ratio_sum([KR_ONE / d, -KR_ONE / d]) == KR_ZERO
 
 
 def test_json_round_trips():
@@ -184,3 +181,65 @@ def test_gcd_divides_both(a, b):
     assert a.divmod(g)[1].is_zero()
     assert b.divmod(g)[1].is_zero()
     assert g.leading() == 1
+
+
+# ------------------------------------------- differential tests with sympy
+
+linear_factor = st.tuples(st.integers(-3, 3), st.integers(-4, 4)).filter(
+    lambda f: f != (0, 0))
+factor_list = st.lists(linear_factor, max_size=5)
+
+
+def _product(factors):
+    out = KP_ONE
+    for a, b in factors:
+        out = out * kappa_linear(a, b)
+    return out
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(sympy, p):
+    k = sympy.Symbol("k")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)] or [0], k, domain="QQ")
+
+
+@settings(max_examples=80, deadline=None)
+@given(common=factor_list, left=factor_list, right=factor_list,
+       extra=nonzero_poly)
+def test_poly_gcd_agrees_with_sympy(sympy, common, left, right, extra):
+    a = _product(common + left) * extra
+    b = _product(common + right)
+    want = sympy.gcd(_to_sympy(sympy, a), _to_sympy(sympy, b)).monic()
+    assert _to_sympy(sympy, poly_gcd(a, b)) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(factors=factor_list, extra=nonzero_poly, data=st.data())
+def test_root_multiplicity_agrees_with_sympy(sympy, factors, extra, data):
+    p = _product(factors) * extra
+    roots = [Fraction(-b, a) for a, b in factors if a]
+    q0 = data.draw(st.one_of(st.sampled_from(roots), small_rat)
+                   if roots else small_rat)
+    _, irreducible = _to_sympy(sympy, p).factor_list()
+    want = sum(m for f, m in irreducible if f.degree() == 1
+               and f.eval(sympy.Rational(q0.numerator, q0.denominator)) == 0)
+    assert root_multiplicity(p, q0) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(num=factor_list, den=factor_list)
+def test_from_factors_agrees_with_sympy(sympy, num, den):
+    r = KappaRatio.from_factors(num, den)
+    k = sympy.Symbol("k")
+    top, bottom = sympy.fraction(sympy.cancel(
+        sympy.Mul(*[a * k + b for a, b in num])
+        / sympy.Mul(*[a * k + b for a, b in den])))
+    bottom = sympy.Poly(bottom, k, domain="QQ")
+    lead = bottom.LC()
+    assert _to_sympy(sympy, r.num) == sympy.Poly(top, k, domain="QQ") / lead
+    assert _to_sympy(sympy, r.den) == bottom.monic()

@@ -8,6 +8,7 @@ from math import gcd, lcm
 import pytest
 
 from singjack import combinatorics as comb
+from singjack import exactarith
 from singjack import jack
 from singjack import multipoly as mp
 from singjack.combinatorics import ZeroComposition
@@ -22,7 +23,6 @@ from singjack.exactarith import (
     _int_form,
     kappa_linear,
     poly_gcd,
-    ratio_sum,
     root_multiplicity,
 )
 from singjack.operators import (OperatorContext, cherednik,
@@ -410,7 +410,8 @@ def _tampers(jp):
         yield _tampered(jp, e, KappaRatio(c.num + 1, c.den))
         # past the top kappa-degree: at x^alpha only the last layer
         # equation (K_i - a_i) F_top = 0 sees it
-        yield _tampered(jp, e, KappaRatio(c.num + KAPPA.num ** 9, c.den))
+        yield _tampered(jp, e, KappaRatio(
+            c.num + KappaPoly((0,) * 9 + (1,)), c.den))
         yield _tampered(jp, e, KappaRatio(c.num, c.den * kappa_linear(1, 7)))
         yield _tampered(jp, e, c + Fraction(1, 10**6))
     extra = next(e for e in chain(comb.compositions_of(d, jp.n),
@@ -524,7 +525,7 @@ def _reference_zeta_x(alpha, n):
         items = [c * _u_monomial(n, piv + 1, g)[beta]
                  for g, c in coeffs.items()
                  if beta in _u_monomial(n, piv + 1, g)]
-        val = ratio_sum(items) / kappa_linear(sa - sb, ta - tb)
+        val = sum(items, KR_ZERO) / kappa_linear(sa - sb, ta - tb)
         if val:
             coeffs[beta] = val
     poly = mp.MultiPoly(n, coeffs)
@@ -549,7 +550,8 @@ def _reference_profile(poly):
                          if den.eval_at(r) == 0), None)
             fac = den if root is None else kappa_linear(1, -root)
             mult = 1 if root is None else root_multiplicity(den, root)
-            den = den.exact_div(fac ** mult)
+            for _ in range(mult):
+                den = den.exact_div(fac)
             if mult > best.get(fac, 0):
                 best[fac] = mult
     return sorted(best.items(), key=lambda t: (t[0].degree, t[0].coeffs))
@@ -560,7 +562,49 @@ def _small_compositions():
         for d in range(5):
             for alpha in comb.compositions_of(d, n):
                 yield alpha, n
-    yield from (((0, 3, 0), 3), ((2, 0, 1), 3), ((3, 2, 1, 0), 4))
+    # (0,4,2,0) has a factor whose multiplicity is largest in an earlier
+    # coefficient than the last one holding it
+    yield from (((0, 3, 0), 3), ((2, 0, 1), 3), ((3, 2, 1, 0), 4),
+                ((0, 4, 2, 0), 4))
+
+
+def _gcd_e_factor(alpha, sign):
+    # e_factor as a product of KappaRatios, each reduced by a gcd
+    rv = comb.rank_vector(alpha)
+    out = KR_ONE
+    for i in range(len(alpha)):
+        for j in range(i + 1, len(alpha)):
+            if alpha[i] < alpha[j]:
+                den = kappa_linear(rv[i] - rv[j], alpha[j] - alpha[i])
+                out = out * KappaRatio(den + kappa_linear(sign, 0), den)
+    return out
+
+
+def _gcd_p_to_x_factor(alpha):
+    lam = comb.sort_desc(alpha)
+    return (_gcd_e_factor(alpha, 1) * _gcd_e_factor(alpha, -1)
+            * KappaRatio(comb.hook_product(lam, kappa_linear(1, 1)),
+                         comb.hook_product(lam, 1)))
+
+
+def test_p_factors_match_the_gcd_products_without_a_gcd(monkeypatch):
+    alphas = [alpha for n in range(1, 5) for d in range(6)
+              for alpha in comb.compositions_of(d, n)]
+    want = [(_gcd_e_factor(alpha, 1), _gcd_e_factor(alpha, -1),
+             _gcd_p_to_x_factor(alpha)) for alpha in alphas]
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(exactarith, "poly_gcd", counted)
+    monkeypatch.setattr(jack, "poly_gcd", counted)
+    got = [(comb.e_factor(alpha, 1), comb.e_factor(alpha, -1),
+            jack.p_to_x_factor(alpha)) for alpha in alphas]
+    assert len(alphas) == 209
+    assert got == want
+    assert calls == []
 
 
 def test_zeta_x_matches_the_q_kappa_solve():
