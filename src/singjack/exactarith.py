@@ -123,11 +123,13 @@ class KappaPoly:
     __rmul__ = __mul__
 
     def eval_at(self, q0):
+        """The value at k = p/q, q > 0: with self = num/d over Z,
+        num(p/q) = _at_root(num, q, -p) / q^deg."""
         q0 = Fraction(q0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        return acc
+        num, d = _int_form(self)
+        q = q0.denominator
+        return Fraction(_at_root(num, q, -q0.numerator),
+                        d * q ** max(self.degree, 0))
 
     def divmod(self, other):
         """Exact polynomial division with remainder over Q."""

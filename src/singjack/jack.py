@@ -112,6 +112,12 @@ def _integer_form(f):
 
 # ------------------------------------------------------------------ JackPoly
 
+def factors_json(factors):
+    """The JSON list of (factor, multiplicity) denominator factors."""
+    return [{"factor": fac.to_json(), "multiplicity": mult}
+            for fac, mult in factors]
+
+
 class JackPoly:
     """A simultaneous Cherednik eigenvector tagged with its composition.
 
@@ -185,10 +191,7 @@ class JackPoly:
         body = self.poly.to_json()
         body["alpha"] = list(self.alpha)
         body["basis"] = self.basis
-        body["denominator_factors"] = [
-            {"factor": fac.to_json(), "multiplicity": mult}
-            for fac, mult in self.denominator_factors
-        ]
+        body["denominator_factors"] = factors_json(self.denominator_factors)
         return body
 
     @classmethod

@@ -56,6 +56,20 @@ def _coerce_special(c):
     raise TypeError("bad specialized coefficient %r" % (c,))
 
 
+def _accumulate(terms, key, c, sub=False):
+    """terms[key] += c, or -= c when sub, for a nonzero c; a key whose sum
+    is zero is dropped, so terms stays free of zero coefficients."""
+    acc = terms.get(key)
+    if acc is None:
+        terms[key] = -c if sub else c
+    else:
+        acc = acc - c if sub else acc + c
+        if acc:
+            terms[key] = acc
+        else:
+            del terms[key]
+
+
 class MultiPoly:
     """Immutable sparse polynomial; do not mutate .terms after construction."""
 
@@ -85,15 +99,7 @@ class MultiPoly:
                 raise ValueError("negative exponent in %r" % (exp,))
             c = coerce(c)
             if c:
-                acc = clean.get(exp)
-                if acc is None:
-                    clean[exp] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        clean[exp] = acc
-                    else:
-                        del clean[exp]
+                _accumulate(clean, exp, c)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -232,15 +238,7 @@ def poly_add(f, g):
     _check_compat(f, g)
     terms = dict(f.terms)
     for e, c in g.terms.items():
-        acc = terms.get(e)
-        if acc is None:
-            terms[e] = c
-        else:
-            acc = acc + c
-            if acc:
-                terms[e] = acc
-            else:
-                del terms[e]
+        _accumulate(terms, e, c)
     return MultiPoly(f.n, terms, field=f.field, _clean=True)
 
 
@@ -248,15 +246,7 @@ def poly_sub(f, g):
     _check_compat(f, g)
     terms = dict(f.terms)
     for e, c in g.terms.items():
-        acc = terms.get(e)
-        if acc is None:
-            terms[e] = -c
-        else:
-            acc = acc - c
-            if acc:
-                terms[e] = acc
-            else:
-                del terms[e]
+        _accumulate(terms, e, c, True)
     return MultiPoly(f.n, terms, field=f.field, _clean=True)
 
 
@@ -265,18 +255,8 @@ def poly_mul(f, g):
     terms = {}
     for e1, c1 in f.terms.items():
         for e2, c2 in g.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            c = c1 * c2
-            acc = terms.get(e)
-            if acc is None:
-                if c:
-                    terms[e] = c
-            else:
-                acc = acc + c
-                if acc:
-                    terms[e] = acc
-                else:
-                    del terms[e]
+            # a product of nonzero field elements is nonzero
+            _accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
     return MultiPoly(f.n, terms, field=f.field, _clean=True)
 
 

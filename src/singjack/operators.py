@@ -12,6 +12,7 @@ from .exactarith import KAPPA
 from .multipoly import (
     FieldMismatch,
     MultiPoly,
+    _accumulate,
     apply_perm,
     mp_zero,
     partial,
@@ -51,18 +52,6 @@ class OperatorContext:
 
     def __repr__(self):
         return "OperatorContext(n=%d, kappa0=%r)" % (self.n, self.kappa0)
-
-
-def _accumulate(terms, key, c):
-    acc = terms.get(key)
-    if acc is None:
-        terms[key] = c
-    else:
-        acc = acc + c
-        if acc:
-            terms[key] = acc
-        else:
-            del terms[key]
 
 
 def _pair_difference_terms(terms, i0, j0, out):
@@ -105,7 +94,7 @@ def cherednik_k_terms(n, i, terms, out):
             _pair_difference_terms(shifted, i0, j0, out)
     for j in range(1, i):
         for e, c in perm_terms(transposition(n, j, i), terms).items():
-            _accumulate(out, e, -c)
+            _accumulate(out, e, c, True)
 
 
 def dunkl(ctx, i, f):

@@ -255,11 +255,8 @@ def joint_kernel(N, degree, kappa0, candidates=None):
     kappa0 = Fraction(kappa0)
     cols = monomial_basis(N, degree)
     stacked = []
-    per_op = []
     for i in range(1, N + 1):
-        m = dunkl_matrix(N, degree, i, kappa0)
-        per_op.append(m)
-        stacked.extend(m)
+        stacked.extend(dunkl_matrix(N, degree, i, kappa0))
     introws = _integer_rows(stacked, len(cols))
     span = None
     if candidates is not None:
@@ -285,12 +282,9 @@ def joint_kernel(N, degree, kappa0, candidates=None):
                     for j in range(c + 1, len(cols)) if ech[r][j] and x[j])
             x[c] = Fraction(-s, ech[r][c])
         basis.append(x)
-    for vec in basis:
-        for m in per_op:
-            for row in m:
-                if sum(rv * xv for rv, xv in zip(row, vec) if rv and xv):
-                    raise KernelInvariantError(
-                        "computed kernel vector is not annihilated")
+        if not _annihilated({j: v for j, v in enumerate(x) if v}, introws):
+            raise KernelInvariantError(
+                "computed kernel vector is not annihilated")
     return KernelReport(N, degree, kappa0, cols, basis, free)
 
 

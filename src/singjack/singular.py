@@ -10,7 +10,7 @@ transpositions act by exact seminormal matrices.
 
 from datetime import datetime, timezone
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from . import combinatorics as comb
 from . import jack
@@ -46,15 +46,9 @@ class NotAnnihilated(Exception):
 
 
 def _syt_count(tau):
-    # hook length formula on the diagram of tau
-    tau = tuple(tau)
-    n = sum(tau)
-    cols = [sum(1 for r in tau if r > c) for c in range(tau[0])] if tau else []
-    prod = 1
-    for i, row in enumerate(tau):
-        for j in range(row):
-            prod *= (row - j) + (cols[j] - i) - 1
-    return factorial(n) // prod
+    """The hook length formula: |tau|! / prod over nodes of leg + arm + 1."""
+    return factorial(sum(tau)) // prod(leg + arm + 1
+                                       for leg, arm in comb.hooks(tau))
 
 
 class BasisElement:
@@ -104,9 +98,8 @@ class SingularModule:
                     "tableau": [list(r) for r in e.tableau.rows()],
                     "zeta": dict(
                         alpha=list(e.sigma), basis="x",
-                        denominator_factors=[
-                            {"factor": fac.to_json(), "multiplicity": mult}
-                            for fac, mult in e.denominator_factors],
+                        denominator_factors=jack.factors_json(
+                            e.denominator_factors),
                         **e.zeta.to_json()),
                     "murphy_spectrum": spectra["spectra"][i],
                     "certificates": dict(e.certificates),

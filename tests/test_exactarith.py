@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singjack.exactarith import (
@@ -181,6 +181,44 @@ def test_gcd_divides_both(a, b):
     assert a.divmod(g)[1].is_zero()
     assert b.divmod(g)[1].is_zero()
     assert g.leading() == 1
+
+
+# ------------------------------------- evaluation against a Fraction Horner
+
+def _horner(p, q0):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * q0 + c
+    return acc
+
+
+non_integer_rat = small_rat.filter(lambda q: q.denominator > 1)
+quadratic = KappaPoly((Fraction(1, 2), -3, Fraction(5, 7)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(num=small_poly, den=nonzero_poly, pole=st.booleans(),
+       q0=st.one_of(non_integer_rat, st.just(Fraction(0))))
+@example(num=KP_ZERO, den=KP_ONE, pole=False, q0=Fraction(-2, 3))
+@example(num=KappaPoly((Fraction(5, 7),)), den=KappaPoly((3,)), pole=False,
+         q0=Fraction(3, 4))
+@example(num=quadratic, den=kappa_linear(1, 1), pole=False, q0=Fraction(0))
+@example(num=quadratic, den=kappa_linear(1, 1), pole=False, q0=Fraction(-5))
+# num and den of one degree, where a wrong power of q cancels in the ratio
+@example(num=quadratic, den=kappa_linear(1, 1), pole=True,
+         q0=Fraction(-3, 2))
+def test_eval_at_matches_fraction_horner(num, den, pole, q0):
+    assert num.eval_at(q0) == _horner(num, q0)
+    assert den.eval_at(q0) == _horner(den, q0)
+    if pole:
+        den = den * kappa_linear(q0.denominator, -q0.numerator)
+    r = KappaRatio(num, den)
+    dv = _horner(r.den, q0)
+    if dv:
+        assert r.eval_at(q0) == _horner(r.num, q0) / dv
+    else:
+        with pytest.raises(PoleError):
+            r.eval_at(q0)
 
 
 # ------------------------------------------- differential tests with sympy

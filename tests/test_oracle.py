@@ -9,7 +9,7 @@ import pytest
 
 from singjack import combinatorics as comb
 from singjack import multipoly as mp
-from singjack import oracle, singular
+from singjack import cli, oracle, singular
 from singjack.combinatorics import ParameterViolation
 
 
@@ -308,3 +308,31 @@ def test_loose_rank_bound_does_not_certify(monkeypatch):
     got = oracle.joint_kernel(5, degree, mod.kappa0, zetas)
     assert len(calls) == 1
     assert _json(got) == want
+
+
+def _drop_last_row(monkeypatch):
+    # an echelon form that lost a row: its pivot column turns free and
+    # the back-solved vector there is not in the kernel
+    real = oracle._bareiss_echelon
+
+    def short(mat):
+        ech, pivots = real(mat)
+        return ech[:-1], pivots[:-1]
+
+    monkeypatch.setattr(oracle, "_bareiss_echelon", short)
+
+
+def test_lost_echelon_row_raises(monkeypatch):
+    _drop_last_row(monkeypatch)
+    with pytest.raises(oracle.KernelInvariantError):
+        oracle.joint_kernel(3, 3, Fraction(-1, 3))
+
+
+def test_lost_echelon_row_exits_4_from_verify(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "_certified_span", lambda *args: None)
+    _drop_last_row(monkeypatch)
+    code = cli.main(["verify", "--oracle", "--m", "1", "--n", "3",
+                     "--N", "3"])
+    out = capsys.readouterr()
+    assert code == cli.EXIT_CERT == 4
+    assert out.out == "" and "not annihilated" in out.err

@@ -159,6 +159,9 @@ def test_syt_count_hook_lengths():
     assert singular._syt_count((2, 2)) == 2
     assert singular._syt_count((3, 1, 1)) == 6
     assert singular._syt_count((5,)) == 1
+    for N in range(1, 8):
+        for tau in comb.partitions_of(N):
+            assert singular._syt_count(tau) == len(comb.syt_enumerate(tau))
 
 
 def test_staircase_126():
