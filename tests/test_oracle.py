@@ -1,5 +1,6 @@
 """Joint-kernel brute force: matrices, nullspace, module comparison."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -21,15 +22,32 @@ def test_monomial_basis_order():
 
 
 def test_dunkl_matrix_small():
+    # kappa0 = -1/2, so the rows are those of 2 D_i: the entries are twice
+    # those of D_i, one row per (i, lower monomial)
     half = Fraction(-1, 2)
-    assert oracle.dunkl_matrix(2, 1, 1, half) == [[Fraction(1, 2),
-                                                   Fraction(1, 2)]]
-    assert oracle.dunkl_matrix(2, 1, 2, half) == [[Fraction(1, 2),
-                                                   Fraction(1, 2)]]
-    # degree 2 -> degree 1, rows x1, x2; columns x1^2, x1x2, x2^2
-    got = oracle.dunkl_matrix(2, 2, 1, half)
-    assert got == [[Fraction(3, 2), 0, Fraction(1, 2)],
-                   [Fraction(-1, 2), 1, Fraction(1, 2)]]
+    cols, rows = oracle.dunkl_matrix(2, 1, half, (1, 1), 1)
+    assert cols == [(1, 0), (0, 1)]
+    assert rows == [{0: 1, 1: 1}, {0: 1, 1: 1}]
+    # degree 2 -> degree 1, D_1 rows x1, x2; columns x1^2, x1x2, x2^2
+    cols, rows = oracle.dunkl_matrix(2, 2, half, (1, 1), 1)
+    assert cols == oracle.monomial_basis(2, 2)
+    assert rows[:2] == [{0: 3, 2: 1}, {0: -1, 1: 2, 2: 1}]
+
+
+def test_dunkl_matrix_on_orbit_sums():
+    # S_2 orbit sums of degree 2: x1^2 + x2^2 and x1x2; D_1 only, and only
+    # the rows sorted on the block less 1, which here is every row
+    third = Fraction(-1, 3)
+    cols, rows = oracle.dunkl_matrix(2, 2, third, (2,), 1)
+    assert cols == [(2, 0), (1, 1)]
+    # D_1 is d/dx_1 on symmetric polynomials:
+    # 3 D_1 (x1^2 + x2^2) = 6 x1 and 3 D_1 (x1x2) = 3 x2
+    assert rows == [{0: 6}, {1: 3}]
+    # the antisymmetrizer keeps x1^2 - x2^2 only
+    cols, rows = oracle.dunkl_matrix(2, 2, third, (2,), -1)
+    assert cols == [(2, 0)]
+    # 3 D_1 (x1^2 - x2^2) = 6 x1 - 2 (x1 + x2)
+    assert rows == [{0: 4}, {0: -2}]
 
 
 def test_joint_kernel_rank_one():
@@ -289,12 +307,12 @@ def test_edited_candidate_falls_back_and_is_rejected(monkeypatch):
 
 def test_rank_mod_p():
     p = oracle.MODULUS
-    assert oracle._rank_mod_p([[p]]) == 0
-    assert oracle._rank_mod_p([[p, 0], [0, 2 * p]]) == 0
-    assert oracle._rank_mod_p([[1, 2], [2, 4]]) == 1
-    assert oracle._rank_mod_p([[1, 2], [2, 4 + p]]) == 1
-    assert oracle._rank_mod_p([[0, 1, 3], [1, 0, 0], [0, 2, 5]]) == 3
-    assert oracle._rank_mod_p([[0, 1, 3], [1, 0, 0], [0, 2, 5]],
+    assert oracle._rank_mod_p([{0: p}]) == 0
+    assert oracle._rank_mod_p([{0: p}, {1: 2 * p}]) == 0
+    assert oracle._rank_mod_p([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1
+    assert oracle._rank_mod_p([{0: 1, 1: 2}, {0: 2, 1: 4 + p}]) == 1
+    assert oracle._rank_mod_p([{1: 1, 2: 3}, {0: 1}, {1: 2, 2: 5}]) == 3
+    assert oracle._rank_mod_p([{1: 1, 2: 3}, {0: 1}, {1: 2, 2: 5}],
                               stop=2) == 2
 
 
@@ -308,6 +326,140 @@ def test_loose_rank_bound_does_not_certify(monkeypatch):
     got = oracle.joint_kernel(5, degree, mod.kappa0, zetas)
     assert len(calls) == 1
     assert _json(got) == want
+
+
+# ---------------------------------------------------------------------------
+# the Young-subgroup slices: the covering family, and each exact check the
+# certificate rests on
+
+def _conjugate(lam):
+    return tuple(sum(1 for part in lam if part > k) for k in range(lam[0]))
+
+
+def _dominates(lam, mu):
+    n = sum(lam)
+    a = list(lam) + [0] * (n - len(lam))
+    b = list(mu) + [0] * (n - len(mu))
+    return all(sum(a[:k]) >= sum(b[:k]) for k in range(1, n + 1))
+
+
+def _unseen(family, N):
+    return [lam for lam in comb.partitions_of(N)
+            if not any(_dominates(lam if sign > 0 else _conjugate(lam), mu)
+                       for mu, sign in family)]
+
+
+@pytest.mark.parametrize("N", range(1, 8))
+def test_family_covers_every_partition(N):
+    family = oracle._family(N)
+    assert _unseen(family, N) == []
+    assert oracle._covers(family, N)
+    for k in range(len(family)):
+        short = family[:k] + family[k + 1:]
+        assert _unseen(short, N) != []
+        assert not oracle._covers(short, N)
+
+
+def test_family_missing_a_partition_is_refused(monkeypatch):
+    mod, degree, zetas = _module_kernel(3, 4, 4)
+    want = _json(oracle.joint_kernel(4, degree, mod.kappa0))
+    family = oracle._family(4)
+    calls = _spy_bareiss(monkeypatch)
+    for k in range(len(family)):
+        short = family[:k] + family[k + 1:]
+        monkeypatch.setattr(oracle, "_family", lambda N: short)
+        got = oracle.joint_kernel(4, degree, mod.kappa0, zetas)
+        assert len(calls) == k + 1
+        assert _json(got) == want
+
+
+@pytest.mark.parametrize("mnN", [(3, 2, 3), (3, 4, 4)])
+def test_no_candidates_fall_back(mnN, monkeypatch):
+    # the kernel's isotype is (1,1,1) at (3,2,3), seen by the member
+    # (2,1)- only, and (3,1) at (3,4,4), seen by (3,1)+ only
+    mod, degree, _ = _module_kernel(*mnN)
+    N = mnN[2]
+    want = _json(oracle.joint_kernel(N, degree, mod.kappa0))
+    calls = _spy_bareiss(monkeypatch)
+    got = oracle.joint_kernel(N, degree, mod.kappa0, [])
+    assert len(calls) == 1
+    assert _json(got) == want
+    assert got.dimension == len(mod.elements)
+    if mnN == (3, 2, 3):
+        assert (degree, mod.kappa0, got.dimension) == (9, Fraction(-3, 2), 1)
+
+
+def test_wrong_candidate_of_the_right_isotype_falls_back(monkeypatch):
+    # Vandermonde times (x1 + x2 + x3)^6 is antisymmetric, so S_3-stable
+    # and of the kernel's isotype (1,1,1) at (3,2,3), but not singular
+    kappa0 = Fraction(-3, 2)
+    x1, x2, x3 = (mp.x_var(3, i, field=kappa0) for i in (1, 2, 3))
+    f = (x1 - x2) * (x1 - x3) * (x2 - x3)
+    for _ in range(6):
+        f = f * (x1 + x2 + x3)
+    for k in (1, 2):
+        assert mp.apply_perm(comb.transposition(3, k, k + 1), f) == -f
+    want = _json(oracle.joint_kernel(3, 9, kappa0))
+    calls = _spy_bareiss(monkeypatch)
+    got = oracle.joint_kernel(3, 9, kappa0, [f])
+    assert len(calls) == 1
+    assert _json(got) == want
+    assert got.dimension == 1
+
+
+def _young_projection(f, mu, sign):
+    """sum over s in S_mu of s.f, times the sign of s for sign -1"""
+    N = f.n
+    blocks = []
+    for part in mu:
+        start = sum(len(b) for b in blocks)
+        blocks.append(range(start, start + part))
+    out = mp.mp_zero(N, field=f.field)
+    for images in itertools.product(*map(itertools.permutations, blocks)):
+        w = [0] * N
+        for block, image in zip(blocks, images):
+            for a, b in zip(block, image):
+                w[a] = b + 1
+        inversions = sum(1 for a in range(N) for b in range(a + 1, N)
+                         if w[a] > w[b])
+        s = (-1) ** inversions if sign < 0 else 1
+        out = mp.poly_add(out, mp.poly_scale(mp.apply_perm(tuple(w), f), s))
+    return out
+
+
+def test_unstable_candidates_fall_back(monkeypatch):
+    # each member's (anti)symmetrization of the module: killed by every
+    # D_i, and as large as the kernel on every slice, but a proper
+    # subspace of it that S_5 does not preserve
+    mod, degree, zetas = _module_kernel(1, 3, 5)
+    want = _json(oracle.joint_kernel(5, degree, mod.kappa0))
+    cands = [_young_projection(z, mu, sign)
+             for mu, sign in oracle._family(5) for z in zetas]
+    span = oracle._candidate_span(cands, 5, mod.kappa0,
+                                  oracle.monomial_basis(5, degree))
+    assert 0 < len(span) < len(zetas)
+    calls = _spy_bareiss(monkeypatch)
+    got = oracle.joint_kernel(5, degree, mod.kappa0, cands)
+    assert len(calls) == 1
+    assert _json(got) == want
+
+
+def test_rank_lowered_in_one_member_does_not_certify(monkeypatch):
+    mod, degree, zetas = _module_kernel(1, 3, 5)
+    want = _json(oracle.joint_kernel(5, degree, mod.kappa0))
+    real = oracle._rank_mod_p
+    calls = _spy_bareiss(monkeypatch)
+    for k in range(len(oracle._family(5))):
+        seen = []
+
+        def lowered(rows, stop=None, k=k, seen=seen):
+            seen.append(stop)
+            return real(rows, stop) - (len(seen) == k + 1)
+        monkeypatch.setattr(oracle, "_rank_mod_p", lowered)
+        got = oracle.joint_kernel(5, degree, mod.kappa0, zetas)
+        assert len(seen) == k + 1
+        assert len(calls) == k + 1
+        assert _json(got) == want
 
 
 def _drop_last_row(monkeypatch):
