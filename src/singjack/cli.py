@@ -5,8 +5,9 @@ stderr.  Exit codes: 0 success, 2 usage or parameter problems, 3 pole at
 the requested value, 4 a falsified certificate, 5 search budget
 exhausted, 6 an internal fault: any other exception, noted on stderr as
 "internal error:".  Set SINGJACK_CACHE_DIR to reuse constructed
-polynomials across runs; every load checks the entry's key, its shape and
-normalization, the eigen-equations and the denominator factors.
+polynomials across runs; every load checks the entry's key, the canonical
+form of its coefficients and their denominator factors, its shape and
+normalization, and the eigen-equations.
 """
 
 import argparse
@@ -21,7 +22,6 @@ from fractions import Fraction
 from . import __version__
 from . import combinatorics as comb
 from . import jack
-from . import multipoly as mp
 from . import oracle
 from . import singular
 from .combinatorics import (ParameterViolation, SearchBudgetExceeded,
@@ -82,30 +82,28 @@ def _cache_key(alpha, n, basis):
 def _load_entry(path, alpha, n, basis):
     """The cache entry at path, certified for the request.
 
-    Checked in order: the stored alpha, N, basis and field, the shape and
-    normalization (assert_shape), the eigen-equations, and the stored
-    denominator factors, which must equal those recomputed from the
-    coefficients.  A failed check raises SolveFailure; an entry that
-    cannot be read or parsed is None, a miss."""
+    Checked in order: the stored alpha, N, basis and field; each
+    coefficient, read with no gcd, is reduced with a monic denominator
+    that the stored denominator factors factor, and those factors are the
+    ones read off the coefficients (JackPoly.from_json); the shape and
+    normalization (assert_shape); the eigen-equations.  A failed check
+    raises SolveFailure; an entry that cannot be read or parsed is None, a
+    miss."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
-        jp = jack.JackPoly.from_json(obj, check=False)
+        if (obj["alpha"], obj["N"], obj["basis"], obj["field"]) != (
+                list(comb.pad(alpha, n)), n, basis, "Q(k)"):
+            raise jack.SolveFailure("cache entry %s is not zeta_%s of %s, "
+                                    "N=%d" % (path, basis, alpha, n))
+        jp = jack.JackPoly.from_json(obj)
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             ZeroDivisionError) as e:
         _note("cache: unreadable entry %s (%s: %s), recomputing"
               % (path, type(e).__name__, e))
         return None
-    if (obj["alpha"], obj["N"], obj["basis"], jp.poly.field) != (
-            list(comb.pad(alpha, n)), n, basis, None):
-        raise jack.SolveFailure("cache entry %s is not zeta_%s of %s, N=%d"
-                                % (path, basis, alpha, n))
     jp.assert_shape()
     jp._assert_eigen()
-    stored = jp.denominator_factors
-    if jack.denominator_profile(jp.poly, [fac for fac, _ in stored]) != stored:
-        raise jack.SolveFailure(
-            "stored denominator factors of %s are wrong" % path)
     return jp
 
 
@@ -158,12 +156,12 @@ def cmd_zeta(args):
     jp = cached_zeta(alpha, args.N, args.basis)
     if args.kappa is None:
         _note("zeta_%s at alpha=%s N=%d: %d terms, generic kappa"
-              % (args.basis, alpha, args.N, len(jp.poly.terms)))
+              % (args.basis, alpha, args.N, len(jp.coeffs)))
         _emit(jp.to_json())
         return EXIT_OK
     kappa0 = _parse_kappa(args.kappa)
     try:
-        f = mp.specialize(jp.poly, kappa0)
+        f = jp.specialize(kappa0)
     except PoleError:
         bad = [str(fac) for fac, _ in jp.denominator_factors
                if fac.eval_at(kappa0) == 0]

@@ -496,8 +496,10 @@ class KappaRatio:
 
     @classmethod
     def from_json(cls, data):
+        """The pair as written, with no gcd: the reader checks that it is
+        reduced with a monic denominator (jack.JackPoly.from_poly)."""
         return cls(KappaPoly.from_json(data["num"]),
-                   KappaPoly.from_json(data["den"]))
+                   KappaPoly.from_json(data["den"]), _canonical=True)
 
     def __str__(self):
         if self.den.is_one():

@@ -3,6 +3,11 @@
 Construction is a triangular joint-eigenvector solve against the Cherednik
 operators; the transposition/cycle recurrences are implemented as separate
 routes so the two can be cross-checked.  All arithmetic is exact.
+
+A JackPoly keeps the solve's factored coefficients, a Z[kappa] numerator
+over an integer times linear factors.  The eigen check, the shape check,
+the denominator profile and specialization run on them; the Q(kappa)
+MultiPoly is built only when .poly is read.
 """
 
 from fractions import Fraction
@@ -17,12 +22,14 @@ from .exactarith import (
     KappaRatio,
     KR_ONE,
     KR_ZERO,
+    PoleError,
+    _at_root,
     _axpy,
     _divide_out,
     _int_form,
     _times,
     kappa_linear,
-    poly_gcd,
+    rat_to_str,
 )
 from .multipoly import (
     MultiPoly,
@@ -30,6 +37,7 @@ from .multipoly import (
     coeff,
     expand_in_basis,
     mp_zero,
+    perm_terms,
     poly_add,
     poly_scale,
     poly_sub,
@@ -64,50 +72,155 @@ class SolveFailure(ArithmeticError):
     pass
 
 
-# ------------------------------------------------------------ denominators
+# ----------------------------------------------------- factored coefficients
 
-def denominator_profile(f, candidates):
-    """The denominator factors kappa + c across the coefficients of f, each
-    with its largest multiplicity in one coefficient.  They are sought
-    among the linear candidates only, and SolveFailure is raised if those
-    leave a denominator unfactored, so a factor is never mislabelled."""
-    consts = {fac.monic().coeffs[0] for fac in candidates if fac.degree == 1}
-    best = {}
-    for den in {c.den for c in f.terms.values()}:
-        den = _int_form(den)[0]
-        for c in consts:
+# A coefficient is held factored, as (num, d0, facs): num / (d0 * prod f^m)
+# with num in Z[kappa] as an int list, d0 a positive int and facs a sorted
+# tuple of (f, m), f = (a, b) the primitive factor a*kappa + b with a > 0.
+# It is reduced: num is nonzero and coprime to every f, and d0 is coprime
+# to the content of num.  So equal values have equal forms.
+
+_ONE = ([1], 1, ())
+
+
+def _reduced(num, d0, top):
+    """The factored form of num / (d0 * prod f^m over top), num nonzero
+    and d0 a nonzero int: each factor is divided out of num as often as
+    its root is a root of num, and d0 is cancelled against the content."""
+    for f, m in top.items():
+        num, gone = _divide_out(num, *f, m)
+        top[f] = m - gone
+    g = gcd(d0, *num) if d0 > 0 else -gcd(d0, *num)
+    return ([x // g for x in num], d0 // g,
+            tuple(sorted((f, m) for f, m in top.items() if m)))
+
+
+def _rescaled(c, tops, bottoms):
+    """The factored coefficient c * prod(tops) / prod(bottoms), for lists
+    of nonzero int pairs (a, b) standing for a*kappa + b."""
+    num, d0, facs = c
+    top = dict(facs)
+    for a, b in tops:
+        num = _times(num, a, b) if a else [b * x for x in num]
+    for a, b in bottoms:
+        g = b if not a else gcd(a, b) if a > 0 else -gcd(a, b)
+        d0 *= g
+        if a:
+            top[a // g, b // g] = top.get((a // g, b // g), 0) + 1
+    return _reduced(num, d0, top)
+
+
+def _factored_terms(poly, candidates):
+    """The factored form of every coefficient of the Q(kappa) poly.
+
+    Each denominator is divided by the linear candidates (KappaPolys; the
+    others are ignored) with _divide_out.  SolveFailure when a coefficient
+    is zero, its denominator is not monic or not fully factored by the
+    candidates, or a factor's root is a root of its numerator.  So the
+    form has the coefficient's value, and poly is canonical."""
+    roots = set()
+    for fac in candidates:
+        if fac.degree == 1:
             # kappa + c = (a*kappa + b) / a, primitive
-            den, mult = _divide_out(den, c.denominator, c.numerator, len(den))
-            if mult:
-                best[c] = max(best.get(c, 0), mult)
-        if len(den) > 1:
-            raise SolveFailure("denominator factor %s is not among the "
-                               "candidates" % KappaPoly(den).monic())
-    return [(kappa_linear(1, c), best[c]) for c in sorted(best)]
+            c = fac.monic().coeffs[0]
+            roots.add((c.denominator, c.numerator))
+    split = {}
+    out = {}
+    for e, c in poly.terms.items():
+        if not c or c.den.coeffs[-1] != 1:
+            raise SolveFailure("coefficient %s of x^%s is not in canonical "
+                               "form" % (c, e))
+        got = split.get(c.den)
+        if got is None:
+            den, dd = _int_form(c.den)
+            facs = []
+            for f in roots:
+                den, m = _divide_out(den, *f, len(den))
+                if m:
+                    facs.append((f, m))
+            if len(den) > 1:
+                raise SolveFailure("denominator factor %s is not among the "
+                                   "candidates" % KappaPoly(den).monic())
+            got = split[c.den] = den[0], dd, tuple(sorted(facs))
+        const, dd, facs = got
+        num, dn = _int_form(c.num)
+        out[e] = _reduced([x * dd for x in num], dn * const, dict(facs))
+        if out[e][2] != facs:
+            raise SolveFailure("coefficient %s of x^%s is not reduced"
+                               % (c, e))
+    return out
 
 
-def _integer_form(f):
+def _profile(coeffs):
+    """{f: the largest multiplicity of f over the factored coeffs}."""
+    top = {}
+    for facs in {c[2] for c in coeffs.values()}:
+        for f, m in facs:
+            if m > top.get(f, 0):
+                top[f] = m
+    return top
+
+
+def denominator_profile(coeffs):
+    """The denominator factors kappa + c of the factored coeffs, each with
+    its largest multiplicity in one coefficient, ordered by c."""
+    roots = {Fraction(b, a): m for (a, b), m in _profile(coeffs).items()}
+    return [(kappa_linear(1, c), roots[c]) for c in sorted(roots)]
+
+
+def _cleared(coeffs):
     """F = L*D*f as {exponent: Z[kappa] int list, low degree first}.
 
-    D is the lcm of the distinct coefficient denominators, so D*f lies in
-    Q[kappa][x], and the integer L > 0 clears its rational denominators.
-    """
-    dens = {c.den for c in f.terms.values()}
-    big_d = KP_ONE
-    for den in dens:
-        big_d = big_d * den.exact_div(poly_gcd(big_d, den))
-    cofactor = {den: _int_form(big_d.exact_div(den)) for den in dens}
-    scaled = {}
-    for e, c in f.terms.items():
-        num, dn = _int_form(c.num)
-        qs, dq = cofactor[c.den]
-        prod = []
+    D = prod f^M_f over the profile and L is the lcm of the d0, so
+    F_e = (L/d0_e) num_e prod f^(M_f - m_{e,f}) with no division, and
+    F is f times a nonzero element of Q[kappa]."""
+    top = _profile(coeffs)
+    big_l = lcm(*(d0 for _, d0, _ in coeffs.values()))
+    cofactor = {}
+    out = {}
+    for e, (num, d0, facs) in coeffs.items():
+        q = cofactor.get(facs)
+        if q is None:
+            have = dict(facs)
+            q = [1]
+            for f, m in top.items():
+                for _ in range(m - have.get(f, 0)):
+                    q = _times(q, *f)
+            cofactor[facs] = q
+        scale = big_l // d0
+        prod = [0] * (len(num) + len(q) - 1)
         for s, x in enumerate(num):
-            _axpy(prod, [0] * s + qs, x)
-        scaled[e] = prod, dn * dq
-    big_l = lcm(*(d for _, d in scaled.values()))
-    return {e: [x * (big_l // d) for x in prod]
-            for e, (prod, d) in scaled.items()}
+            if x:
+                x *= scale
+                for t, y in enumerate(q):
+                    prod[s + t] += x * y
+        out[e] = prod
+    return out
+
+
+def _shift_bits(big_f, alpha):
+    """B such that every coefficient of the eigen residual of F = big_f
+    (see JackPoly._assert_eigen) is below 2**B in absolute value.
+
+    With H the largest |coefficient| of F, T its number of terms and d the
+    largest of |alpha| and the degrees of its support, a residual
+    coefficient is (e_i + 1 - b_i) h - a_i h' + sum_g k_g h_g with every h
+    at most H, |e_i + 1 - b_i| <= d and 0 <= a_i < N.  K_i x^g has mass at
+    most (N-1)(d+2): (N-1) pair differences of at most d+1 unit terms and
+    at most N-1 transpositions.  So the residual is at most
+    H (d + N + T N (d+2)) < 2**(B-1)."""
+    n = len(alpha)
+    d = max([sum(alpha)] + [sum(e) for e in big_f])
+    h = max((abs(x) for num in big_f.values() for x in num), default=0)
+    return (h * (d + n + len(big_f) * n * (d + 2))).bit_length() + 1
+
+
+def _pack(num, bits):
+    """num(2**bits), by Horner with shifts."""
+    acc = 0
+    for x in reversed(num):
+        acc = (acc << bits) + x
+    return acc
 
 
 # ------------------------------------------------------------------ JackPoly
@@ -124,49 +237,87 @@ class JackPoly:
     basis "x": coefficient of x^alpha is 1 and the rest of the support is
     strictly below alpha in the triangle order.  basis "p": the same
     polynomial rescaled so its p-expansion is monic at p_alpha.
+    coeffs maps each exponent to its factored coefficient (num, d0, facs);
+    the eigen check, the shape check and specialize run on it, and the
+    Q(kappa) MultiPoly .poly is built from it when first read.
     denominator_factors lists (kappa + c, multiplicity) pairs, as
-    denominator_profile gives them; None when they are not known.
+    denominator_profile reads them off coeffs.
     """
 
-    __slots__ = ("alpha", "n", "basis", "poly", "denominator_factors")
+    __slots__ = ("alpha", "n", "basis", "coeffs", "denominator_factors",
+                 "_poly")
 
-    def __init__(self, alpha, n, basis, poly, denominator_factors=None,
-                 check=True):
+    def __init__(self, alpha, n, basis, coeffs, check=True):
         if basis not in ("x", "p"):
             raise ValueError("basis must be 'x' or 'p', got %r" % (basis,))
         self.alpha = comb.pad(alpha, n)
         self.n = n
         self.basis = basis
-        self.poly = poly
-        self.denominator_factors = denominator_factors
+        self.coeffs = coeffs
+        self.denominator_factors = denominator_profile(coeffs)
+        self._poly = None
         if check:
-            self._assert_eigen()
             self.assert_shape()
+            self._assert_eigen()
+
+    @classmethod
+    def from_poly(cls, alpha, n, basis, poly, candidates, check=True):
+        """The JackPoly of a canonical Q(kappa) MultiPoly whose denominators
+        the linear candidates factor (see _factored_terms)."""
+        OperatorContext(n).check(poly)
+        jp = cls(alpha, n, basis, _factored_terms(poly, candidates), check)
+        jp._poly = poly
+        return jp
+
+    @property
+    def poly(self):
+        """The Q(kappa) MultiPoly of coeffs, built when first read."""
+        if self._poly is None:
+            units, terms = {}, {}
+            for e, (num, d0, facs) in self.coeffs.items():
+                if facs not in units:
+                    units[facs] = KappaRatio.from_factors(
+                        (), [f for f, m in facs for _ in range(m)])
+                # the form is reduced, so num * unit is too
+                unit = units[facs]
+                terms[e] = KappaRatio(KappaPoly(
+                    [x * unit.num.coeffs[0] / d0 for x in num]), unit.den,
+                    _canonical=True)
+            self._poly = MultiPoly(self.n, terms, _clean=True)
+        return self._poly
 
     def _assert_eigen(self):
-        """Assert U_i f = xi_i f for every i, exactly, over Z[kappa][x].
+        """Assert U_i f = xi_i f for every i, exactly, by one big-integer
+        multiply-add per term of K_i.
 
-        F = L*D*f (see _integer_form) is f times a nonzero element of
-        Q[kappa].  With U_i = U_i^0 + kappa*K_i and xi_i = a_i*kappa + b_i,
-        the identity holds iff (U_i^0 - b_i - a_i*kappa) F + kappa*K_i F = 0,
-        checked in one pass per operator with K_i x^e from the solve's memo.
-        Its kappa^k coefficient is the layer equation
-        (U_i^0 - b_i) F_k + (K_i - a_i) F_{k-1} = 0.
+        F = L*D*f (see _cleared) is f times a nonzero element of Q[kappa].
+        With U_i = U_i^0 + kappa*K_i, U_i^0 x^e = (e_i + 1) x^e and
+        xi_i = a_i*kappa + b_i, the identity holds iff the residual
+        R = (U_i^0 - b_i - a_i*kappa) F + kappa*K_i F is 0.  It is checked
+        at kappa = X = 2**B (Kronecker substitution): with P_g = F_g(X) and
+        k_g the coefficient of x^e in K_i x^g, from the solve's memo,
+
+            R_e(X) = (e_i + 1 - b_i) P_e + X (sum_g k_g P_g - a_i P_e).
+
+        The check is exact, not modular.  Every coefficient of R_e lies
+        below X in absolute value (_shift_bits).  If R_e != 0 and r_j is
+        its lowest nonzero coefficient, then R_e(X) = r_j X^j modulo
+        X^(j+1) with 0 < |r_j| < X, so X^(j+1) does not divide R_e(X) and
+        R_e(X) != 0.  Hence R_e(X) = 0 iff R_e = 0.
         """
         n = self.n
-        OperatorContext(n).check(self.poly)
-        big_f = _integer_form(self.poly)
+        big_f = _cleared(self.coeffs)
+        bits = _shift_bits(big_f, self.alpha)
+        packed = {e: _pack(num, bits) for e, num in big_f.items()}
         spec = comb.spectral_vector(self.alpha)
         for i in range(1, n + 1):
             a, b = spec[i - 1]
-            # (U_i^0 - b_i - a_i*kappa) F, as U_i^0 x^e = (e_i + 1) x^e
-            out = {e: _times(num, -a, e[i - 1] + 1 - b)
-                   for e, num in big_f.items()}
-            for e, num in big_f.items():
-                shifted = [0] + num
+            acc = {e: -a * p for e, p in packed.items()}
+            for e, p in packed.items():
                 for e2, k in _k_monomial_terms(n, i, e).items():
-                    _axpy(out.setdefault(e2, []), shifted, k)
-            if any(any(v) for v in out.values()):
+                    acc[e2] = acc.get(e2, 0) + k * p
+            if any((e[i - 1] + 1 - b) * packed.get(e, 0) + (s << bits)
+                   for e, s in acc.items()):
                 raise SolveFailure(
                     "U_%d eigen-equation fails for alpha=%s"
                     % (i, self.alpha))
@@ -174,15 +325,48 @@ class JackPoly:
     def assert_shape(self):
         """Assert the support is alpha and exponents strictly below it, with
         1 at x^alpha in basis x and p_to_x_factor(alpha) in basis p."""
-        lead = self.poly.terms.get(self.alpha)
-        want = KR_ONE if self.basis == "x" else p_to_x_factor(self.alpha)
+        lead = self.coeffs.get(self.alpha)
+        want = _ONE if self.basis == "x" else _rescaled(
+            _ONE, *p_to_x_factors(self.alpha))
         if lead != want:
-            raise SolveFailure("coefficient at x^alpha is %r" % (lead,))
+            raise SolveFailure("coefficient at x^alpha is %r, not %r"
+                               % (lead, want))
         weight = comb.comp_weight(self.alpha)
-        for e in self.poly.terms:
+        for e in self.coeffs:
             if e != self.alpha and not (
                     sum(e) == weight and comb.triangle_greater(self.alpha, e)):
                 raise SolveFailure("support %s not below %s" % (e, self.alpha))
+
+    def specialize(self, kappa0):
+        """The MultiPoly at kappa = kappa0, from the factored form.
+
+        With kappa0 = p/q in lowest terms, a coefficient num/(d0 prod f^m)
+        with s = deg num and M = sum of the m takes the value
+        q^(M-s) _at_root(num, q, -p) / (d0 prod (a*p + b*q)^m), each factor
+        a*kappa + b evaluated once.  PoleError if a factor vanishes."""
+        kappa0 = Fraction(kappa0)
+        p, q = kappa0.numerator, kappa0.denominator
+        at = {(a, b): a * p + b * q for a, b in _profile(self.coeffs)}
+        for f, v in at.items():
+            if not v:
+                raise PoleError("denominator factor %s vanishes at kappa=%s"
+                                % (kappa_linear(*f).monic(),
+                                   rat_to_str(kappa0)), at=kappa0)
+        dens = {}
+        terms = {}
+        for e, (num, d0, facs) in self.coeffs.items():
+            v = _at_root(num, q, -p)
+            if v:
+                if facs not in dens:
+                    den = 1
+                    for f, m in facs:
+                        den *= at[f] ** m
+                    dens[facs] = den, sum(m for _, m in facs)
+                den, deg = dens[facs]
+                s = deg - len(num) + 1
+                terms[e] = (Fraction(v * q ** s, d0 * den) if s >= 0 else
+                            Fraction(v, d0 * den * q ** -s))
+        return MultiPoly(self.n, terms, field=kappa0, _clean=True)
 
     def degree(self):
         return comb.comp_weight(self.alpha)
@@ -196,13 +380,20 @@ class JackPoly:
 
     @classmethod
     def from_json(cls, obj, check=False):
-        poly = MultiPoly.from_json(obj)
+        """The JackPoly stored as obj.  The coefficients are read with no
+        gcd and factored by the stored denominator factors, which must be
+        the ones read off them; SolveFailure otherwise."""
         factors = [
             (KappaPoly.from_json(d["factor"]), d["multiplicity"])
             for d in obj["denominator_factors"]
         ]
-        return cls(obj["alpha"], obj["N"], obj["basis"], poly,
-                   denominator_factors=factors, check=check)
+        jp = cls.from_poly(obj["alpha"], obj["N"], obj["basis"],
+                           MultiPoly.from_json(obj),
+                           [fac for fac, _ in factors], check)
+        if jp.denominator_factors != factors:
+            raise SolveFailure("stored denominator factors %s are not those "
+                               "of the coefficients" % factors_json(factors))
+        return jp
 
     def __repr__(self):
         return "JackPoly(alpha=%s, n=%d, basis=%r)" % (
@@ -240,15 +431,10 @@ def _ambient(alpha, n):
     return comb.pad(alpha, n)
 
 
-# A coefficient of zeta_x is (num, d0, facs): num / (d0 * prod f^m) with num
-# in Z[kappa] as an int list, d0 a positive int and facs a sorted tuple of
-# (f, m), f = (a, b) the primitive factor a*kappa + b.
-
 def _solve_step(groups, s, t):
-    """kappa * (sum of groups) / (s*kappa + t), or None when it vanishes;
-    groups maps (d0, facs) to a numerator.  The sum is taken over the lcm
-    of the denominators; each factor is divided out as often as its root is
-    a root of the numerator, and d0 is cancelled against the content."""
+    """kappa * (sum of groups) / (s*kappa + t) in factored form, or None
+    when it vanishes; groups maps (d0, facs) to a numerator.  The sum is
+    taken over the lcm of the denominators and then reduced (_reduced)."""
     d0 = lcm(*(gd for gd, _ in groups))
     top = {}
     for _, facs in groups:
@@ -265,17 +451,11 @@ def _solve_step(groups, s, t):
         total.pop()
     if not total:
         return None
-    num, g = [0] + total, t
+    g = t
     if s:
         g = gcd(s, t) if s > 0 else -gcd(s, t)
         top[s // g, t // g] = top.get((s // g, t // g), 0) + 1
-    num, d0 = [x if g > 0 else -x for x in num], d0 * abs(g)
-    for (a, b), m in top.items():
-        num, gone = _divide_out(num, a, b, m)
-        top[a, b] = m - gone
-    g = gcd(d0, *num)
-    return ([x // g for x in num], d0 // g,
-            tuple(sorted((f, m) for f, m in top.items() if m)))
+    return _reduced([0] + total, d0 * g, top)
 
 
 def zeta_x(alpha, n):
@@ -285,7 +465,8 @@ def zeta_x(alpha, n):
     beta is kappa * sum_gamma c_gamma [x^beta] K_i x^gamma over
     xi_i(alpha) - xi_i(beta), i the least index where the spectra differ.
     It runs over Z[kappa] with the linear denominators known (_solve_step),
-    with no polynomial gcd; then every eigen-equation is asserted.
+    with no polynomial gcd, and its factored coefficients are the
+    JackPoly's; then every eigen-equation is asserted on them.
     """
     alpha = _ambient(alpha, n)
     key = (alpha, n, "x")
@@ -310,7 +491,7 @@ def zeta_x(alpha, n):
     coeffs = {}
     for beta in dset:
         groups = pending.pop(beta, None)
-        c = ([1], 1, ()) if beta == alpha else (
+        c = _ONE if beta == alpha else (
             groups and _solve_step(groups, *pivots[beta][1:]))
         if not c:
             continue
@@ -321,19 +502,7 @@ def zeta_x(alpha, n):
                     _axpy(pending.setdefault(b2, {}).setdefault(
                         (d0, facs), []), num, k)
 
-    terms, units = {}, {}
-    for beta, (num, d0, facs) in coeffs.items():
-        if facs not in units:
-            units[facs] = KappaRatio.from_factors(
-                (), [f for f, m in facs for _ in range(m)])
-        # _solve_step left num coprime to facs, so num * unit is reduced
-        unit = units[facs]
-        terms[beta] = KappaRatio(KappaPoly(
-            [x * unit.num.coeffs[0] / d0 for x in num]), unit.den,
-            _canonical=True)
-    poly = MultiPoly(n, terms, field=None, _clean=True)
-    zp = JackPoly(alpha, n, "x", poly, denominator_profile(poly, [
-        kappa_linear(a, b) for facs in units for (a, b), _ in facs]))
+    zp = JackPoly(alpha, n, "x", coeffs)
     _ZETA_CACHE[key] = zp
     return zp
 
@@ -353,20 +522,20 @@ def p_to_x_factor(alpha):
 
 
 def zeta_p(alpha, n):
-    """The p-monic eigenvector: zeta_x rescaled by the hook/E factor.  The
-    scalar is nonzero, so the eigen-equations certified on zeta_x hold here
-    too and are not checked again."""
+    """The p-monic eigenvector: zeta_x rescaled by the hook/E factor, each
+    factored coefficient times its numerators over its denominators
+    (_rescaled), with no gcd.  The scalar is nonzero, so the
+    eigen-equations certified on zeta_x hold here too and are not checked
+    again."""
     alpha = _ambient(alpha, n)
     key = (alpha, n, "p")
     got = _ZETA_CACHE.get(key)
     if got is not None:
         return got
-    zx = zeta_x(alpha, n)
-    poly = poly_scale(zx.poly, p_to_x_factor(alpha))
-    divided = [kappa_linear(a, b) for a, b in p_to_x_factors(alpha)[1]]
-    zp = JackPoly(alpha, n, "p", poly, denominator_profile(
-        poly, [fac for fac, _ in zx.denominator_factors] + divided),
-        check=False)
+    tops, bottoms = p_to_x_factors(alpha)
+    zp = JackPoly(alpha, n, "p", {
+        e: _rescaled(c, tops, bottoms)
+        for e, c in zeta_x(alpha, n).coeffs.items()}, check=False)
     _ZETA_CACHE[key] = zp
     return zp
 
@@ -424,9 +593,9 @@ def z2sz_step(zeta, i):
     # for N <= 6 and weight <= 6 it divides a denominator of the result only
     # when it already divides one of zeta's, so no input tried needs it.
     divided = [kappa_linear(d_r + e, diff) for e in (-1, 0, 1)]
-    return JackPoly(comb.perm_on_comp(sigma, alpha), n, zeta.basis, flipped,
-                    denominator_profile(flipped, [
-                        fac for fac, _ in zeta.denominator_factors] + divided))
+    return JackPoly.from_poly(
+        comb.perm_on_comp(sigma, alpha), n, zeta.basis, flipped,
+        [fac for fac, _ in zeta.denominator_factors] + divided)
 
 
 def _check_window(zeta, i, s, name):
@@ -459,9 +628,9 @@ def _move_step(zeta, i, s, swaps):
     word.extend((1, comb.transposition(n, u, v)) for u, v in swaps)
     t = comb.transposition(n, i, i + s)
     moved = _word_step(t, bracket, word, zeta.poly)
-    return JackPoly(comb.perm_on_comp(t, alpha), n, "p", moved,
-                    denominator_profile(moved, [
-                        fac for fac, _ in zeta.denominator_factors] + [divided]))
+    return JackPoly.from_poly(
+        comb.perm_on_comp(t, alpha), n, "p", moved,
+        [fac for fac, _ in zeta.denominator_factors] + [divided])
 
 
 def movert_step(zeta, i, s):
@@ -500,10 +669,11 @@ def dm_formula(zeta):
         kappa_linear(n + 1 - comb.rank(alpha, m), alpha[m - 1]), KP_ONE)
     at = comb.tilde(alpha)
     zt = zeta_p(at, n)
-    rotated = apply_perm(comb.invert(comb.theta_perm(n, m)), zt.poly)
+    out = JackPoly(at, n, "p", perm_terms(comb.invert(comb.theta_perm(n, m)),
+                                          zt.coeffs), check=False)
     ctx = OperatorContext(n)
     lhs = dunkl(ctx, m, zeta.poly)
-    rhs = poly_scale(rotated, scalar)
+    rhs = poly_scale(out.poly, scalar)
     if lhs != rhs:
         raise FormulaMismatch(
             "D_%d zeta_%s does not match the cycle formula" % (m, alpha),
@@ -513,8 +683,6 @@ def dm_formula(zeta):
             raise FormulaMismatch(
                 "D_%d zeta_%s expected to vanish" % (i, alpha),
                 lhs=dunkl(ctx, i, zeta.poly), rhs=mp_zero(n))
-    # a permutation of zt: the same coefficients, so the same factors
-    out = JackPoly(at, n, "p", rotated, zt.denominator_factors, check=False)
     return scalar, out
 
 

@@ -186,7 +186,7 @@ def build_module(m, n, N):
             w, tab = comb.tableau_from_rlp(label.lam, sigma)
             jp = jack.zeta_x(sigma, N)
             try:
-                f = mp.specialize(jp.poly, kappa0)
+                f = jp.specialize(kappa0)
             except PoleError:
                 raise PoleAtSingularValue(sigma, kappa0,
                                           jp.denominator_factors)
@@ -406,7 +406,7 @@ def pole_analysis(lam, k, label):
     mult = root_multiplicity(hook, label.kappa0)
     jp = jack.zeta_x(lamk, N)
     try:
-        mp.specialize(jp.poly, label.kappa0)
+        jp.specialize(label.kappa0)
         pole_free = True
     except PoleError:
         pole_free = False

@@ -468,6 +468,22 @@ def test_cache_edited_coefficient_below_the_lead_is_refused(capsys, tmp_path,
     assert _refused(capsys, (2, 0, 1), "x")
 
 
+@pytest.mark.parametrize("basis", ["x", "p"])
+def test_cache_unreduced_coefficient_is_refused(capsys, tmp_path,
+                                                monkeypatch, basis):
+    # the same value with num and den both times a stored factor: once
+    # re-reduced by a gcd on load and served; the load reads it as written
+    path, _ = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3,
+                            basis)
+    obj = json.loads(path.read_text())
+    fac = KappaPoly.from_json(obj["denominator_factors"][0]["factor"])
+    edited = obj["terms"][-1]["coeff"]
+    for side in ("num", "den"):
+        edited[side] = (KappaPoly.from_json(edited[side]) * fac).to_json()
+    path.write_text(json.dumps(obj))
+    assert _refused(capsys, (2, 0, 1), basis)
+
+
 def test_cache_rescaled_p_entry_is_refused(capsys, tmp_path, monkeypatch):
     # once served with every coefficient doubled, with exit 0: the eigen
     # check and the denominator factors cannot see a constant scalar

@@ -6,6 +6,8 @@ from itertools import chain
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singjack import combinatorics as comb
 from singjack import exactarith
@@ -395,10 +397,14 @@ def test_eigen_check_accepts_every_small_zeta():
 
 
 def _tampered(jp, e, c):
+    # the candidates factor every tampered denominator, so the
+    # eigen-equations, not the factoring, have to refuse the edit
     terms = dict(jp.poly.terms)
     terms[e] = c
-    return jack.JackPoly(jp.alpha, jp.n, jp.basis,
-                         mp.MultiPoly(jp.n, terms), check=False)
+    return jack.JackPoly.from_poly(
+        jp.alpha, jp.n, jp.basis, mp.MultiPoly(jp.n, terms),
+        [fac for fac, _ in jp.denominator_factors] + [kappa_linear(1, 7)],
+        check=False)
 
 
 def _tampers(jp):
@@ -473,9 +479,11 @@ def test_eigen_check_asserts_the_last_operator():
         beta = next(b for d in range(sum(alpha) + 1, sum(alpha) + 3)
                     for b in comb.compositions_of(d, n)
                     if comb.spectral_vector(b)[:-1] == spec[:-1])
-        za = jack.zeta_x(alpha, n)
-        bad = jack.JackPoly(alpha, n, "x",
-                            za.poly + jack.zeta_x(beta, n).poly, check=False)
+        za, zb = jack.zeta_x(alpha, n), jack.zeta_x(beta, n)
+        bad = jack.JackPoly.from_poly(
+            alpha, n, "x", za.poly + zb.poly,
+            [fac for z in (za, zb) for fac, _ in z.denominator_factors],
+            check=False)
         ctx = OperatorContext(n)
         for i in range(1, n):
             xi = kappa_linear(*spec[i - 1])
@@ -489,8 +497,140 @@ def test_eigen_check_asserts_the_last_operator():
 def test_eigen_check_rejects_a_specialized_poly():
     z = jack.zeta_x((2, 1, 0), 3)
     with pytest.raises(mp.FieldMismatch):
-        jack.JackPoly(z.alpha, 3, "x", mp.specialize(z.poly, Fraction(-1, 2)),
-                      denominator_factors=[])
+        jack.JackPoly.from_poly(z.alpha, 3, "x",
+                                mp.specialize(z.poly, Fraction(-1, 2)), [])
+
+
+# ------------------------------------------ the Kronecker-packed eigen check
+
+def _list_residual_max(jp):
+    """The largest |coefficient| of the eigen residual over every i, with
+    the residual expanded as one Z[kappa] list per monomial."""
+    n = jp.n
+    big_f = jack._cleared(jp.coeffs)
+    spec = comb.spectral_vector(jp.alpha)
+    worst = 0
+    for i in range(1, n + 1):
+        a, b = spec[i - 1]
+        out = {e: exactarith._times(num, -a, e[i - 1] + 1 - b)
+               for e, num in big_f.items()}
+        for e, num in big_f.items():
+            for e2, k in jack._k_monomial_terms(n, i, e).items():
+                exactarith._axpy(out.setdefault(e2, []), [0] + num, k)
+        worst = max([worst] + [abs(x) for v in out.values() for x in v])
+    return worst
+
+
+def _below_the_shift(jp):
+    bits = jack._shift_bits(jack._cleared(jp.coeffs), jp.alpha)
+    return _list_residual_max(jp) < 2 ** bits
+
+
+@lru_cache(maxsize=None)
+def _edit_bases():
+    return [build(alpha, n)
+            for alpha, n in (((2, 0), 2), ((2, 0, 1), 3), ((0, 3, 0), 3),
+                             ((1, 0, 2, 1), 4), ((3, 2, 1, 0), 4))
+            for build in (jack.zeta_x, jack.zeta_p)]
+
+
+_BIG = st.one_of(st.integers(-50, 50), st.integers(2**200, 2**210),
+                 st.integers(-2**210, -2**200))
+
+
+@st.composite
+def _edited(draw):
+    """A small zeta scaled by an integer, then one coefficient moved by an
+    integer at its bottom, top or next kappa-degree (or an extra monomial
+    added): the edit is 0, large, negative or at least 2**200."""
+    jp = draw(st.sampled_from(_edit_bases()))
+    terms = {e: c * draw(st.sampled_from([1, -3, 2**200 + 1]))
+             for e, c in jp.poly.terms.items()}
+    d = jp.degree()
+    extra = next(e for e in chain(comb.compositions_of(d, jp.n),
+                                  comb.compositions_of(d + 1, jp.n))
+                 if e not in terms)
+    e = draw(st.sampled_from(sorted(terms) + [extra]))
+    c = terms.get(e, KR_ZERO)
+    j = draw(st.sampled_from([0, max(c.num.degree, 0), c.num.degree + 1]))
+    terms[e] = c + KappaRatio(KappaPoly((0,) * j + (draw(_BIG),)), c.den)
+    return jack.JackPoly.from_poly(
+        jp.alpha, jp.n, jp.basis, mp.MultiPoly(jp.n, terms),
+        [fac for fac, _ in jp.denominator_factors], check=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edited())
+def test_packed_eigen_check_matches_the_layered_reference(jp):
+    assert _one_pass_eigen_ok(jp) == _layered_eigen_ok(jp)
+    assert _below_the_shift(jp)
+
+
+def test_residual_stays_below_the_shift():
+    # every coefficient of the list residual is below 2**B: on the edits
+    # at both kappa ends, with an edit of 2**200 or of -3**130, and on the
+    # elements of the staircase (1,2,5)
+    for jp in _edit_bases():
+        for bad in _kappa_end_edits(jp):
+            assert _below_the_shift(bad)
+        for v in (2**200, -3**130):
+            for e, c in jp.poly.terms.items():
+                terms = dict(jp.poly.terms)
+                terms[e] = c + KappaRatio(KappaPoly((v,)), c.den)
+                assert _below_the_shift(jack.JackPoly.from_poly(
+                    jp.alpha, jp.n, jp.basis, mp.MultiPoly(jp.n, terms),
+                    [fac for fac, _ in jp.denominator_factors], check=False))
+    for sigma in comb.rlp_enumerate(comb.resolve_label(1, 2, 5).lam):
+        assert _below_the_shift(jack.zeta_x(sigma, 5))
+
+
+def test_a_denominator_the_candidates_do_not_factor_is_refused():
+    z = jack.zeta_x((2, 0, 1), 3)
+    facs = [fac for fac, _ in z.denominator_factors]
+    e, c = next((e, c) for e, c in z.poly.terms.items() if not c.is_poly())
+    for bad in (kappa_linear(1, 7), KappaPoly((1, 0, 1))):
+        terms = dict(z.poly.terms)
+        terms[e] = KappaRatio(c.num, c.den * bad)
+        poly = mp.MultiPoly(3, terms)
+        with pytest.raises(jack.SolveFailure, match="not among"):
+            jack.JackPoly.from_poly(z.alpha, 3, "x", poly, facs, check=False)
+        # with the factor among the candidates it is read, and refused by
+        # the eigen-equations
+        if bad.degree == 1:
+            with pytest.raises(jack.SolveFailure, match="eigen"):
+                jack.JackPoly.from_poly(z.alpha, 3, "x", poly, facs + [bad])
+
+
+def test_a_coefficient_not_in_canonical_form_is_refused():
+    # the same values, written with no gcd: not reduced, or not monic
+    z = jack.zeta_x((2, 0, 1), 3)
+    facs = [fac for fac, _ in z.denominator_factors]
+    e, c = next((e, c) for e, c in z.poly.terms.items() if not c.is_poly())
+    for num, den in ((c.num * facs[0], c.den * facs[0]),
+                     (c.num * 2, c.den * 2)):
+        terms = dict(z.poly.terms)
+        terms[e] = KappaRatio(num, den, _canonical=True)
+        with pytest.raises(jack.SolveFailure, match="not"):
+            jack.JackPoly.from_poly(z.alpha, 3, "x", mp.MultiPoly(3, terms),
+                                    facs, check=False)
+
+
+def test_specialize_matches_the_q_kappa_specialization():
+    kappas = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(-2, 3),
+              Fraction(3, 5), Fraction(-3), Fraction(-1)]
+    poles = 0
+    for alpha, n in _small_compositions():
+        for jp in (jack.zeta_x(alpha, n), jack.zeta_p(alpha, n)):
+            for k0 in kappas:
+                try:
+                    want = mp.specialize(jp.poly, k0)
+                except PoleError:
+                    poles += 1
+                    with pytest.raises(PoleError):
+                        jp.specialize(k0)
+                    continue
+                assert jp.specialize(k0) == want
+    assert poles
 
 
 def test_clear_caches_empties_every_memo():
@@ -599,12 +739,32 @@ def test_p_factors_match_the_gcd_products_without_a_gcd(monkeypatch):
         return poly_gcd(a, b)
 
     monkeypatch.setattr(exactarith, "poly_gcd", counted)
-    monkeypatch.setattr(jack, "poly_gcd", counted)
     got = [(comb.e_factor(alpha, 1), comb.e_factor(alpha, -1),
             jack.p_to_x_factor(alpha)) for alpha in alphas]
     assert len(alphas) == 209
     assert got == want
     assert calls == []
+
+
+def test_zeta_p_rescales_the_factored_form_without_a_gcd(monkeypatch):
+    keys = [(alpha, n) for n in range(1, 5) for d in range(6)
+            for alpha in comb.compositions_of(d, n)]
+    xs = {key: jack.zeta_x(*key) for key in keys}
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(exactarith, "poly_gcd", counted)
+    ps = {key: jack.zeta_p(*key) for key in keys}
+    assert len(keys) == 209
+    assert calls == []
+    monkeypatch.undo()
+    for (alpha, n), zp in ps.items():
+        assert zp.poly == mp.poly_scale(xs[alpha, n].poly,
+                                        jack.p_to_x_factor(alpha))
+    jack.clear_caches()
 
 
 def test_zeta_x_matches_the_q_kappa_solve():
@@ -631,6 +791,11 @@ def test_step_formula_denominators_match_the_search():
         assert moved.denominator_factors == _reference_profile(moved.poly)
 
 
+def _profile(z, candidates):
+    return jack.JackPoly.from_poly(z.alpha, z.n, z.basis, z.poly, candidates,
+                                   check=False).denominator_factors
+
+
 def test_denominator_profile_refuses_a_missing_candidate():
     z = jack.zeta_x((0, 3, 0), 3)
     facs = [fac for fac, _ in z.denominator_factors]
@@ -638,10 +803,9 @@ def test_denominator_profile_refuses_a_missing_candidate():
     # scaled, repeated, unused and constant candidates change nothing
     extra = [fac * 4 for fac in facs] + facs + [
         kappa_linear(1, 7), kappa_linear(0, 5), KappaPoly((1, 0, 1))]
-    assert jack.denominator_profile(z.poly, extra) == z.denominator_factors
+    assert _profile(z, extra) == z.denominator_factors
     for missing in facs:
         with pytest.raises(jack.SolveFailure):
-            jack.denominator_profile(
-                z.poly, [fac for fac in extra if fac.monic() != missing])
+            _profile(z, [fac for fac in extra if fac.monic() != missing])
     with pytest.raises(jack.SolveFailure):
-        jack.denominator_profile(jack.zeta_x((2, 0, 1), 3).poly, [])
+        _profile(jack.zeta_x((2, 0, 1), 3), [])

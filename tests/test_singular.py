@@ -217,17 +217,17 @@ def test_kappa0_certificates_run_on_integer_forms(monkeypatch):
 
 
 def test_symmetric_term_added_is_not_annihilated(monkeypatch, capsys):
-    specialize = mp.specialize
+    specialize = jack.JackPoly.specialize
 
-    def with_power_sum(f, kappa0):
-        g = specialize(f, kappa0)
+    def with_power_sum(jp, kappa0):
+        g = specialize(jp, kappa0)
         d = g.degree()
         for i in range(g.n):
             g = g + mp.monomial(g.n, [d * (k == i) for k in range(g.n)],
                                 field=g.field)
         return g
 
-    monkeypatch.setattr(mp, "specialize", with_power_sum)
+    monkeypatch.setattr(jack.JackPoly, "specialize", with_power_sum)
     for m, n, N in ((1, 3, 3), (2, 3, 4)):
         with pytest.raises(singular.NotAnnihilated):
             singular.build_module(m, n, N)
