@@ -5,9 +5,11 @@ stderr.  Exit codes: 0 success, 2 usage or parameter problems, 3 pole at
 the requested value, 4 a falsified certificate, 5 search budget
 exhausted, 6 an internal fault: any other exception, noted on stderr as
 "internal error:".  Set SINGJACK_CACHE_DIR to reuse constructed
-polynomials across runs; every load checks the entry's key, the canonical
-form of its coefficients and their denominator factors, its shape and
-normalization, and the eigen-equations.
+polynomials across runs; every load reads each stored term on the
+factored form, with int() and no gcd, and checks the entry's key, that no
+term is zero or stored twice, the canonical form of its coefficients and
+their denominator factors, its shape and normalization, and the
+eigen-equations.
 """
 
 import argparse
@@ -82,12 +84,13 @@ def _cache_key(alpha, n, basis):
 def _load_entry(path, alpha, n, basis):
     """The cache entry at path, certified for the request.
 
-    Checked in order: the stored alpha, N, basis and field; each
-    coefficient, read with no gcd, is reduced with a monic denominator
-    that the stored denominator factors factor, and those factors are the
-    ones read off the coefficients (JackPoly.from_json); the shape and
-    normalization (assert_shape); the eigen-equations.  A failed check
-    raises SolveFailure; an entry that cannot be read or parsed is None, a
+    Checked in order: the stored alpha, N, basis and field; every term,
+    read with int() and no gcd, has an exponent of its own and a nonzero
+    coefficient, reduced with a monic denominator that the stored
+    denominator factors factor, and those factors are the ones read off
+    the coefficients (JackPoly.from_json); the shape and normalization
+    (assert_shape); the eigen-equations.  A failed check raises
+    SolveFailure; an entry that cannot be read or parsed is None, a
     miss."""
     try:
         with open(path) as fh:

@@ -29,9 +29,14 @@ class ZeroPolynomial(ValueError):
 
 def rat_to_str(q):
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    return ratio_str(q.numerator, q.denominator)
+
+
+def ratio_str(p, q):
+    """The string of p/q, ints with q > 0: "p" or "p/q" in lowest terms,
+    with no Fraction."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else "%d/%d" % (p // g, q // g)
 
 
 def rat_from_str(s):
@@ -496,10 +501,10 @@ class KappaRatio:
 
     @classmethod
     def from_json(cls, data):
-        """The pair as written, with no gcd: the reader checks that it is
-        reduced with a monic denominator (jack.JackPoly.from_poly)."""
+        """The value num/den as written, brought to canonical form (reduced
+        by a gcd, denominator monic), so that == on it is value equality."""
         return cls(KappaPoly.from_json(data["num"]),
-                   KappaPoly.from_json(data["den"]), _canonical=True)
+                   KappaPoly.from_json(data["den"]))
 
     def __str__(self):
         if self.den.is_one():

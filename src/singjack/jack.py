@@ -6,8 +6,10 @@ routes so the two can be cross-checked.  All arithmetic is exact.
 
 A JackPoly keeps the solve's factored coefficients, a Z[kappa] numerator
 over an integer times linear factors.  The eigen check, the shape check,
-the denominator profile and specialization run on them; the Q(kappa)
-MultiPoly is built only when .poly is read.
+the denominator profile, specialization and the JSON (to_json, and
+from_json, which reads the coefficient strings with int()) run on them;
+the Q(kappa) MultiPoly is built only when .poly is read, by the step
+formulas and p_expand.
 """
 
 from fractions import Fraction
@@ -30,8 +32,10 @@ from .exactarith import (
     _times,
     kappa_linear,
     rat_to_str,
+    ratio_str,
 )
 from .multipoly import (
+    FieldMismatch,
     MultiPoly,
     apply_perm,
     coeff,
@@ -41,6 +45,7 @@ from .multipoly import (
     poly_add,
     poly_scale,
     poly_sub,
+    support_order,
     word_apply,
 )
 from .operators import OperatorContext, cherednik_k_terms, dunkl
@@ -110,45 +115,72 @@ def _rescaled(c, tops, bottoms):
     return _reduced(num, d0, top)
 
 
-def _factored_terms(poly, candidates):
-    """The factored form of every coefficient of the Q(kappa) poly.
+def _factored_terms(items, roots):
+    """The factored forms {e: (num, d0, facs)} of the coefficients given as
+    (e, (num, dn), (den, dd)), each (num/dn) / (den/dd) with num and den
+    in Z[kappa] as int lists and dn, dd positive ints.
 
-    Each denominator is divided by the linear candidates (KappaPolys; the
-    others are ignored) with _divide_out.  SolveFailure when a coefficient
-    is zero, its denominator is not monic or not fully factored by the
-    candidates, or a factor's root is a root of its numerator.  So the
-    form has the coefficient's value, and poly is canonical."""
-    roots = set()
-    for fac in candidates:
-        if fac.degree == 1:
-            # kappa + c = (a*kappa + b) / a, primitive
-            c = fac.monic().coeffs[0]
-            roots.add((c.denominator, c.numerator))
+    Each distinct den is divided once by the primitive linear factors in
+    roots with _divide_out.  SolveFailure when an exponent repeats, a
+    coefficient is zero, its denominator is zero, not monic or not fully
+    factored by roots, or a factor's root is a root of its numerator.  So
+    the forms have the coefficients' values, and the coefficients as
+    given are canonical."""
     split = {}
     out = {}
-    for e, c in poly.terms.items():
-        if not c or c.den.coeffs[-1] != 1:
-            raise SolveFailure("coefficient %s of x^%s is not in canonical "
-                               "form" % (c, e))
-        got = split.get(c.den)
+    for e, (num, dn), (den, dd) in items:
+        if e in out:
+            raise SolveFailure("x^%s has two coefficients" % (e,))
+        if not num or not den or den[-1] != dd:
+            raise SolveFailure("coefficient of x^%s is not in canonical "
+                               "form" % (e,))
+        den = tuple(den)
+        got = split.get(den)
         if got is None:
-            den, dd = _int_form(c.den)
-            facs = []
+            rest, facs = list(den), []
             for f in roots:
-                den, m = _divide_out(den, *f, len(den))
+                rest, m = _divide_out(rest, *f, len(rest))
                 if m:
                     facs.append((f, m))
-            if len(den) > 1:
+            if len(rest) > 1:
                 raise SolveFailure("denominator factor %s is not among the "
-                                   "candidates" % KappaPoly(den).monic())
-            got = split[c.den] = den[0], dd, tuple(sorted(facs))
-        const, dd, facs = got
-        num, dn = _int_form(c.num)
+                                   "candidates" % KappaPoly(rest).monic())
+            got = split[den] = rest[0], tuple(sorted(facs))
+        const, facs = got
         out[e] = _reduced([x * dd for x in num], dn * const, dict(facs))
         if out[e][2] != facs:
-            raise SolveFailure("coefficient %s of x^%s is not reduced"
-                               % (c, e))
+            raise SolveFailure("coefficient of x^%s is not reduced" % (e,))
     return out
+
+
+def _den_expansion(facs):
+    """prod f^m over the factor tuple facs, as a Z[kappa] int list; its
+    leading coefficient is prod a^m."""
+    den = [1]
+    for f, m in facs:
+        for _ in range(m):
+            den = _times(den, *f)
+    return den
+
+
+def _rationals(strs):
+    """(ints, d), d > 0 the lcm of the denominators, with the rationals
+    written "p" or "p/q" in strs equal to ints / d; trailing zeros are
+    dropped.  Read by int(), with no Fraction; ValueError on another
+    form."""
+    ps, qs = [], []
+    for s in strs:
+        p, slash, q = s.partition("/")
+        q = int(q) if slash else 1
+        if q <= 0:
+            raise ValueError("%r is not p/q with q > 0" % (s,))
+        ps.append(int(p))
+        qs.append(q)
+    d = lcm(*qs)
+    ints = [p * (d // q) for p, q in zip(ps, qs)]
+    while ints and not ints[-1]:
+        ints.pop()
+    return ints, d
 
 
 def _profile(coeffs):
@@ -263,9 +295,18 @@ class JackPoly:
     @classmethod
     def from_poly(cls, alpha, n, basis, poly, candidates, check=True):
         """The JackPoly of a canonical Q(kappa) MultiPoly whose denominators
-        the linear candidates factor (see _factored_terms)."""
+        the linear candidates (KappaPolys; the others are ignored) factor
+        (see _factored_terms)."""
         OperatorContext(n).check(poly)
-        jp = cls(alpha, n, basis, _factored_terms(poly, candidates), check)
+        roots = set()
+        for fac in candidates:
+            if fac.degree == 1:
+                # kappa + c = (a*kappa + b) / a, primitive
+                c = fac.monic().coeffs[0]
+                roots.add((c.denominator, c.numerator))
+        items = ((e, _int_form(c.num), _int_form(c.den))
+                 for e, c in poly.terms.items())
+        jp = cls(alpha, n, basis, _factored_terms(items, roots), check)
         jp._poly = poly
         return jp
 
@@ -273,15 +314,17 @@ class JackPoly:
     def poly(self):
         """The Q(kappa) MultiPoly of coeffs, built when first read."""
         if self._poly is None:
-            units, terms = {}, {}
+            dens, terms = {}, {}
             for e, (num, d0, facs) in self.coeffs.items():
-                if facs not in units:
-                    units[facs] = KappaRatio.from_factors(
-                        (), [f for f, m in facs for _ in range(m)])
-                # the form is reduced, so num * unit is too
-                unit = units[facs]
+                got = dens.get(facs)
+                if got is None:
+                    den = _den_expansion(facs)
+                    got = dens[facs] = KappaPoly(
+                        [Fraction(x, den[-1]) for x in den]), den[-1]
+                den, lead = got
+                # the form is reduced, so num over the monic den is too
                 terms[e] = KappaRatio(KappaPoly(
-                    [x * unit.num.coeffs[0] / d0 for x in num]), unit.den,
+                    [Fraction(x, d0 * lead) for x in num]), den,
                     _canonical=True)
             self._poly = MultiPoly(self.n, terms, _clean=True)
         return self._poly
@@ -372,27 +415,64 @@ class JackPoly:
         return comb.comp_weight(self.alpha)
 
     def to_json(self):
-        body = self.poly.to_json()
-        body["alpha"] = list(self.alpha)
-        body["basis"] = self.basis
-        body["denominator_factors"] = factors_json(self.denominator_factors)
-        return body
+        """The JSON of .poly with alpha, basis and denominator factors,
+        written from coeffs: each distinct factor tuple is expanded once
+        to its monic denominator (_den_expansion, leading coefficient
+        lead), and each numerator is num / (d0 * lead)."""
+        dens, terms = {}, []
+        for e in support_order(self.coeffs):
+            num, d0, facs = self.coeffs[e]
+            got = dens.get(facs)
+            if got is None:
+                den = _den_expansion(facs)
+                got = dens[facs] = [ratio_str(x, den[-1])
+                                    for x in den], den[-1]
+            den, lead = got
+            terms.append({"exp": list(e), "coeff": {
+                "num": [ratio_str(x, d0 * lead) for x in num],
+                "den": list(den)}})
+        return {"N": self.n, "field": "Q(k)", "terms": terms,
+                "alpha": list(self.alpha), "basis": self.basis,
+                "denominator_factors": factors_json(self.denominator_factors)}
 
     @classmethod
     def from_json(cls, obj, check=False):
-        """The JackPoly stored as obj.  The coefficients are read with no
-        gcd and factored by the stored denominator factors, which must be
-        the ones read off them; SolveFailure otherwise."""
-        factors = [
-            (KappaPoly.from_json(d["factor"]), d["multiplicity"])
-            for d in obj["denominator_factors"]
-        ]
-        jp = cls.from_poly(obj["alpha"], obj["N"], obj["basis"],
-                           MultiPoly.from_json(obj),
-                           [fac for fac, _ in factors], check)
-        if jp.denominator_factors != factors:
+        """The JackPoly stored as obj, read with int() and no gcd.
+
+        Each coefficient string is read by _rationals and each distinct
+        den list is factored once by the stored denominator factors
+        (_factored_terms), which must be the ones read off the
+        coefficients.  SolveFailure on a zero, repeated, non-canonical or
+        non-reduced term or on other stored factors; ValueError on an
+        exponent that is not N entries of at least 0."""
+        if obj["field"] != "Q(k)":
+            raise FieldMismatch("field %r is not Q(k)" % (obj["field"],))
+        n = obj["N"]
+        roots = set()
+        for d in obj["denominator_factors"]:
+            ints, _ = _rationals(d["factor"])
+            if len(ints) == 2:
+                b, a = ints
+                g = gcd(a, b) if a > 0 else -gcd(a, b)
+                roots.add((a // g, b // g))
+        dens, items = {}, []
+        for t in obj["terms"]:
+            e = tuple(map(int, t["exp"]))
+            if len(e) != n or min(e, default=0) < 0:
+                raise ValueError("exponent %s is not %d entries of at "
+                                 "least 0" % (t["exp"], n))
+            c = t["coeff"]
+            key = tuple(c["den"])
+            den = dens.get(key)
+            if den is None:
+                den = dens[key] = _rationals(key)
+            items.append((e, _rationals(c["num"]), den))
+        jp = cls(obj["alpha"], n, obj["basis"], _factored_terms(items, roots),
+                 check)
+        if obj["denominator_factors"] != factors_json(jp.denominator_factors):
             raise SolveFailure("stored denominator factors %s are not those "
-                               "of the coefficients" % factors_json(factors))
+                               "of the coefficients"
+                               % obj["denominator_factors"])
         return jp
 
     def __repr__(self):

@@ -57,6 +57,12 @@ def _coerce_special(c):
     raise TypeError("bad specialized coefficient %r" % (c,))
 
 
+def support_order(exps):
+    """The exponent vectors exps in graded-lex descending order, the order
+    of the JSON terms."""
+    return sorted(exps, key=lambda e: (sum(e), e), reverse=True)
+
+
 def _accumulate(terms, key, c, sub=False):
     """terms[key] += c, or -= c when sub, for a nonzero c; a key whose sum
     is zero is dropped, so terms stays free of zero coefficients."""
@@ -127,7 +133,7 @@ class MultiPoly:
 
     def support(self):
         """Exponent vectors in graded-lex descending order."""
-        return sorted(self.terms, key=lambda e: (sum(e), e), reverse=True)
+        return support_order(self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):

@@ -9,12 +9,14 @@ term functions (dunkl_terms, murphy_terms, omega_terms) that take a terms
 dict with coefficients in any ring.  The kappa0 certificates of `singular`
 call them on integer terms: for the integer form F = L*f of a specialized
 polynomial, kappa0 = p/q in lowest terms, dunkl_terms(..., p, q) is
-q*L*D_i f, with no Fraction arithmetic.
+q*L*D_i f, with no Fraction arithmetic.  The term functions, and the
+Cherednik K_i terms, apply each transposition by swap_terms, a swap of two
+exponent entries.
 """
 
 from fractions import Fraction
 
-from .combinatorics import IndexOutOfRange, transposition
+from .combinatorics import IndexOutOfRange
 from .exactarith import KAPPA
 from .multipoly import (
     FieldMismatch,
@@ -22,7 +24,6 @@ from .multipoly import (
     _accumulate,
     mp_zero,
     partial,
-    perm_terms,
     poly_add,
     poly_scale,
     x_var,
@@ -79,6 +80,16 @@ def _pair_difference_terms(terms, i0, j0, out):
             _accumulate(out, tuple(base), cc)
 
 
+def swap_terms(terms, a, b, out, sub=False):
+    """Accumulate (a, b) g into out, or subtract it when sub, for g given
+    by its terms: the transposition swaps exponent entries a and b."""
+    a, b = a - 1, b - 1
+    for e, c in terms.items():
+        s = list(e)
+        s[a], s[b] = e[b], e[a]
+        _accumulate(out, tuple(s), c, sub)
+
+
 def cherednik_k_terms(n, i, terms, out):
     """Accumulate K_i g into out, where U_i = U_i^0 + kappa * K_i with
     U_i^0 x^e = (e_i + 1) x^e and
@@ -98,8 +109,7 @@ def cherednik_k_terms(n, i, terms, out):
         if j0 != i0:
             _pair_difference_terms(shifted, i0, j0, out)
     for j in range(1, i):
-        for e, c in perm_terms(transposition(n, j, i), terms).items():
-            _accumulate(out, e, c, True)
+        swap_terms(terms, j, i, out, True)
 
 
 def dunkl_terms(n, i, terms, p, q):
@@ -159,8 +169,7 @@ def omega_terms(n, terms):
     out = {e: npairs * c for e, c in terms.items()} if npairs else {}
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            for e, c in perm_terms(transposition(n, i, j), terms).items():
-                _accumulate(out, e, c, True)
+            swap_terms(terms, i, j, out, True)
     return out
 
 
@@ -191,8 +200,7 @@ def murphy_terms(n, i, terms):
     out = {}
     a = n + 1 - i
     for j in range(n - i + 2, n + 1):
-        for e, c in perm_terms(transposition(n, a, j), terms).items():
-            _accumulate(out, e, c)
+        swap_terms(terms, a, j, out)
     return out
 
 

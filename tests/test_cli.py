@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from singjack import cli
+from singjack import exactarith
 from singjack import combinatorics as comb
 from singjack import jack
 from singjack import multipoly as mp
@@ -516,3 +517,54 @@ def test_cache_swapped_alpha_or_basis_is_refused(capsys, tmp_path,
         path.write_text(json.dumps(dict(json.loads(entries[(alpha, basis)]),
                                         alpha=list(key[0]), basis=key[1])))
         assert _refused(capsys, alpha, basis), key
+
+
+@pytest.mark.parametrize("basis", ["x", "p"])
+def test_cache_zero_term_or_repeated_exponent_is_refused(capsys, tmp_path,
+                                                         monkeypatch, basis):
+    # once served with exit 0: the Q(kappa) reader dropped a zero term and
+    # all but the last copy of an exponent before any load check saw them
+    path, _ = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3,
+                            basis)
+    obj = json.loads(path.read_text())
+    terms = obj["terms"]
+    wrong_first = dict(terms[-1], coeff={"num": ["5"], "den": ["1"]})
+    zeros = [{"exp": [0, 0, 3], "coeff": {"num": [], "den": den}}
+             for den in (["1", "1"], ["2", "4"], ["1", "0", "1"], ["0"])]
+    edits = ([[wrong_first] + terms + zeros[:1], [wrong_first] + terms,
+              terms + terms[-1:]] + [terms + [zero] for zero in zeros])
+    for edited in edits:
+        path.write_text(json.dumps(dict(obj, terms=edited)))
+        assert _refused(capsys, (2, 0, 1), basis)
+
+
+def test_a_cache_hit_stays_off_q_kappa(capsys, tmp_path, monkeypatch):
+    # a hit reads and prints the entry on the factored form: no .poly, no
+    # MultiPoly.from_json, no poly_gcd
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for alpha, basis in (((2, 0, 1), "x"), ((2, 0, 1), "p"),
+                         ((3, 0, 1, 1), "x"), ((0, 3, 0), "p")):
+        _, fresh = _cached_entry(capsys, tmp_path, monkeypatch, alpha,
+                                 len(alpha), basis)
+        with monkeypatch.context() as m:
+            m.setattr(jack.JackPoly, "poly", property(
+                spy("poly", jack.JackPoly.poly.fget)))
+            m.setattr(mp.MultiPoly, "from_json", classmethod(
+                spy("from_json", mp.MultiPoly.from_json.__func__)))
+            m.setattr(exactarith, "poly_gcd",
+                      spy("poly_gcd", exactarith.poly_gcd))
+            for kappa in ([], ["--kappa", "-1/2"]):
+                code, out, err = run(
+                    capsys, "zeta", "--alpha", ",".join(map(str, alpha)),
+                    "--N", str(len(alpha)), "--basis", basis, *kappa)
+                assert code == 0 and "recomputing" not in err
+                if not kappa:
+                    assert out == fresh
+        assert calls == []

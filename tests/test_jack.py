@@ -1,5 +1,6 @@
 """Eigenvector construction, basis changes, and step/differentiation laws."""
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -306,6 +307,35 @@ def test_jackpoly_json_round_trip():
     assert back.poly == z.poly
     assert [(f.coeffs, m) for f, m in back.denominator_factors] == [
         (f.coeffs, m) for f, m in z.denominator_factors]
+
+
+def test_json_from_the_factored_form_matches_the_q_kappa_route():
+    # to_json writes from coeffs and from_json reads with int(); the
+    # reference writes the KappaRatios of .poly
+    keys = [(alpha, n) for n in range(1, 5) for d in range(6)
+            for alpha in comb.compositions_of(d, n)]
+    assert len(keys) == 209
+    for alpha, n in keys:
+        for jp in (jack.zeta_x(alpha, n), jack.zeta_p(alpha, n)):
+            want = jp.poly.to_json()
+            want.update(alpha=list(jp.alpha), basis=jp.basis,
+                        denominator_factors=jack.factors_json(
+                            jp.denominator_factors))
+            obj = jp.to_json()
+            assert json.dumps(obj) == json.dumps(want)
+            back = jack.JackPoly.from_json(obj)
+            assert back.coeffs == jp.coeffs
+            assert back.denominator_factors == jp.denominator_factors
+    jack.clear_caches()
+
+
+def test_coefficient_strings_are_read_by_int():
+    assert jack._rationals(["3", "-1/2", "0"]) == ([6, -1], 2)
+    assert jack._rationals(["1/6", "-1/4", "1"]) == ([2, -3, 12], 12)
+    assert jack._rationals([]) == ([], 1)
+    for bad in (["1/0"], ["1/-2"], ["1/"], ["0.5"], [""]):
+        with pytest.raises(ValueError):
+            jack._rationals(bad)
 
 
 # ------------------------------------------------ the integer eigen check

@@ -243,3 +243,38 @@ def test_integer_term_functions_match_the_fraction_operators(f):
         assert ops.murphy_terms(n, i, big_f) == times(murphy, big_l)
     assert ops.omega_central(ctx, f) == omega
     assert ops.omega_terms(n, big_f) == times(omega, big_l)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_specialized_polys())
+@example(mp.MultiPoly(4, {(1, 0, 2, 1): Fraction(-3, 4), (0, 1, 1, 2): 5,
+                          (2, 0, 0, 2): 1}, field=Fraction(-5, 3)))
+def test_swap_terms_matches_the_permutation_route(f):
+    # swap_terms, and cherednik_k_terms through it, against
+    # perm_terms(transposition(...)) and apply_perm
+    n = f.n
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            if a == b:
+                continue
+            w = transposition(n, a, b)
+            for sub in (False, True):
+                out = dict(f.terms)
+                ops.swap_terms(f.terms, a, b, out, sub)
+                slow = (mp.poly_sub if sub else mp.poly_add)(
+                    f, mp.apply_perm(w, f))
+                assert out == slow.terms
+            out = {}
+            ops.swap_terms(f.terms, a, b, out)
+            assert out == mp.perm_terms(w, f.terms)
+    for i in range(1, n + 1):
+        xf = mp.x_var(n, i, field=f.field) * f
+        slow = mp.mp_zero(n, field=f.field)
+        for j in range(1, n + 1):
+            if j != i:
+                slow = slow + mp.divided_difference(i, j, xf)
+            if j < i:
+                slow = slow - mp.apply_perm(transposition(n, j, i), f)
+        out = {}
+        ops.cherednik_k_terms(n, i, f.terms, out)
+        assert out == slow.terms
