@@ -43,8 +43,7 @@ _CERT_ERRORS = (singular.NotAnnihilated, singular.ExpansionFailure,
 
 
 def _emit(obj):
-    json.dump(obj, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, indent=1) + "\n")
 
 
 def _note(*parts):
@@ -130,7 +129,7 @@ def cached_zeta(alpha, n, basis="x"):
             fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
-                    json.dump(jp.to_json(), fh, indent=1)
+                    fh.write(json.dumps(jp.to_json(), indent=1))
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
@@ -182,10 +181,9 @@ def cmd_zeta(args):
 
 def cmd_verify(args):
     module = singular.build_module(args.m, args.n, args.N)
-    mats = singular.seminormal_matrices(module)
-    report = module.to_json(mats=mats)
+    report = module.to_json()
     report["isotype_ok"] = singular.isotype_check(module)
-    report["seminormal_ok"] = singular.seminormal_check(module, mats)
+    report["seminormal_ok"] = singular.seminormal_check(module)
     failing = [name for name, ok in
                [("isotype", report["isotype_ok"]),
                 ("seminormal", report["seminormal_ok"])] if not ok]

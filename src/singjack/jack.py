@@ -331,7 +331,16 @@ class JackPoly:
 
     def _assert_eigen(self):
         """Assert U_i f = xi_i f for every i, exactly, by one big-integer
-        multiply-add per term of K_i.
+        multiply-add per term of K_i, for i < N only.
+
+        U_N is implied once f is homogeneous of degree d = |alpha|, which is
+        checked first.  Summed over i, the pair differences of K_i and K_j
+        give 1 + (ij) for each pair i < j, and -sum_{j<i} (j,i) takes the
+        transpositions back, so sum_i K_i = C(N,2) Id; and
+        sum_i U_i^0 = N + d on degree d.  So sum_i U_i = N + d + kappa*C(N,2)
+        on f.  The same holds for sum_i xi_i(alpha) = sum_i (alpha_i + 1) +
+        kappa * sum_i (N - r(alpha, i)), the ranks a permutation of 1..N.
+        Hence U_N f = xi_N f follows from the other N - 1 equations.
 
         F = L*D*f (see _cleared) is f times a nonzero element of Q[kappa].
         With U_i = U_i^0 + kappa*K_i, U_i^0 x^e = (e_i + 1) x^e and
@@ -350,10 +359,13 @@ class JackPoly:
         """
         n = self.n
         big_f = _cleared(self.coeffs)
+        weight = comb.comp_weight(self.alpha)
+        if any(sum(e) != weight for e in big_f):
+            raise SolveFailure("zeta_%s is not homogeneous" % (self.alpha,))
         bits = _shift_bits(big_f, self.alpha)
         packed = {e: _pack(num, bits) for e, num in big_f.items()}
         spec = comb.spectral_vector(self.alpha)
-        for i in range(1, n + 1):
+        for i in range(1, n):
             a, b = spec[i - 1]
             acc = {e: -a * p for e, p in packed.items()}
             for e, p in packed.items():

@@ -3,19 +3,26 @@
 For a resolved label (m, n, N) with kappa0 = -m/n the module is spanned
 by the specializations of zeta^x_{w.lam} where w.lam runs over the
 reverse lattice permutations of lam.  Construction checks, for every
-element: annihilation by all Dunkl operators, absence of poles at
-kappa0, and Murphy eigenvalues equal to the tableau contents.  Adjacent
-transpositions act by exact seminormal matrices.
+element: absence of poles at kappa0, annihilation by D_1, and Murphy
+eigenvalues equal to the tableau contents; then, for the module, that
+each adjacent transposition acts by the seminormal matrix that
+murphy_rule_matrices predicts from the tableaux.
 
 The kappa0 certificates run over Z.  Scaling a polynomial by a nonzero
 integer changes no kernel and no eigen-equation, so each check takes the
 integer form F = L*f of a specialized element f, with L > 0 the lcm of
 its coefficient denominators.  With kappa0 = p/q in lowest terms,
-annihilation asks q*D_i F = 0, the Murphy and central-element checks ask
-omega_j F = c_j F and omega F = tau(omega) F, and the seminormal relations
-are checked on A_p = d_p * s_p, d_p the lcm of the entry denominators of
-the matrix s_p.  verify_singular keeps the Fraction Dunkl operators as the
-reference path.
+annihilation asks q*D_1 F = 0, the Murphy and central-element checks ask
+omega_j F = c_j F and omega F = tau(omega) F, and the action asks each
+row identity of _certify_action.  The matrices so certified are the
+seminormal matrices: the elements are nonzero with pairwise distinct
+Murphy content vectors, hence independent, so each row is the only
+expansion of its image.  The span is then S_N-invariant, and since
+w D_1 w^-1 = D_{w(1)}, D_i f = w D_1 (w^-1 f) = 0 for every element f and
+every i: D_1 on the whole span gives every D_i.  The squares and braid
+relations are checked on A_p = d_p * s_p, d_p the lcm of the entry
+denominators of s_p.  verify_singular keeps the Fraction Dunkl operators
+as the reference path.
 """
 
 from datetime import datetime, timezone
@@ -29,7 +36,7 @@ from . import operators as ops
 from .combinatorics import ParameterViolation, UsageError
 from .exactarith import (PoleError, kappa_linear, rat_to_str,
                          root_multiplicity)
-from .multipoly import ExpansionFailure
+from .multipoly import ExpansionFailure, _accumulate
 
 
 class GcdConditionViolated(UsageError):
@@ -83,16 +90,14 @@ class SingularModule:
         self.elements = list(elements)
         self.n = label.N
         self.kappa0 = label.kappa0
+        self.seminormal = None  # set by build_module once certified
 
     @property
     def certificates(self):
         return {e.sigma: dict(e.certificates) for e in self.elements}
 
-    def to_json(self, include_timestamp=True, mats=None):
-        """The module report; mats are its seminormal_matrices, built here
-        unless the caller already has them."""
-        if mats is None:
-            mats = seminormal_matrices(self)
+    def to_json(self, include_timestamp=True):
+        """The module report, with its certified seminormal matrices."""
         spectra = murphy_spectra(self)
         out = {
             "label": self.label.to_json(),
@@ -116,7 +121,7 @@ class SingularModule:
                 }
                 for i, e in enumerate(self.elements)
             ],
-            "seminormal": seminormal_json(mats),
+            "seminormal": seminormal_json(self.seminormal),
             "murphy_spectra_ok": spectra["ok"],
         }
         if include_timestamp:
@@ -163,9 +168,10 @@ def build_module(m, n, N):
     """Construct and certify the span of the zeta^x_{w.lam} at kappa0.
 
     Builds each generic polynomial first, specializes, then checks
-    annihilation and Murphy eigenvalues element by element, over Z on its
-    integer form.  The jack memos serve one module: they are emptied when
-    this returns or raises.
+    annihilation by D_1 and Murphy eigenvalues element by element, over Z
+    on its integer form, and last the action of the adjacent
+    transpositions on the module (_certify_action).  The jack memos serve
+    one module: they are emptied when this returns or raises.
     """
     label = comb.resolve_label(m, n, N)
     if label.family == "two_part":
@@ -180,7 +186,7 @@ def build_module(m, n, N):
             "internal: %d rearrangements vs %d standard tableaux"
             % (len(sigmas), _syt_count(label.tau)))
     p, q = kappa0.numerator, kappa0.denominator
-    elements = []
+    elements, forms = [], []
     try:
         for sigma in sigmas:
             w, tab = comb.tableau_from_rlp(label.lam, sigma)
@@ -193,9 +199,9 @@ def build_module(m, n, N):
             el = BasisElement(w, sigma, tab, f, jp.denominator_factors)
             el.certificates["pole_free"] = True
             big_f = mp.integer_terms(f.terms)
-            for i in range(1, N + 1):
-                if ops.dunkl_terms(N, i, big_f, p, q):
-                    raise NotAnnihilated(i, w)
+            # D_1 alone: the invariance certified below gives every D_i
+            if ops.dunkl_terms(N, 1, big_f, p, q):
+                raise NotAnnihilated(1, w)
             el.certificates["annihilated"] = True
             if not _murphy_ok(el, kappa0, big_f):
                 raise jack.FormulaMismatch(
@@ -203,9 +209,49 @@ def build_module(m, n, N):
                     % (w,))
             el.certificates["murphy_spectrum_ok"] = True
             elements.append(el)
+            forms.append(big_f)
     finally:
         jack.clear_caches()
-    return SingularModule(label, elements)
+    module = SingularModule(label, elements)
+    module.seminormal = _certify_action(module, forms)
+    return module
+
+
+def _certify_action(module, forms):
+    """murphy_rule_matrices(module), certified as the matrices of the
+    adjacent transpositions on the elements f_a, with integer forms
+    F_a = L_a f_a in forms; ExpansionFailure otherwise.
+
+    Row a of M_p holds at most two nonzero entries.  It is certified by
+    the identity over Z, c_b = M_p[a][b] L_a / L_b and d the lcm of their
+    denominators,
+
+        d (p,p+1) F_a = sum_b (d c_b) F_b,
+
+    which is L_a d times (p,p+1) f_a = sum_b M_p[a][b] f_b."""
+    if not all(forms) or len(
+            set(map(tuple, _tableau_contents(module)))) < len(forms):
+        raise ExpansionFailure("module elements are zero or share a "
+                               "content vector")
+    scale = [lcm(*(c.denominator for c in el.zeta.terms.values()))
+             for el in module.elements]
+    mats = murphy_rule_matrices(module)
+    for p, mat in mats.items():
+        for a, row in enumerate(mat):
+            coef = {b: v * scale[a] / scale[b] for b, v in enumerate(row) if v}
+            d = lcm(*(c.denominator for c in coef.values()))
+            out = {}
+            ops.swap_terms({e: d * x for e, x in forms[a].items()},
+                           p, p + 1, out, True)
+            for b, c in coef.items():
+                c = c.numerator * (d // c.denominator)
+                for e, x in forms[b].items():
+                    _accumulate(out, e, c * x)
+            if out:
+                raise ExpansionFailure(
+                    "(%d,%d) does not act on the element of w=%s by the "
+                    "predicted row" % (p, p + 1, module.elements[a].w))
+    return mats
 
 
 # ------------------------------------------------------------- linear algebra
@@ -220,14 +266,9 @@ def basis_rank(module):
 
 def seminormal_matrices(module):
     """Row-convention matrices of the adjacent transpositions: row j
-    holds the basis coefficients of (p,p+1) applied to basis element j."""
-    n = module.n
-    basis = [el.zeta for el in module.elements]
-    images = [mp.apply_perm(comb.transposition(n, p, p + 1), f)
-              for p in range(1, n) for f in basis]
-    rows = mp.expand_in_basis(basis, images)
-    k = len(basis)
-    return {p: rows[(p - 1) * k:p * k] for p in range(1, n)}
+    holds the basis coefficients of (p,p+1) applied to basis element j,
+    as build_module certified them (see _certify_action)."""
+    return module.seminormal
 
 
 def seminormal_json(mats):

@@ -337,3 +337,86 @@ def _matrix_sets(draw):
 @given(_matrix_sets())
 def test_integer_relations_match_fraction_products(mats):
     assert singular._relations_hold(mats) == all(_fraction_relations(mats))
+
+
+# ------------------------------------------------ the certified S_N action
+
+def _assert_action_and_annihilation(mod):
+    """The certified matrices equal the Gauss-Jordan expansion of the
+    transposition images in the basis, and every Dunkl operator, not only
+    D_1, kills every element."""
+    n, k = mod.n, len(mod.elements)
+    basis = [el.zeta for el in mod.elements]
+    images = [mp.apply_perm(comb.transposition(n, p, p + 1), f)
+              for p in range(1, n) for f in basis]
+    rows = mp.expand_in_basis(basis, images)
+    assert singular.seminormal_matrices(mod) == \
+        {p: rows[(p - 1) * k:p * k] for p in range(1, n)}
+    p, q = mod.kappa0.numerator, mod.kappa0.denominator
+    for f in basis:
+        big_f = mp.integer_terms(f.terms)
+        for i in range(1, n + 1):
+            assert not ops.dunkl_terms(n, i, big_f, p, q)
+
+
+@pytest.mark.parametrize("mnN", [(1, 3, 3), (2, 3, 4), (1, 3, 4), (3, 4, 4),
+                                 (1, 3, 5), (4, 3, 4), (7, 2, 3), (2, 4, 5),
+                                 (1, 2, 4)])
+def test_certified_action_matches_gauss_jordan_and_every_dunkl(mnN):
+    _assert_action_and_annihilation(singular.build_module(*mnN))
+
+
+@pytest.mark.parametrize("mnN", [(1, 3, 3), (2, 3, 4)])
+def test_doubled_element_fails_the_action_rows(monkeypatch, capsys, mnN):
+    # 2f is still killed by D_1 and still a Murphy eigenvector, so only the
+    # rows of the predicted matrices can refuse it
+    specialize = jack.JackPoly.specialize
+    first = comb.rlp_enumerate(comb.resolve_label(*mnN).lam)[0]
+
+    def doubled(jp, kappa0):
+        g = specialize(jp, kappa0)
+        return mp.poly_scale(g, 2) if jp.alpha == first else g
+
+    monkeypatch.setattr(jack.JackPoly, "specialize", doubled)
+    with pytest.raises(singular.ExpansionFailure):
+        singular.build_module(*mnN)
+    capsys.readouterr()
+    argv = ["verify", "--m", str(mnN[0]), "--n", str(mnN[1]),
+            "--N", str(mnN[2])]
+    assert cli.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "falsified:" in err
+
+
+@st.composite
+def _terms_and_alpha(draw):
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool),
+                                 max_size=6))
+    return n, terms, draw(exps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_terms_and_alpha())
+def test_cherednik_k_terms_sum_to_pairs_times_identity(case):
+    # sum_i K_i = C(N,2) Id and sum_i xi_i(alpha) = N + |alpha| +
+    # kappa C(N,2): why the eigen check may skip U_N
+    n, terms, alpha = case
+    pairs = n * (n - 1) // 2
+    out = {}
+    for i in range(1, n + 1):
+        ops.cherednik_k_terms(n, i, terms, out)
+    assert out == ({e: pairs * c for e, c in terms.items()} if pairs else {})
+    spec = comb.spectral_vector(alpha)
+    assert (sum(a for a, _ in spec), sum(b for _, b in spec)) == \
+        (pairs, n + sum(alpha))
+
+
+def test_zero_element_is_refused(monkeypatch):
+    # in the dimension-1 staircase every predicted row is +-1 on the
+    # diagonal, so a zero element would pass every row identity
+    monkeypatch.setattr(jack.JackPoly, "specialize",
+                        lambda jp, kappa0: mp.mp_zero(jp.n, field=kappa0))
+    with pytest.raises(singular.ExpansionFailure):
+        singular.build_module(1, 2, 4)
