@@ -195,8 +195,9 @@ def cmd_verify(args):
         report["kernel"] = kern.to_json(include_timestamp=False)
         if not comparison["contains_module"]:
             failing.append("kernel_containment")
-        _note("kernel dimension %d, module dimension %d, contains=%s equal=%s"
-              % (comparison["kernel_dimension"],
+        _note("kernel dimension %d by %s, module dimension %d, "
+              "contains=%s equal=%s"
+              % (comparison["kernel_dimension"], kern.method,
                  comparison["module_dimension"],
                  comparison["contains_module"],
                  comparison["equal_to_module"]))

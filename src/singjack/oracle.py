@@ -8,33 +8,55 @@ matrices of every D_i on the monomials of one degree are eliminated
 exactly by fraction-free (Bareiss) elimination.
 
 A caller may offer candidate polynomials, such as the module's, as vectors
-that might span the kernel K.  They are never trusted: their span C is
-taken as the kernel only when it is proven to be.
+that might span the kernel K in degree d.  They are never trusted: their
+span C is taken as K only when it is proven to be.  First, exact checks
+over Q: every vector of the reduced span is killed by every D_i, and the
+span is closed under every adjacent transposition, so C is an
+S_N-submodule of K.  Then the first of three methods that succeeds gives
+the report's `method`.
 
-1. Exact checks over Q: every vector of the reduced span is killed by
-   every D_i, and the span is closed under every adjacent transposition.
-   So C is an S_N-submodule of K.
-2. The D_i are S_N-equivariant, w D_i w^-1 = D_w(i), so K is an
+The spectral bound ("spectral bound"), with no linear algebra:
+1. U_i = D_i x_i - kappa sum_{j<i} (ij) are the Cherednik operators.  As
+   D_i(x_i f) = f + x_i D_i f + kappa0 sum_{j != i} (ij) f, on K they act
+   as U_i = 1 + kappa0 sum_{j>i} (ij): K is stable under every U_i, and the
+   (U_i - 1)/kappa0 are the Jucys-Murphy elements in reversed order.
+2. The U_i are triangular on the monomials of degree d in one common order,
+   with diagonal xi_i(alpha) = (N - r_i(alpha)) kappa0 + alpha_i + 1 (Opdam),
+   r(alpha) the rank vector.  So a joint generalized eigenspace has the
+   dimension of the number of compositions alpha of d with its spectrum.
+3. Each copy of the irreducible nu in K holds one joint eigenvector per
+   standard tableau T of shape nu, on which (U_i - 1)/kappa0 is the content
+   c_{N+1-i}(T) of the box of T holding N+1-i (Okounkov-Vershik).
+4. So mult_nu(K) is at most min_T #{alpha |= d : N - r_i(alpha) +
+   alpha_i/kappa0 = c_{N+1-i}(T) for all i}, and dim K at most the sum over
+   nu of f_nu times that minimum, f_nu the number of tableaux.  Summed over
+   i, the equations leave only shapes with content sum C(N,2) + d/kappa0;
+   given T and r, alpha_i = kappa0 (c_{N+1-i}(T) - N + r_i), so the count
+   runs over rank vectors r and keeps those that are alpha's own.
+5. C lies in K, so when dim C meets the bound, C = K.  The count is exact.
+
+The Young-subgroup slices ("slices"), where the bound is loose:
+6. The D_i are S_N-equivariant, w D_i w^-1 = D_w(i), so K is an
    S_N-module, the direct sum of C and a submodule C'.  For the symmetrizer (+)
    or antisymmetrizer (-) e of a Young subgroup S_mu, dim e.V is
    sum_lambda mult_lambda(V) K_{lambda mu}, with K_{lambda' mu} for -,
    and by Young's rule the Kostka number K_{lambda mu} is positive iff
    lambda dominates mu.  A family of (mu, +-) covers lambda when lambda
    dominates mu for a + member or lambda' dominates mu for a - member.
-3. For each member, dim e.C is the exact rank of the candidates'
+7. For each member, dim e.C is the exact rank of the candidates'
    coordinates on the (signed) S_mu orbit sums, and dim e.K is at most
    cols - rank_p.  The columns are the orbit sums; the rows are q D_i for
    one i per block of mu, which lose nothing: for f in e.P and s in S_mu
    with s(i) = j, D_j f = +-s D_i f.  rank_p, the rank modulo the prime
    2^61 - 1, never exceeds the rank over Q.
-4. When the two bounds meet on every member of a covering family, e.C'
+8. When the two bounds meet on every member of a covering family, e.C'
    is 0 for every member, so C' has no irreducible constituent and C = K.
 
-Modular arithmetic is only ever a one-sided bound.  If a check fails or a
-bound is not tight, the Bareiss elimination runs as it does without
-candidates.  Both paths give the same canonical basis, one vector per
-free column.  The partitions, dominance, conjugation and orbits are the
-oracle's own.
+Modular arithmetic is only ever a one-sided bound.  If a check fails or
+neither bound is tight, the Bareiss elimination ("bareiss") runs as it does
+without candidates.  All paths give the same canonical basis, one vector
+per free column.  The partitions, tableaux, contents, rank vectors,
+dominance, conjugation and orbits are the oracle's own.
 """
 
 from datetime import datetime, timezone
@@ -125,6 +147,64 @@ def _family(N):
                 if seen == everything:
                     best = (cost, [m for m, _, _ in fam])
     return best[1]
+
+
+def _rank_vector(alpha):
+    """r_i = #{j: alpha_j > alpha_i} + #{j <= i: alpha_j = alpha_i}."""
+    r = [0] * len(alpha)
+    for k, i in enumerate(sorted(range(len(alpha)),
+                                 key=lambda i: (-alpha[i], i)), 1):
+        r[i] = k
+    return tuple(r)
+
+
+def _content_vectors(nu):
+    """(c_1, ..., c_N), c_k the content (column - row) of the box holding
+    k, for every standard tableau of shape nu."""
+    filled = [0] * len(nu)
+
+    def place(contents):
+        if len(contents) == sum(nu):
+            yield contents
+        for r, part in enumerate(nu):
+            if filled[r] < part and (r == 0 or filled[r] < filled[r - 1]):
+                filled[r] += 1
+                yield from place(contents + (filled[r] - 1 - r,))
+                filled[r] -= 1
+    return list(place(()))
+
+
+def _spectral_count(c, degree, kappa0):
+    """#{alpha |= degree : N - r_i(alpha) + alpha_i/kappa0 = c_{N+1-i}},
+    alpha_i = kappa0 (c_{N+1-i} - N + r_i) over distinct ranks r_i."""
+    N = len(c)
+    p, q = kappa0.numerator, kappa0.denominator
+
+    def extend(ranks, alpha, left):
+        if len(ranks) == N:
+            return left == 0 and _rank_vector(alpha) == ranks
+        total = 0
+        for r in range(1, N + 1):
+            a, rem = divmod(p * (c[N - 1 - len(ranks)] - N + r), q)
+            if r not in ranks and not rem and 0 <= a <= left:
+                total += extend(ranks + (r,), alpha + (a,), left - a)
+        return total
+    return extend((), (), degree)
+
+
+def _spectral_bound(N, degree, kappa0):
+    """An upper bound on the joint kernel's dimension: the sum, over the
+    shapes nu with content sum C(N,2) + degree/kappa0, of f_nu times the
+    least _spectral_count over the tableaux of shape nu."""
+    total = 0
+    content_sum = Fraction(N * (N - 1), 2) + degree / kappa0
+    for nu in _partitions(N):
+        if sum(c - r for r, part in enumerate(nu)
+               for c in range(part)) == content_sum:
+            tabs = _content_vectors(nu)
+            total += len(tabs) * min(_spectral_count(t, degree, kappa0)
+                                     for t in tabs)
+    return total
 
 
 def _blocks(mu):
@@ -232,7 +312,8 @@ def _bareiss_echelon(mat):
 
 
 class KernelReport:
-    def __init__(self, N, degree, kappa0, monomials, basis, free_columns):
+    def __init__(self, N, degree, kappa0, monomials, basis, free_columns,
+                 method=None):
         self.N = N
         self.degree = degree
         self.kappa0 = Fraction(kappa0)
@@ -240,6 +321,8 @@ class KernelReport:
         self.basis = basis  # list of Fraction vectors, one per free column
         self.free_columns = list(free_columns)
         self.comparison = None
+        # "spectral bound", "slices" or "bareiss"; not in the JSON
+        self.method = method
 
     @property
     def dimension(self):
@@ -385,24 +468,28 @@ def _stable(span, cols, N):
 
 
 def _certified_span(candidates, N, kappa0, cols):
-    """The reduced span of the candidates when it is proven to be the
-    whole joint kernel on the monomial columns `cols`, else None.
+    """(method, span) when the reduced span of the candidates is proven to
+    be the whole joint kernel on the monomial columns `cols`, else None.
 
     The span must be killed by every D_i and closed under S_N, both checked
-    exactly; then, on each member of a covering family, the exact rank r
-    of the span's orbit-sum coordinates must meet the bound cols - rank_p
-    of that member's Dunkl rows.  The modular rank alone never decides
-    equality."""
+    exactly; then its dimension must meet _spectral_bound, or else on each
+    member of a covering family the exact rank r of its orbit-sum
+    coordinates must meet cols - rank_p of that member's Dunkl rows."""
     span = _candidate_span(candidates, N, kappa0, cols)
-    family = _family(N)
-    if span is None or not _covers(family, N):
+    if span is None:
         return None
     vecs = [{cols[j]: x for j, x in v.items()} for v in span.values()]
     if not (all(_annihilated(v, N, kappa0) for v in vecs)
             and _stable(span, cols, N)):
         return None
+    degree = sum(cols[0])
+    if kappa0 and _spectral_bound(N, degree, kappa0) == len(span):
+        return "spectral bound", span
+    family = _family(N)
+    if not _covers(family, N):
+        return None
     for mu, sign in family:
-        slice_cols, rows = dunkl_matrix(N, sum(cols[0]), kappa0, mu, sign)
+        slice_cols, rows = dunkl_matrix(N, degree, kappa0, mu, sign)
         colix = {r: c for c, r in enumerate(slice_cols)}
         blocks = _blocks(mu)
         coords = []
@@ -416,7 +503,7 @@ def _certified_span(candidates, N, kappa0, cols):
         target = len(slice_cols) - len(_echelon(coords))
         if _rank_mod_p(rows, stop=target) != target:
             return None
-    return span
+    return "slices", span
 
 
 def joint_kernel(N, degree, kappa0, candidates=None):
@@ -432,10 +519,11 @@ def joint_kernel(N, degree, kappa0, candidates=None):
         raise comb.ParameterViolation("degree must be positive")
     kappa0 = Fraction(kappa0)
     cols = monomial_basis(N, degree)
-    span = None
+    certified = None
     if candidates is not None:
-        span = _certified_span(candidates, N, kappa0, cols)
-    if span is not None:
+        certified = _certified_span(candidates, N, kappa0, cols)
+    if certified is not None:
+        method, span = certified
         free = sorted(span)
         basis = []
         for f in free:
@@ -443,7 +531,7 @@ def joint_kernel(N, degree, kappa0, candidates=None):
             for j, v in span[f].items():
                 x[j] = v
             basis.append(x)
-        return KernelReport(N, degree, kappa0, cols, basis, free)
+        return KernelReport(N, degree, kappa0, cols, basis, free, method)
     _, rows = dunkl_matrix(N, degree, kappa0, (1,) * N, 1)
     ech, pivots = _bareiss_echelon([[row.get(c, 0) for c in range(len(cols))]
                                     for row in rows])
@@ -462,7 +550,7 @@ def joint_kernel(N, degree, kappa0, candidates=None):
                             N, kappa0):
             raise KernelInvariantError(
                 "computed kernel vector is not annihilated")
-    return KernelReport(N, degree, kappa0, cols, basis, free)
+    return KernelReport(N, degree, kappa0, cols, basis, free, "bareiss")
 
 
 def compare_with_module(report, module):

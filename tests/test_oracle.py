@@ -228,6 +228,13 @@ def _json(rep):
     return json.dumps(rep.to_json(include_timestamp=False))
 
 
+def _loosen_bound(monkeypatch):
+    # the spectral bound one above its value, so the slices must decide
+    real = oracle._spectral_bound
+    monkeypatch.setattr(oracle, "_spectral_bound",
+                        lambda *args: real(*args) + 1)
+
+
 def test_back_solve_keeps_fractions_245():
     mod, degree, _ = _module_kernel(2, 4, 5)
     rep = oracle.joint_kernel(5, degree, Fraction(-1, 2))
@@ -319,6 +326,7 @@ def test_rank_mod_p():
 def test_loose_rank_bound_does_not_certify(monkeypatch):
     mod, degree, zetas = _module_kernel(1, 3, 5)
     want = _json(oracle.joint_kernel(5, degree, mod.kappa0))
+    _loosen_bound(monkeypatch)
     real = oracle._rank_mod_p
     monkeypatch.setattr(oracle, "_rank_mod_p",
                         lambda rows, stop=None: real(rows, stop) - 1)
@@ -363,6 +371,7 @@ def test_family_covers_every_partition(N):
 def test_family_missing_a_partition_is_refused(monkeypatch):
     mod, degree, zetas = _module_kernel(3, 4, 4)
     want = _json(oracle.joint_kernel(4, degree, mod.kappa0))
+    _loosen_bound(monkeypatch)
     family = oracle._family(4)
     calls = _spy_bareiss(monkeypatch)
     for k in range(len(family)):
@@ -447,6 +456,7 @@ def test_unstable_candidates_fall_back(monkeypatch):
 def test_rank_lowered_in_one_member_does_not_certify(monkeypatch):
     mod, degree, zetas = _module_kernel(1, 3, 5)
     want = _json(oracle.joint_kernel(5, degree, mod.kappa0))
+    _loosen_bound(monkeypatch)
     real = oracle._rank_mod_p
     calls = _spy_bareiss(monkeypatch)
     for k in range(len(oracle._family(5))):
@@ -488,3 +498,90 @@ def test_lost_echelon_row_exits_4_from_verify(capsys, monkeypatch):
     out = capsys.readouterr()
     assert code == cli.EXIT_CERT == 4
     assert out.out == "" and "not annihilated" in out.err
+
+
+# ---------------------------------------------------------------------------
+# the spectral bound: a count of compositions by Cherednik spectrum, never
+# below the kernel's dimension, and tight on the modules
+
+def test_content_vectors_and_rank_vector_match_combinatorics():
+    for N in range(1, 7):
+        for nu in comb.partitions_of(N):
+            want = sorted(tuple(t.eta(k) for k in range(1, N + 1))
+                          for t in comb.syt_enumerate(nu))
+            assert sorted(oracle._content_vectors(nu)) == want
+    for alpha in itertools.product(range(3), repeat=4):
+        assert oracle._rank_vector(alpha) == comb.rank_vector(alpha)
+
+
+def _slices(N):
+    """The kappa0 = -m/n with 2 <= n <= N, m < 3n not a multiple of n, and
+    the degrees up to 8 (6 for N = 4)."""
+    kappas = sorted({Fraction(-m, n) for n in range(2, N + 1)
+                     for m in range(1, 3 * n) if m % n})
+    return [(k, d) for k in kappas for d in range(1, 9 if N < 4 else 7)]
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_spectral_bound_is_never_below_the_bareiss_kernel(N):
+    loose = []
+    for kappa0, degree in _slices(N):
+        bound = oracle._spectral_bound(N, degree, kappa0)
+        dim = oracle.joint_kernel(N, degree, kappa0).dimension
+        assert bound >= dim, (kappa0, degree)
+        if bound != dim:
+            loose.append((kappa0, degree, bound, dim))
+    # the one loose slice: the single spectral vector of (2,2) is killed
+    # by D_3 and D_4 but not by D_1
+    assert loose == ([(Fraction(-1, 2), 3, 2, 0)] if N == 4 else [])
+
+
+def _bound_and_dimension(m, n, N):
+    label = comb.resolve_label(m, n, N)
+    degree = comb.comp_weight(label.lam)
+    return (oracle._spectral_bound(N, degree, label.kappa0),
+            len(comb.syt_enumerate(label.tau)))
+
+
+def test_spectral_bound_meets_the_module_on_every_small_triple():
+    triples = [(m, n, N) for N in range(2, 6) for n in range(2, N + 1)
+               for m in range(1, 2 * n) if m % n]
+    assert len(triples) == 40
+    for mnN in triples:
+        bound, dim = _bound_and_dimension(*mnN)
+        assert bound == dim, mnN
+
+
+@pytest.mark.parametrize("mnN, bound, dim", [
+    ((2, 4, 6), 15, 10), ((6, 4, 6), 15, 10), ((1, 2, 6), 1, 1),
+    ((3, 4, 6), 5, 5), ((1, 2, 7), 1, 1), ((2, 4, 7), 15, 15),
+    ((2, 6, 7), 14, 14)])
+def test_spectral_bound_on_larger_modules(mnN, bound, dim):
+    # (2,4,6) and (6,4,6) count the shape (2,2,2), which K does not hold
+    assert _bound_and_dimension(*mnN) == (bound, dim)
+
+
+def test_loose_slice_goes_through_the_slices_to_the_bareiss_report():
+    kappa0 = Fraction(-1, 2)
+    assert oracle._spectral_bound(4, 3, kappa0) == 2
+    brute = oracle.joint_kernel(4, 3, kappa0)
+    got = oracle.joint_kernel(4, 3, kappa0, [])
+    assert (brute.dimension, brute.method) == (0, "bareiss")
+    assert got.method == "slices"
+    assert _json(got) == _json(brute)
+
+
+def test_report_names_the_method(monkeypatch, capsys):
+    mod, degree, zetas = _module_kernel(1, 3, 5)
+    reports = [oracle.joint_kernel(5, degree, mod.kappa0, zetas)]
+    with monkeypatch.context() as patch:
+        _loosen_bound(patch)
+        reports.append(oracle.joint_kernel(5, degree, mod.kappa0, zetas))
+    reports.append(oracle.joint_kernel(5, degree, mod.kappa0))
+    assert [r.method for r in reports] == ["spectral bound", "slices",
+                                           "bareiss"]
+    assert len({_json(r) for r in reports}) == 1
+    assert "method" not in reports[0].to_json()
+    assert cli.main(["verify", "--oracle", "--m", "1", "--n", "3",
+                     "--N", "5"]) == 0
+    assert "kernel dimension 5 by spectral bound," in capsys.readouterr().err
