@@ -13,7 +13,7 @@ span C is taken as K only when it is proven to be.  First, exact checks
 over Q: every vector of the reduced span is killed by every D_i, and the
 span is closed under every adjacent transposition, so C is an
 S_N-submodule of K.  Then the first of three methods that succeeds gives
-the report's `method`.
+the report's `method`: the spectral bound, the spectral vectors, Bareiss.
 
 The spectral bound ("spectral bound"), with no linear algebra:
 1. U_i = D_i x_i - kappa sum_{j<i} (ij) are the Cherednik operators.  As
@@ -35,43 +35,33 @@ The spectral bound ("spectral bound"), with no linear algebra:
    runs over rank vectors r and keeps those that are alpha's own.
 5. C lies in K, so when dim C meets the bound, C = K.  The count is exact.
 
-The Young-subgroup slices ("slices"), where the bound is loose:
-6. The D_i are S_N-equivariant, w D_i w^-1 = D_w(i), so K is an
-   S_N-module, the direct sum of C and a submodule C'.  For the symmetrizer (+)
-   or antisymmetrizer (-) e of a Young subgroup S_mu, dim e.V is
-   sum_lambda mult_lambda(V) K_{lambda mu}, with K_{lambda' mu} for -,
-   and by Young's rule the Kostka number K_{lambda mu} is positive iff
-   lambda dominates mu.  A family of (mu, +-) covers lambda when lambda
-   dominates mu for a + member or lambda' dominates mu for a - member.
-7. For each member, dim e.C is the exact rank of the candidates'
-   coordinates on the (signed) S_mu orbit sums, and dim e.K is at most
-   cols - rank_p.  The columns are the orbit sums; the rows are q D_i for
-   one i per block of mu, which lose nothing: for f in e.P and s in S_mu
-   with s(i) = j, D_j f = +-s D_i f.  rank_p, the rank modulo the prime
-   2^61 - 1, never exceeds the rank over Q.
-8. When the two bounds meet on every member of a covering family, e.C'
-   is 0 for every member, so C' has no irreducible constituent and C = K.
+The spectral vectors ("spectral vector"), where the bound is loose:
+6. When one composition alpha alone matches a tableau T of shape nu, the
+   joint generalized eigenspace G_T of T's spectrum is the line of one
+   vector v (2).  A copy of nu in K gives a joint eigenvector with T's
+   spectrum (3), which lies in G_T: mult_nu(K) <= 1.  If v lies in K, it is
+   a joint Jucys-Murphy eigenvector (1) with content vector c(T), which
+   determines the shape: mult_nu(K) >= 1.  So mult_nu(K) is 1 if every D_i
+   kills v and 0 if not.  v is solved triangularly at kappa0 over Q from
+   x^alpha, and counts only after an exact check over Z that it is nonzero
+   and U_i v = xi_i(alpha) v for every i.  With these shapes decided and
+   the others kept at their count, C = K when the sum meets dim C.
 
-Modular arithmetic is only ever a one-sided bound.  If a check fails or
-neither bound is tight, the Bareiss elimination ("bareiss") runs as it does
-without candidates.  All paths give the same canonical basis, one vector
-per free column.  The partitions, tableaux, contents, rank vectors,
-dominance, conjugation and orbits are the oracle's own.
+If a check fails or neither sum is met, the Bareiss elimination
+("bareiss") runs as it does without candidates.  All paths give the same
+canonical basis, one vector per free column.  The partitions, tableaux,
+contents, rank vectors, Cherednik operators and spectral vectors are the
+oracle's own.
 """
 
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import combinations
-from math import factorial, prod
+from math import gcd
 
 from . import combinatorics as comb
 from .exactarith import rat_from_str, rat_to_str
 from .multipoly import _accumulate, integer_terms
 from .operators import _pair_difference_terms
-
-
-# The prime of the one-sided rank bound, 2^61 - 1.
-MODULUS = (1 << 61) - 1
 
 
 class KernelInvariantError(Exception):
@@ -95,67 +85,10 @@ def _partitions(n, cap=None):
             yield (first,) + rest
 
 
-def _conjugate(lam):
-    return tuple(sum(1 for part in lam if part > k) for k in range(lam[0]))
-
-
-def _dominates(lam, mu):
-    """lam dominates mu, for partitions of the same number."""
-    s = t = 0
-    for k, part in enumerate(mu):
-        s += lam[k] if k < len(lam) else 0
-        t += part
-        if s < t:
-            return False
-    return True
-
-
-def _sees(member, lam):
-    """Whether the (anti)symmetrizer of the member (mu, sign) keeps some of
-    the irreducible lambda: lambda dominates mu for sign 1, its conjugate
-    does for sign -1."""
-    mu, sign = member
-    return _dominates(lam if sign > 0 else _conjugate(lam), mu)
-
-
-def _covers(family, N):
-    """Whether some member of the family sees every lambda of N."""
-    return all(any(_sees(m, lam) for m in family) for lam in _partitions(N))
-
-
-def _family(N):
-    """The covering family of at most three (mu, sign) members with the
-    fewest columns expected, sum N!/|S_mu|; ties go to the fewer, then the
-    earlier, members."""
-    lams = list(_partitions(N))
-    everything = (1 << len(lams)) - 1
-    members = []
-    for mu in lams:
-        cost = factorial(N) // prod(map(factorial, mu))
-        for sign in (1, -1):
-            seen = sum(1 << k for k, lam in enumerate(lams)
-                       if _sees((mu, sign), lam))
-            members.append(((mu, sign), seen, cost))
-    best = None
-    for size in (1, 2, 3):
-        for fam in combinations(members, size):
-            cost = sum(c for _, _, c in fam)
-            if best is None or cost < best[0]:
-                seen = 0
-                for _, s, _ in fam:
-                    seen |= s
-                if seen == everything:
-                    best = (cost, [m for m, _, _ in fam])
-    return best[1]
-
-
 def _rank_vector(alpha):
     """r_i = #{j: alpha_j > alpha_i} + #{j <= i: alpha_j = alpha_i}."""
-    r = [0] * len(alpha)
-    for k, i in enumerate(sorted(range(len(alpha)),
-                                 key=lambda i: (-alpha[i], i)), 1):
-        r[i] = k
-    return tuple(r)
+    order = sorted(range(len(alpha)), key=lambda i: (-alpha[i], i))
+    return tuple(order.index(i) + 1 for i in range(len(alpha)))
 
 
 def _content_vectors(nu):
@@ -174,67 +107,42 @@ def _content_vectors(nu):
     return list(place(()))
 
 
-def _spectral_count(c, degree, kappa0):
-    """#{alpha |= degree : N - r_i(alpha) + alpha_i/kappa0 = c_{N+1-i}},
+def _spectral_matches(c, degree, kappa0):
+    """[alpha |= degree : N - r_i(alpha) + alpha_i/kappa0 = c_{N+1-i}],
     alpha_i = kappa0 (c_{N+1-i} - N + r_i) over distinct ranks r_i."""
     N = len(c)
     p, q = kappa0.numerator, kappa0.denominator
 
     def extend(ranks, alpha, left):
         if len(ranks) == N:
-            return left == 0 and _rank_vector(alpha) == ranks
-        total = 0
+            ok = left == 0 and _rank_vector(alpha) == ranks
+            return [alpha] if ok else []
+        out = []
         for r in range(1, N + 1):
             a, rem = divmod(p * (c[N - 1 - len(ranks)] - N + r), q)
             if r not in ranks and not rem and 0 <= a <= left:
-                total += extend(ranks + (r,), alpha + (a,), left - a)
-        return total
+                out += extend(ranks + (r,), alpha + (a,), left - a)
+        return out
     return extend((), (), degree)
 
 
-def _spectral_bound(N, degree, kappa0):
-    """An upper bound on the joint kernel's dimension: the sum, over the
-    shapes nu with content sum C(N,2) + degree/kappa0, of f_nu times the
-    least _spectral_count over the tableaux of shape nu."""
-    total = 0
+def _shapes(N, degree, kappa0):
+    """(nu, f_nu, alphas) for each shape nu with content sum C(N,2) +
+    degree/kappa0, alphas the _spectral_matches of the first tableau of
+    shape nu with the fewest."""
     content_sum = Fraction(N * (N - 1), 2) + degree / kappa0
     for nu in _partitions(N):
         if sum(c - r for r, part in enumerate(nu)
                for c in range(part)) == content_sum:
             tabs = _content_vectors(nu)
-            total += len(tabs) * min(_spectral_count(t, degree, kappa0)
-                                     for t in tabs)
-    return total
+            yield nu, len(tabs), min(
+                (_spectral_matches(t, degree, kappa0) for t in tabs), key=len)
 
 
-def _blocks(mu):
-    """The blocks of the Young subgroup S_mu as (start, stop) index pairs."""
-    out = []
-    start = 0
-    for part in mu:
-        out.append((start, start + part))
-        start += part
-    return out
-
-
-def _orbit_sign(e, blocks, sign):
-    """(r, s) with e.x^e = s * c * e.x^r for the (anti)symmetrizer e of the
-    blocks and some c > 0: r sorts each block of e descending, and s is 1,
-    or for sign -1 the parity of that sort, or 0 when a block repeats an
-    exponent and e kills x^e."""
-    r = []
-    s = 1
-    for lo, hi in blocks:
-        part = e[lo:hi]
-        if sign < 0:
-            if len(set(part)) < len(part):
-                return None, 0
-            for a in range(len(part)):
-                for b in range(a + 1, len(part)):
-                    if part[a] < part[b]:
-                        s = -s
-        r.extend(sorted(part, reverse=True))
-    return tuple(r), s
+def _spectral_bound(N, degree, kappa0):
+    """An upper bound on the joint kernel's dimension: the sum over
+    _shapes of f_nu times the number of matches (step 4)."""
+    return sum(f * len(alphas) for _, f, alphas in _shapes(N, degree, kappa0))
 
 
 def _dunkl_terms(N, i0, terms, kappa0):
@@ -256,31 +164,104 @@ def _dunkl_terms(N, i0, terms, kappa0):
     return out
 
 
-def dunkl_matrix(N, degree, kappa0, mu, sign):
-    """(cols, rows): the S_mu orbit sums of degree `degree`, signed for
-    sign -1, by their representatives in descending lex order, and the
-    sparse integer rows {column: entry} of q D_i from them, for the first
-    index i of each block of mu.  Rows follow i, then the lower monomial in
-    descending lex order; only lower monomials sorted descending on each
-    block less i are kept, since S_mu fixing i permutes the others up to
-    sign.  mu = (1^N) with sign 1 gives the full space."""
-    kappa0 = Fraction(kappa0)
-    blocks = _blocks(mu)
-    sums = {}
-    for e in monomial_basis(N, degree):
-        r, s = _orbit_sign(e, blocks, sign)
-        if s:
-            sums.setdefault(r, {})[e] = s
-    cols = sorted(sums, reverse=True)
+def _cherednik_terms(N, i0, terms, kappa0):
+    """q U_i = q D_i x_i - p sum_{j<i} (ij) on `terms`, kappa0 = p/q != 0 in
+    lowest terms."""
+    shifted = {e[:i0] + (e[i0] + 1,) + e[i0 + 1:]: c for e, c in terms.items()}
+    out = _dunkl_terms(N, i0, shifted, kappa0)
+    for j0 in range(i0):
+        for e, c in terms.items():
+            b = list(e)
+            b[i0], b[j0] = b[j0], b[i0]
+            _accumulate(out, tuple(b), kappa0.numerator * c, sub=True)
+    return out
+
+
+def _spectrum(alpha, kappa0):
+    """[q xi_i(alpha)] = [(N - r_i(alpha)) p + q (alpha_i + 1)]."""
+    p, q = kappa0.numerator, kappa0.denominator
+    return [(len(alpha) - r) * p + q * (a + 1)
+            for r, a in zip(_rank_vector(alpha), alpha)]
+
+
+def _solve(alpha, kappa0):
+    """The joint eigenvector of the U_i at kappa0 with leading term x^alpha,
+    as integer terms over one common denominator, or None when a
+    composition below alpha has alpha's spectrum.  The monomials x^beta
+    below alpha, in descending (sorted parts, composition), a linear
+    extension of the triangle order, each take the coefficient that zeroes
+    (q U_i - q xi_i(alpha)) v at beta for the first i with xi_i(beta) !=
+    xi_i(alpha); v and the residuals are scaled up where it is fractional."""
+    N = len(alpha)
+    xi = _spectrum(alpha, kappa0)
+    order = sorted(monomial_basis(N, sum(alpha)),
+                   key=lambda e: (sorted(e, reverse=True), e), reverse=True)
+    v = {}
+    residual = [{} for _ in range(N)]
+    for e in order[order.index(alpha):]:
+        s = _spectrum(e, kappa0)
+        i0 = next((i for i in range(N) if s[i] != xi[i]), None)
+        if i0 is None:
+            if e != alpha:
+                return None
+            c = 1
+        else:
+            r, d = residual[i0].get(e, 0), s[i0] - xi[i0]
+            if r % d:
+                t = abs(d) // gcd(r, d)
+                for terms in [v] + residual:
+                    for k in terms:
+                        terms[k] *= t
+                r *= t
+            c = -r // d
+        if not c:
+            continue
+        v[e] = c
+        for i in range(N):
+            image = _cherednik_terms(N, i, {e: 1}, kappa0)
+            if xi[i]:
+                _accumulate(image, e, xi[i], sub=True)
+            for b, x in image.items():
+                _accumulate(residual[i], b, c * x)
+    return v
+
+
+def _joint_eigen_ok(terms, N, kappa0, xi):
+    """Whether the integer `terms` are nonzero and q U_i maps them to xi[i]
+    times them, to {} where xi[i] is 0, for every i."""
+    return bool(terms) and all(
+        _cherednik_terms(N, i0, terms, kappa0)
+        == ({e: x * c for e, c in terms.items()} if x else {})
+        for i0, x in enumerate(xi))
+
+
+def _decided(N, degree, kappa0):
+    """{nu: (f_nu, an upper bound on mult_nu(K))} over _shapes, exact
+    (step 6) where a single alpha matches: 1 if every D_i kills its
+    spectral vector and 0 if not.  None when a vector fails its check."""
+    out = {}
+    for nu, f, alphas in _shapes(N, degree, kappa0):
+        if len(alphas) == 1:
+            v = _solve(alphas[0], kappa0)
+            if not _joint_eigen_ok(v, N, kappa0, _spectrum(alphas[0], kappa0)):
+                return None
+            out[nu] = f, int(_annihilated(v, N, kappa0))
+        else:
+            out[nu] = f, len(alphas)
+    return out
+
+
+def dunkl_matrix(N, degree, kappa0):
+    """(cols, rows): the monomials of degree `degree` in descending lex
+    order, and the sparse integer rows {column: entry} of q D_i on them.
+    Rows follow i, then the lower monomial in descending lex order."""
+    cols = monomial_basis(N, degree)
     rows = []
-    for lo, hi in blocks:
-        rest = [(a, b) if a != lo else (lo + 1, hi) for a, b in blocks]
+    for i0 in range(N):
         block_rows = {}
-        for c, r in enumerate(cols):
-            for b, v in _dunkl_terms(N, lo, sums[r], kappa0).items():
-                if all(b[k] >= b[k + 1] for a, z in rest
-                       for k in range(a, z - 1)):
-                    block_rows.setdefault(b, {})[c] = v
+        for c, e in enumerate(cols):
+            for b, v in _dunkl_terms(N, i0, {e: 1}, kappa0).items():
+                block_rows.setdefault(b, {})[c] = v
         rows.extend(block_rows[b] for b in sorted(block_rows, reverse=True))
     return cols, rows
 
@@ -321,7 +302,7 @@ class KernelReport:
         self.basis = basis  # list of Fraction vectors, one per free column
         self.free_columns = list(free_columns)
         self.comparison = None
-        # "spectral bound", "slices" or "bareiss"; not in the JSON
+        # "spectral bound", "spectral vector" or "bareiss"; not in the JSON
         self.method = method
 
     @property
@@ -354,47 +335,6 @@ class KernelReport:
                   obj["free_columns"])
         rep.comparison = obj.get("comparison")
         return rep
-
-
-def _rank_mod_p(introws, stop=None):
-    """Rank of a sparse integer matrix, rows {column: entry}, modulo
-    MODULUS, never above its rank over Q; the elimination ends once the
-    rank reaches `stop`.
-
-    Pivot on the last nonzero column, rows taken by that column from the
-    left.  On the Dunkl rows of the orbit-sum slices this was the fastest
-    order tried overall: 7 s against 75 s from the right on the degree-15
-    slices of N = 6, though 0.04 s against 0.01 s on the degree-21 (2,1)-
-    slice of N = 3."""
-    rows = []
-    for row in introws:
-        d = {}
-        for j, v in row.items():
-            v %= MODULUS
-            if v:
-                d[j] = v
-        if d:
-            rows.append(d)
-    rows.sort(key=max)
-    pivots = {}  # pivot column -> row scaled to 1 there
-    for d in rows:
-        while d:
-            c = max(d)
-            prow = pivots.get(c)
-            if prow is None:
-                inv = pow(d[c], -1, MODULUS)
-                pivots[c] = {j: v * inv % MODULUS for j, v in d.items()}
-                break
-            t = d[c]
-            for j, v in prow.items():
-                w = (d.get(j, 0) - t * v) % MODULUS
-                if w:
-                    d[j] = w
-                else:
-                    d.pop(j, None)
-        if len(pivots) == stop:
-            break
-    return len(pivots)
 
 
 def _subtract_multiple(dst, t, src):
@@ -442,7 +382,7 @@ def _candidate_span(candidates, N, kappa0, cols):
 
 
 def _annihilated(terms, N, kappa0):
-    """Exact check that every D_i kills the polynomial with Fraction
+    """Exact check that every D_i kills the polynomial with rational
     `terms`, done over Z after clearing its denominators."""
     iterms = integer_terms(terms)
     return not any(_dunkl_terms(N, i0, iterms, kappa0) for i0 in range(N))
@@ -472,38 +412,23 @@ def _certified_span(candidates, N, kappa0, cols):
     be the whole joint kernel on the monomial columns `cols`, else None.
 
     The span must be killed by every D_i and closed under S_N, both checked
-    exactly; then its dimension must meet _spectral_bound, or else on each
-    member of a covering family the exact rank r of its orbit-sum
-    coordinates must meet cols - rank_p of that member's Dunkl rows."""
+    exactly; then its dimension must meet _spectral_bound, or else the sum
+    of f_nu times the multiplicity bounds of _decided."""
     span = _candidate_span(candidates, N, kappa0, cols)
     if span is None:
         return None
     vecs = [{cols[j]: x for j, x in v.items()} for v in span.values()]
-    if not (all(_annihilated(v, N, kappa0) for v in vecs)
+    if not (kappa0 and all(_annihilated(v, N, kappa0) for v in vecs)
             and _stable(span, cols, N)):
         return None
     degree = sum(cols[0])
-    if kappa0 and _spectral_bound(N, degree, kappa0) == len(span):
+    if _spectral_bound(N, degree, kappa0) == len(span):
         return "spectral bound", span
-    family = _family(N)
-    if not _covers(family, N):
-        return None
-    for mu, sign in family:
-        slice_cols, rows = dunkl_matrix(N, degree, kappa0, mu, sign)
-        colix = {r: c for c, r in enumerate(slice_cols)}
-        blocks = _blocks(mu)
-        coords = []
-        for v in vecs:
-            u = {}
-            for e, x in v.items():
-                r, s = _orbit_sign(e, blocks, sign)
-                if s:
-                    _accumulate(u, colix[r], s * x)
-            coords.append(u)
-        target = len(slice_cols) - len(_echelon(coords))
-        if _rank_mod_p(rows, stop=target) != target:
-            return None
-    return "slices", span
+    mults = _decided(N, degree, kappa0)
+    if mults is not None and len(span) == sum(
+            f * k for f, k in mults.values()):
+        return "spectral vector", span
+    return None
 
 
 def joint_kernel(N, degree, kappa0, candidates=None):
@@ -519,20 +444,15 @@ def joint_kernel(N, degree, kappa0, candidates=None):
         raise comb.ParameterViolation("degree must be positive")
     kappa0 = Fraction(kappa0)
     cols = monomial_basis(N, degree)
-    certified = None
-    if candidates is not None:
-        certified = _certified_span(candidates, N, kappa0, cols)
-    if certified is not None:
+    certified = (candidates is not None
+                 and _certified_span(candidates, N, kappa0, cols))
+    if certified:
         method, span = certified
         free = sorted(span)
-        basis = []
-        for f in free:
-            x = [Fraction(0)] * len(cols)
-            for j, v in span[f].items():
-                x[j] = v
-            basis.append(x)
+        basis = [[span[f].get(j, Fraction(0)) for j in range(len(cols))]
+                 for f in free]
         return KernelReport(N, degree, kappa0, cols, basis, free, method)
-    _, rows = dunkl_matrix(N, degree, kappa0, (1,) * N, 1)
+    _, rows = dunkl_matrix(N, degree, kappa0)
     ech, pivots = _bareiss_echelon([[row.get(c, 0) for c in range(len(cols))]
                                     for row in rows])
     free = [c for c in range(len(cols)) if c not in set(pivots)]

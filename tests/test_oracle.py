@@ -25,29 +25,13 @@ def test_dunkl_matrix_small():
     # kappa0 = -1/2, so the rows are those of 2 D_i: the entries are twice
     # those of D_i, one row per (i, lower monomial)
     half = Fraction(-1, 2)
-    cols, rows = oracle.dunkl_matrix(2, 1, half, (1, 1), 1)
+    cols, rows = oracle.dunkl_matrix(2, 1, half)
     assert cols == [(1, 0), (0, 1)]
     assert rows == [{0: 1, 1: 1}, {0: 1, 1: 1}]
     # degree 2 -> degree 1, D_1 rows x1, x2; columns x1^2, x1x2, x2^2
-    cols, rows = oracle.dunkl_matrix(2, 2, half, (1, 1), 1)
+    cols, rows = oracle.dunkl_matrix(2, 2, half)
     assert cols == oracle.monomial_basis(2, 2)
     assert rows[:2] == [{0: 3, 2: 1}, {0: -1, 1: 2, 2: 1}]
-
-
-def test_dunkl_matrix_on_orbit_sums():
-    # S_2 orbit sums of degree 2: x1^2 + x2^2 and x1x2; D_1 only, and only
-    # the rows sorted on the block less 1, which here is every row
-    third = Fraction(-1, 3)
-    cols, rows = oracle.dunkl_matrix(2, 2, third, (2,), 1)
-    assert cols == [(2, 0), (1, 1)]
-    # D_1 is d/dx_1 on symmetric polynomials:
-    # 3 D_1 (x1^2 + x2^2) = 6 x1 and 3 D_1 (x1x2) = 3 x2
-    assert rows == [{0: 6}, {1: 3}]
-    # the antisymmetrizer keeps x1^2 - x2^2 only
-    cols, rows = oracle.dunkl_matrix(2, 2, third, (2,), -1)
-    assert cols == [(2, 0)]
-    # 3 D_1 (x1^2 - x2^2) = 6 x1 - 2 (x1 + x2)
-    assert rows == [{0: 4}, {0: -2}]
 
 
 def test_joint_kernel_rank_one():
@@ -198,8 +182,8 @@ def test_bareiss_against_plain_rref_on_random_matrices():
 
 
 # ---------------------------------------------------------------------------
-# the candidate certificate: exact annihilation, exact candidate rank, and
-# the one-sided mod-p rank bound, with Bareiss as the fallback
+# the candidate certificate: exact annihilation and S_N-stability of the
+# candidates' span, with Bareiss as the fallback
 
 def _module_kernel(m, n, N):
     mod = singular.build_module(m, n, N)
@@ -229,7 +213,8 @@ def _json(rep):
 
 
 def _loosen_bound(monkeypatch):
-    # the spectral bound one above its value, so the slices must decide
+    # the spectral bound one above its value, so the spectral vectors must
+    # decide
     real = oracle._spectral_bound
     monkeypatch.setattr(oracle, "_spectral_bound",
                         lambda *args: real(*args) + 1)
@@ -312,80 +297,10 @@ def test_edited_candidate_falls_back_and_is_rejected(monkeypatch):
     assert not cmpres["equal_to_module"]
 
 
-def test_rank_mod_p():
-    p = oracle.MODULUS
-    assert oracle._rank_mod_p([{0: p}]) == 0
-    assert oracle._rank_mod_p([{0: p}, {1: 2 * p}]) == 0
-    assert oracle._rank_mod_p([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1
-    assert oracle._rank_mod_p([{0: 1, 1: 2}, {0: 2, 1: 4 + p}]) == 1
-    assert oracle._rank_mod_p([{1: 1, 2: 3}, {0: 1}, {1: 2, 2: 5}]) == 3
-    assert oracle._rank_mod_p([{1: 1, 2: 3}, {0: 1}, {1: 2, 2: 5}],
-                              stop=2) == 2
-
-
-def test_loose_rank_bound_does_not_certify(monkeypatch):
-    mod, degree, zetas = _module_kernel(1, 3, 5)
-    want = _json(oracle.joint_kernel(5, degree, mod.kappa0))
-    _loosen_bound(monkeypatch)
-    real = oracle._rank_mod_p
-    monkeypatch.setattr(oracle, "_rank_mod_p",
-                        lambda rows, stop=None: real(rows, stop) - 1)
-    calls = _spy_bareiss(monkeypatch)
-    got = oracle.joint_kernel(5, degree, mod.kappa0, zetas)
-    assert len(calls) == 1
-    assert _json(got) == want
-
-
-# ---------------------------------------------------------------------------
-# the Young-subgroup slices: the covering family, and each exact check the
-# certificate rests on
-
-def _conjugate(lam):
-    return tuple(sum(1 for part in lam if part > k) for k in range(lam[0]))
-
-
-def _dominates(lam, mu):
-    n = sum(lam)
-    a = list(lam) + [0] * (n - len(lam))
-    b = list(mu) + [0] * (n - len(mu))
-    return all(sum(a[:k]) >= sum(b[:k]) for k in range(1, n + 1))
-
-
-def _unseen(family, N):
-    return [lam for lam in comb.partitions_of(N)
-            if not any(_dominates(lam if sign > 0 else _conjugate(lam), mu)
-                       for mu, sign in family)]
-
-
-@pytest.mark.parametrize("N", range(1, 8))
-def test_family_covers_every_partition(N):
-    family = oracle._family(N)
-    assert _unseen(family, N) == []
-    assert oracle._covers(family, N)
-    for k in range(len(family)):
-        short = family[:k] + family[k + 1:]
-        assert _unseen(short, N) != []
-        assert not oracle._covers(short, N)
-
-
-def test_family_missing_a_partition_is_refused(monkeypatch):
-    mod, degree, zetas = _module_kernel(3, 4, 4)
-    want = _json(oracle.joint_kernel(4, degree, mod.kappa0))
-    _loosen_bound(monkeypatch)
-    family = oracle._family(4)
-    calls = _spy_bareiss(monkeypatch)
-    for k in range(len(family)):
-        short = family[:k] + family[k + 1:]
-        monkeypatch.setattr(oracle, "_family", lambda N: short)
-        got = oracle.joint_kernel(4, degree, mod.kappa0, zetas)
-        assert len(calls) == k + 1
-        assert _json(got) == want
-
-
 @pytest.mark.parametrize("mnN", [(3, 2, 3), (3, 4, 4)])
 def test_no_candidates_fall_back(mnN, monkeypatch):
-    # the kernel's isotype is (1,1,1) at (3,2,3), seen by the member
-    # (2,1)- only, and (3,1) at (3,4,4), seen by (3,1)+ only
+    # the kernel's isotype is (1,1,1) at (3,2,3) and (3,1) at (3,4,4); its
+    # spectral vector is decided 1, so the empty span falls short
     mod, degree, _ = _module_kernel(*mnN)
     N = mnN[2]
     want = _json(oracle.joint_kernel(N, degree, mod.kappa0))
@@ -437,13 +352,13 @@ def _young_projection(f, mu, sign):
 
 
 def test_unstable_candidates_fall_back(monkeypatch):
-    # each member's (anti)symmetrization of the module: killed by every
-    # D_i, and as large as the kernel on every slice, but a proper
-    # subspace of it that S_5 does not preserve
+    # the module symmetrized over S_(3,2) and antisymmetrized over
+    # S_(3,1,1): killed by every D_i, but a proper subspace of the kernel
+    # that S_5 does not preserve
     mod, degree, zetas = _module_kernel(1, 3, 5)
     want = _json(oracle.joint_kernel(5, degree, mod.kappa0))
     cands = [_young_projection(z, mu, sign)
-             for mu, sign in oracle._family(5) for z in zetas]
+             for mu, sign in [((3, 2), 1), ((3, 1, 1), -1)] for z in zetas]
     span = oracle._candidate_span(cands, 5, mod.kappa0,
                                   oracle.monomial_basis(5, degree))
     assert 0 < len(span) < len(zetas)
@@ -451,25 +366,6 @@ def test_unstable_candidates_fall_back(monkeypatch):
     got = oracle.joint_kernel(5, degree, mod.kappa0, cands)
     assert len(calls) == 1
     assert _json(got) == want
-
-
-def test_rank_lowered_in_one_member_does_not_certify(monkeypatch):
-    mod, degree, zetas = _module_kernel(1, 3, 5)
-    want = _json(oracle.joint_kernel(5, degree, mod.kappa0))
-    _loosen_bound(monkeypatch)
-    real = oracle._rank_mod_p
-    calls = _spy_bareiss(monkeypatch)
-    for k in range(len(oracle._family(5))):
-        seen = []
-
-        def lowered(rows, stop=None, k=k, seen=seen):
-            seen.append(stop)
-            return real(rows, stop) - (len(seen) == k + 1)
-        monkeypatch.setattr(oracle, "_rank_mod_p", lowered)
-        got = oracle.joint_kernel(5, degree, mod.kappa0, zetas)
-        assert len(seen) == k + 1
-        assert len(calls) == k + 1
-        assert _json(got) == want
 
 
 def _drop_last_row(monkeypatch):
@@ -522,6 +418,10 @@ def _slices(N):
     return [(k, d) for k in kappas for d in range(1, 9 if N < 4 else 7)]
 
 
+def _decided_dimension(N, degree, kappa0):
+    return sum(f * k for f, k in oracle._decided(N, degree, kappa0).values())
+
+
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_spectral_bound_is_never_below_the_bareiss_kernel(N):
     loose = []
@@ -529,10 +429,11 @@ def test_spectral_bound_is_never_below_the_bareiss_kernel(N):
         bound = oracle._spectral_bound(N, degree, kappa0)
         dim = oracle.joint_kernel(N, degree, kappa0).dimension
         assert bound >= dim, (kappa0, degree)
+        assert _decided_dimension(N, degree, kappa0) == dim, (kappa0, degree)
         if bound != dim:
             loose.append((kappa0, degree, bound, dim))
     # the one loose slice: the single spectral vector of (2,2) is killed
-    # by D_3 and D_4 but not by D_1
+    # by D_3 and D_4 but not by D_1, so it is decided 0
     assert loose == ([(Fraction(-1, 2), 3, 2, 0)] if N == 4 else [])
 
 
@@ -559,16 +460,46 @@ def test_spectral_bound_meets_the_module_on_every_small_triple():
 def test_spectral_bound_on_larger_modules(mnN, bound, dim):
     # (2,4,6) and (6,4,6) count the shape (2,2,2), which K does not hold
     assert _bound_and_dimension(*mnN) == (bound, dim)
+    if mnN == (2, 4, 6):
+        # one composition each: (2,2,2)'s vector is not killed by D_1, the
+        # module's (3,1,1,1) is, though xi_4 of (4,3,2,0,0,0) is 0
+        assert oracle._decided(6, 9, Fraction(-1, 2)) == {
+            (3, 1, 1, 1): (10, 1), (2, 2, 2): (5, 0)}
 
 
-def test_loose_slice_goes_through_the_slices_to_the_bareiss_report():
+def test_loose_slice_goes_through_the_slices_to_the_bareiss_report(
+        monkeypatch):
     kappa0 = Fraction(-1, 2)
     assert oracle._spectral_bound(4, 3, kappa0) == 2
     brute = oracle.joint_kernel(4, 3, kappa0)
     got = oracle.joint_kernel(4, 3, kappa0, [])
     assert (brute.dimension, brute.method) == (0, "bareiss")
-    assert got.method == "slices"
+    assert got.method == "spectral vector"
     assert _json(got) == _json(brute)
+    # the vector of (2,2) passes the check with its own spectrum, and fails
+    # it with any one eigenvalue off
+    (_, _, [alpha]), = oracle._shapes(4, 3, kappa0)
+    v = oracle._solve(alpha, kappa0)
+    xi = oracle._spectrum(alpha, kappa0)
+    assert oracle._joint_eigen_ok(v, 4, kappa0, xi)
+    assert not oracle._joint_eigen_ok({}, 4, kappa0, xi)
+    for k in range(4):
+        off = xi[:k] + [xi[k] + 1] + xi[k + 1:]
+        assert not oracle._joint_eigen_ok(v, 4, kappa0, off)
+    # a corrupted vector is refused, and Bareiss decides
+    bad = dict(v)
+    bad[alpha] += 1
+    monkeypatch.setattr(oracle, "_solve", lambda *args: bad)
+    assert oracle._decided(4, 3, kappa0) is None
+    calls = _spy_bareiss(monkeypatch)
+    got = oracle.joint_kernel(4, 3, kappa0, [])
+    assert (len(calls), got.method) == (1, "bareiss")
+    assert _json(got) == _json(brute)
+    # a shape matched by three compositions keeps its count: at N = 6,
+    # degree 6, the bound 15 is 5 tableaux of (3,3) times 3
+    monkeypatch.undo()
+    assert oracle._decided(6, 6, kappa0) == {(4, 1, 1): (10, 0),
+                                             (3, 3): (5, 3)}
 
 
 def test_report_names_the_method(monkeypatch, capsys):
@@ -578,8 +509,8 @@ def test_report_names_the_method(monkeypatch, capsys):
         _loosen_bound(patch)
         reports.append(oracle.joint_kernel(5, degree, mod.kappa0, zetas))
     reports.append(oracle.joint_kernel(5, degree, mod.kappa0))
-    assert [r.method for r in reports] == ["spectral bound", "slices",
-                                           "bareiss"]
+    assert [r.method for r in reports] == ["spectral bound",
+                                           "spectral vector", "bareiss"]
     assert len({_json(r) for r in reports}) == 1
     assert "method" not in reports[0].to_json()
     assert cli.main(["verify", "--oracle", "--m", "1", "--n", "3",
