@@ -204,14 +204,15 @@ def cmd_verify(args):
     for el in module.elements:
         _note("  w=%s wlambda=%s certificates=%s"
               % (el.w, el.sigma, el.certificates))
+    text = json.dumps(report, indent=1)
     if args.report:
         try:
             with open(args.report, "w") as fh:
-                json.dump(report, fh, indent=1)
+                fh.write(text)
         except OSError as e:
             raise ParameterViolation("cannot write --report: %s" % e)
         _note("report written to", args.report)
-    _emit(report)
+    sys.stdout.write(text + "\n")
     if failing:
         _note("falsified:", ", ".join(failing))
         return EXIT_CERT
@@ -311,7 +312,9 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--search", action="store_true")
     p.add_argument("--max-len", type=int)
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int,
+                   help="largest part allowed in a partner (default: the "
+                        "largest part of lambda)")
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("repn", help="seminormal matrices and Murphy spectra")

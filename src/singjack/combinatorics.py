@@ -599,6 +599,8 @@ def find_critical_partners(lam, m, n, max_len, value_cap=None,
         raise ParameterViolation("need m, n >= 1 and gcd(m,n)=1")
     if max_len < 1:
         raise ParameterViolation("max_len must be positive")
+    if value_cap is not None and value_cap < 0:
+        raise ParameterViolation("value_cap must be nonnegative")
     lam = tuple(lam)
     big = max(max_len, len(lam))
     a = pad(lam, big)

@@ -12,17 +12,35 @@ The kappa0 certificates run over Z.  Scaling a polynomial by a nonzero
 integer changes no kernel and no eigen-equation, so each check takes the
 integer form F = L*f of a specialized element f, with L > 0 the lcm of
 its coefficient denominators.  With kappa0 = p/q in lowest terms,
-annihilation asks q*D_1 F = 0, the Murphy and central-element checks ask
-omega_j F = c_j F and omega F = tau(omega) F, and the action asks each
-row identity of _certify_action.  The matrices so certified are the
-seminormal matrices: the elements are nonzero with pairwise distinct
-Murphy content vectors, hence independent, so each row is the only
-expansion of its image.  The span is then S_N-invariant, and since
-w D_1 w^-1 = D_{w(1)}, D_i f = w D_1 (w^-1 f) = 0 for every element f and
-every i: D_1 on the whole span gives every D_i.  The squares and braid
-relations are checked on A_p = d_p * s_p, d_p the lcm of the entry
-denominators of s_p.  verify_singular keeps the Fraction Dunkl operators
-as the reference path.
+annihilation asks q*D_1 F = 0, the Murphy check asks omega_j F = c_j F,
+and the action asks each row identity of _certify_action.  The matrices
+so certified are the seminormal matrices: the elements are nonzero with
+pairwise distinct Murphy content vectors, hence independent, so each row
+is the only expansion of its image.  The span is then S_N-invariant, and
+since w D_1 w^-1 = D_{w(1)}, D_i f = w D_1 (w^-1 f) = 0 for every element
+f and every i: D_1 on the whole span gives every D_i.
+
+These certificates are the only ones; the report reads the other facts
+off them (isotype_check, seminormal_check), by these implications.
+
+- The central element.  murphy_terms sums every transposition once over
+  j, so omega = sum_{i<j} (1 - (i,j)) = C(N,2) - sum_j omega_j.  An
+  element with omega_j F = c_j(T) F for every j therefore has
+  omega F = (C(N,2) - sum_j c_j(T)) F, and the contents of a tableau T of
+  shape tau sum to C(N,2) - tau(omega).
+- Invariance under adjacent equal entries.  If sigma_p = sigma_{p+1},
+  the two positions have consecutive ranks, so _murphy_ok's spectral
+  identity gives c(N-p+1) = c(N-p) + 1.  In a standard tableau the only
+  cell of content c(N-p) + 1 that may receive N-p+1 lies directly right
+  of N-p, so the two entries share a row and the certified row of
+  (p,p+1) is the diagonal +1: (p,p+1) f = f.
+- Squares and braids.  The certified matrices are the action of the
+  permutations of the variables restricted to an invariant span with a
+  basis, so they form a representation of S_N: s_p^2 = 1 and
+  s_p s_{p+1} s_p = s_{p+1} s_p s_{p+1}.
+
+verify_singular keeps the Fraction Dunkl operators as the reference
+path.
 """
 
 from datetime import datetime, timezone
@@ -315,46 +333,14 @@ def murphy_rule_matrices(module):
     return out
 
 
-def _integer_matrix(mat):
-    """(d, A) with mat = A/d and d > 0 the lcm of the entry denominators."""
-    d = lcm(*(v.denominator for row in mat for v in row))
-    return d, [[v.numerator * (d // v.denominator) for v in row]
-               for row in mat]
-
-
-def _mul(a, b):
-    """The product of two square integer matrices, skipping zero entries."""
-    k = len(b)
-    return [[sum(x * b[t][j] for t, x in enumerate(row) if x)
-             for j in range(k)] for row in a]
-
-
-def _relations_hold(mats):
-    """Whether the matrices s_1, ..., s_{n-1} of mats square to the
-    identity and satisfy the braid relations, checked over Z: with
-    s_p = A_p / d_p, A_p^2 = d_p^2 I and
-    d_{p+1} A_p A_{p+1} A_p = d_p A_{p+1} A_p A_{p+1}."""
-    ints = {p: _integer_matrix(mat) for p, mat in mats.items()}
-    for d, a in ints.values():
-        if _mul(a, a) != [[d * d * (i == j) for j in range(len(a))]
-                          for i in range(len(a))]:
-            return False
-    for p in range(1, len(mats)):
-        (d, a), (e, b) = ints[p], ints[p + 1]
-        lhs, rhs = _mul(_mul(a, b), a), _mul(_mul(b, a), b)
-        if [[e * x for x in row] for row in lhs] != \
-                [[d * x for x in row] for row in rhs]:
-            return False
-    return True
-
-
 def seminormal_check(module, real=None):
-    """Realized matrices match the tableau prediction, square to the
-    identity, and satisfy the braid relations (see _relations_hold).
-    real defaults to seminormal_matrices(module)."""
+    """Whether real, by default module.seminormal, is the action of the
+    adjacent transpositions that _certify_action certified, so that it
+    follows the tableau prediction, squares to the identity and satisfies
+    the braid relations (see the module docstring)."""
     if real is None:
-        real = seminormal_matrices(module)
-    return real == murphy_rule_matrices(module) and _relations_hold(real)
+        real = module.seminormal
+    return real is not None and real == module.seminormal
 
 
 def _tableau_contents(module):
@@ -380,25 +366,19 @@ def murphy_spectra(module):
 
 
 def isotype_check(module):
-    """Central element eigenvalue, the degree law, and invariance of each
-    element under transpositions of adjacent equal entries of its weight,
-    each element checked on its integer form."""
-    n = module.n
+    """The degree law, and the central element's eigenvalue and the
+    invariance of each element under transpositions of adjacent equal
+    entries of its weight, read off the certificates of build_module:
+    the Murphy spectra give the first, and they with the certified +1
+    rows of the action give the second (see the module docstring)."""
     tau_omega = comb.omega_eigenvalue(module.label.tau)
     deg = Fraction(comb.comp_weight(module.label.lam))
-    if deg != -module.kappa0 * tau_omega:
+    if deg != -module.kappa0 * tau_omega or not murphy_spectra(module)["ok"]:
         return False
-    for el in module.elements:
-        big_f = mp.integer_terms(el.zeta.terms)
-        # tau(omega) is C(N,2) less a sum of contents, an integer
-        if not _eigen_ok(ops.omega_terms(n, big_f), big_f, int(tau_omega)):
-            return False
-        for p in range(1, n):
-            if el.sigma[p - 1] == el.sigma[p]:
-                w = comb.transposition(n, p, p + 1)
-                if mp.perm_terms(w, big_f) != big_f:
-                    return False
-    return True
+    return seminormal_check(module) and all(
+        module.seminormal[p][a][a] == 1
+        for a, el in enumerate(module.elements)
+        for p in range(1, module.n) if el.sigma[p - 1] == el.sigma[p])
 
 
 def cherednik_closure_check(module, p, g):

@@ -117,6 +117,15 @@ def test_verify_with_oracle_and_report(capsys, tmp_path):
     assert "all certificates hold" in err
 
 
+def test_verify_report_file_holds_the_stdout_bytes(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--m", "2", "--n", "3",
+                       "--N", "4", "--report", str(path))
+    assert code == 0
+    assert out.endswith("}\n")
+    assert path.read_bytes() == out[:-1].encode()
+
+
 def test_verify_report_to_a_missing_directory_is_a_usage_error(capsys,
                                                               tmp_path):
     path = tmp_path / "missing" / "report.json"
@@ -187,6 +196,23 @@ def test_critical_usage_errors(capsys):
                      "--beta", "0,0,2,1,1,1", "--m", "1", "--n", "2",
                      "--search")
     assert code == 2
+
+
+def test_critical_cap_bounds_the_parts_of_a_partner(capsys):
+    search = ("critical", "--lambda", "2,2,1,0", "--m", "1", "--n", "2",
+              "--search", "--max-len", "6")
+    for cap, partners in (("2", [[0, 0, 2, 1, 1, 1]]), ("1", []),
+                          ("0", [])):
+        code, out, _ = run(capsys, *search, "--cap", cap)
+        assert code == 0
+        assert json.loads(out)["partners"] == partners
+    code, out, err = run(capsys, *search, "--cap", "-3")
+    assert (code, out) == (2, "")
+    assert "error:" in err
+    with pytest.raises(SystemExit):
+        cli.main(["critical", "--help"])
+    helptext = " ".join(capsys.readouterr().out.split())
+    assert "largest part allowed in a partner" in helptext
 
 
 @pytest.mark.parametrize("argv", [

@@ -212,8 +212,8 @@ def test_kappa0_certificates_run_on_integer_forms(monkeypatch):
         monkeypatch.setattr(ops, name, spy)
     mod = singular.build_module(2, 3, 4)
     assert singular.isotype_check(mod)
-    assert seen == {"dunkl_terms": {int}, "murphy_terms": {int},
-                    "omega_terms": {int}}
+    # omega is read off the Murphy certificates, never applied
+    assert seen == {"dunkl_terms": {int}, "murphy_terms": {int}}
 
 
 def test_symmetric_term_added_is_not_annihilated(monkeypatch, capsys):
@@ -252,21 +252,87 @@ def test_swapped_elements_fail_the_murphy_check(monkeypatch):
         singular.build_module(1, 3, 3)
 
 
-@pytest.mark.parametrize("mnN", [(1, 3, 3), (2, 3, 4)])
-def test_symmetric_element_fails_the_isotype_check(mnN):
-    # (x_1 + ... + x_N)^d has the module's degree and is fixed by every
-    # transposition, so only the central element can refuse it
-    mod = singular.build_module(*mnN)
-    assert singular.isotype_check(mod)
-    n, k0 = mod.n, mod.kappa0
-    e1 = mp.mp_zero(n, field=k0)
+def _power_of_e1(n, d, kappa0):
+    """(x_1 + ... + x_n)^d over the field kappa0."""
+    e1 = mp.mp_zero(n, field=kappa0)
     for i in range(1, n + 1):
-        e1 = e1 + mp.x_var(n, i, field=k0)
-    power = mp.mp_const(n, 1, field=k0)
-    for _ in range(comb.comp_weight(mod.label.lam)):
+        e1 = e1 + mp.x_var(n, i, field=kappa0)
+    power = mp.mp_const(n, 1, field=kappa0)
+    for _ in range(d):
         power = power * e1
-    mod.elements[-1].zeta = power
-    assert not singular.isotype_check(mod)
+    return power
+
+
+def test_weight_off_its_tableau_fails_the_spectral_identity(monkeypatch):
+    # each weight gets the polynomial and the tableau of the other, so D_1,
+    # the Murphy eigen-equations and the action rows all hold; only the
+    # spectral values of the weight can refuse the pairs
+    swap = {(1, 0, 0): (0, 1, 0), (0, 1, 0): (1, 0, 0)}
+    zeta_x, tableau_from_rlp = jack.zeta_x, comb.tableau_from_rlp
+    monkeypatch.setattr(jack, "zeta_x", lambda sigma, N: zeta_x(
+        swap[tuple(sigma)], N))
+    monkeypatch.setattr(comb, "tableau_from_rlp", lambda lam, sigma:
+                        tableau_from_rlp(lam, swap[tuple(sigma)]))
+    with pytest.raises(jack.FormulaMismatch):
+        singular.build_module(1, 3, 3)
+
+
+@pytest.mark.parametrize("mnN, contents", [((1, 2, 2), [0, -1]),
+                                            ((1, 3, 3), [0, 1, -1])])
+def test_element_off_its_last_content_fails_the_murphy_check(monkeypatch,
+                                                             mnN, contents):
+    # with D_1 switched off, x_1 + ... + x_N stands in for the first
+    # element; being symmetric it has contents (0, 1, ..., N-1), which
+    # differ from the element's in the last entry only, so only the
+    # eigen-equation of omega_N refuses it
+    first = singular.build_module(*mnN).elements[0]
+    assert [first.tableau.eta(j) for j in range(1, mnN[2] + 1)] == contents
+    specialize = jack.JackPoly.specialize
+
+    def e1(jp, kappa0):
+        if jp.alpha != first.sigma:
+            return specialize(jp, kappa0)
+        return _power_of_e1(jp.n, 1, kappa0)
+
+    monkeypatch.setattr(jack.JackPoly, "specialize", e1)
+    monkeypatch.setattr(ops, "dunkl_terms", lambda *args: {})
+    with pytest.raises(jack.FormulaMismatch):
+        singular.build_module(*mnN)
+
+
+def test_element_off_a_unit_row_fails_the_action_rows(monkeypatch):
+    # the staircase (1,2,3) has dimension 1, so every predicted row is a
+    # single +-1; with D_1 and the Murphy check switched off, only those
+    # rows refuse x_1^3 in place of its element
+    monkeypatch.setattr(jack.JackPoly, "specialize", lambda jp, kappa0:
+                        mp.monomial(3, (3, 0, 0), field=kappa0))
+    monkeypatch.setattr(ops, "dunkl_terms", lambda *args: {})
+    monkeypatch.setattr(singular, "_murphy_ok", lambda *args: True)
+    with pytest.raises(singular.ExpansionFailure):
+        singular.build_module(1, 2, 3)
+
+
+@pytest.mark.parametrize("mnN", [(1, 3, 3), (2, 3, 4)])
+def test_symmetric_element_fails_the_isotype_check(monkeypatch, capsys, mnN):
+    # (x_1 + ... + x_N)^d has the module's degree and is fixed by every
+    # transposition; put in at build time for one sigma, it is refused there,
+    # by D_1, before any report reads the certificates
+    specialize = jack.JackPoly.specialize
+    last = comb.rlp_enumerate(comb.resolve_label(*mnN).lam)[-1]
+
+    def symmetric(jp, kappa0):
+        g = specialize(jp, kappa0)
+        return g if jp.alpha != last else _power_of_e1(g.n, g.degree(), kappa0)
+
+    monkeypatch.setattr(jack.JackPoly, "specialize", symmetric)
+    with pytest.raises(singular.NotAnnihilated):
+        singular.build_module(*mnN)
+    capsys.readouterr()
+    argv = ["verify", "--m", str(mnN[0]), "--n", str(mnN[1]),
+            "--N", str(mnN[2])]
+    assert cli.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "falsified:" in err
 
 
 def _fraction_relations(mats):
@@ -290,15 +356,13 @@ def _fraction_relations(mats):
     # s_1 negated: the squares still hold, the braids do not
     (lambda p, v: -v if p == 1 else v, (True, False)),
 ], ids=["doubled", "s1_negated"])
-def test_tampered_matrices_fail_the_seminormal_check(monkeypatch, tamper,
-                                                      broken):
+def test_tampered_matrices_fail_the_seminormal_check(tamper, broken):
     mod = singular.build_module(2, 3, 4)
     mats = singular.seminormal_matrices(mod)
     assert singular.seminormal_check(mod, mats)
     bad = {p: [[tamper(p, v) for v in row] for row in mat]
            for p, mat in mats.items()}
     assert _fraction_relations(bad) == broken
-    monkeypatch.setattr(singular, "murphy_rule_matrices", lambda module: bad)
     assert not singular.seminormal_check(mod, bad)
 
 
@@ -308,35 +372,9 @@ def _seminormal_sets():
                  for mnN in ((1, 3, 3), (2, 3, 4), (1, 3, 4)))
 
 
-_SMALL = st.sampled_from([Fraction(v) for v in
-                          (0, 0, 1, -1, 2, "1/2", "-1/2", "3/4", "-3/2")])
-
-
-@st.composite
-def _matrix_sets(draw):
-    """Relation-respecting seminormal sets conjugated by a random diagonal,
-    perhaps with one entry moved, or random small rational matrices."""
-    if draw(st.booleans()):
-        mats = draw(st.sampled_from(_seminormal_sets()))
-        k = len(mats[1])
-        diag = draw(st.lists(_SMALL.filter(bool), min_size=k, max_size=k))
-        out = {p: [[diag[i] * v / diag[j] for j, v in enumerate(row)]
-                   for i, row in enumerate(mat)] for p, mat in mats.items()}
-        if draw(st.booleans()):
-            p = draw(st.sampled_from(sorted(out)))
-            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
-            out[p][i][j] += draw(_SMALL.filter(bool))
-        return out
-    k = draw(st.integers(1, 3))
-    count = draw(st.integers(1, 3))
-    return {p: [[draw(_SMALL) for _ in range(k)] for _ in range(k)]
-            for p in range(1, count + 1)}
-
-
-@settings(max_examples=120, deadline=None)
-@given(_matrix_sets())
-def test_integer_relations_match_fraction_products(mats):
-    assert singular._relations_hold(mats) == all(_fraction_relations(mats))
+def test_certified_matrices_satisfy_the_relations():
+    for mats in _seminormal_sets():
+        assert _fraction_relations(mats) == (True, True)
 
 
 # ------------------------------------------------ the certified S_N action
@@ -359,11 +397,70 @@ def _assert_action_and_annihilation(mod):
             assert not ops.dunkl_terms(n, i, big_f, p, q)
 
 
-@pytest.mark.parametrize("mnN", [(1, 3, 3), (2, 3, 4), (1, 3, 4), (3, 4, 4),
-                                 (1, 3, 5), (4, 3, 4), (7, 2, 3), (2, 4, 5),
-                                 (1, 2, 4)])
+def _assert_isotype_and_relations(mod):
+    """The facts the report reads off the certificates, re-checked with
+    the Fraction operators: omega acts by tau(omega), every element is
+    fixed by the transpositions of adjacent equal entries of its weight,
+    and the certified matrices square to the identity and satisfy the
+    braid relations."""
+    n = mod.n
+    ctx = ops.OperatorContext(n, mod.kappa0)
+    tau_omega = comb.omega_eigenvalue(mod.label.tau)
+    for el in mod.elements:
+        f = el.zeta
+        assert ops.omega_central(ctx, f) == mp.poly_scale(f, tau_omega)
+        for p in range(1, n):
+            if el.sigma[p - 1] == el.sigma[p]:
+                assert mp.apply_perm(comb.transposition(n, p, p + 1), f) == f
+    assert _fraction_relations(singular.seminormal_matrices(mod)) == \
+        (True, True)
+
+
+_FAST = [(1, 3, 3), (2, 3, 4), (1, 3, 4), (3, 4, 4), (1, 3, 5), (4, 3, 4),
+         (7, 2, 3), (2, 4, 5), (1, 2, 4)]
+
+
+@functools.cache
+def _module(mnN):
+    return singular.build_module(*mnN)
+
+
+@pytest.mark.parametrize("mnN", _FAST)
 def test_certified_action_matches_gauss_jordan_and_every_dunkl(mnN):
-    _assert_action_and_annihilation(singular.build_module(*mnN))
+    _assert_action_and_annihilation(_module(mnN))
+
+
+@pytest.mark.parametrize("mnN", _FAST)
+def test_implied_facts_hold_by_the_fraction_operators(mnN):
+    _assert_isotype_and_relations(_module(mnN))
+
+
+def test_omega_eigenvalue_is_pairs_less_the_content_sum():
+    for mnN in _FAST:
+        mod = _module(mnN)
+        n = mod.n
+        for el in mod.elements:
+            contents = sum(el.tableau.eta(j) for j in range(1, n + 1))
+            assert comb.omega_eigenvalue(mod.label.tau) == \
+                n * (n - 1) // 2 - contents
+
+
+def test_equal_entries_share_a_row_and_a_certified_unit_row():
+    pairs = 0
+    for mnN in _FAST:
+        mod = _module(mnN)
+        n, k = mod.n, len(mod.elements)
+        for a, el in enumerate(mod.elements):
+            t = el.tableau
+            for p in range(1, n):
+                if el.sigma[p - 1] == el.sigma[p]:
+                    i = n - p  # tableau entries swapped by (p, p+1)
+                    assert t.eta(i + 1) == t.eta(i) + 1
+                    assert (t.rw(i + 1), t.cm(i + 1)) == (t.rw(i), t.cm(i) + 1)
+                    assert mod.seminormal[p][a] == [int(b == a)
+                                                    for b in range(k)]
+                    pairs += 1
+    assert pairs
 
 
 @pytest.mark.parametrize("mnN", [(1, 3, 3), (2, 3, 4)])
@@ -411,6 +508,19 @@ def test_cherednik_k_terms_sum_to_pairs_times_identity(case):
     spec = comb.spectral_vector(alpha)
     assert (sum(a for a, _ in spec), sum(b for _, b in spec)) == \
         (pairs, n + sum(alpha))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_terms_and_alpha())
+def test_omega_is_pairs_less_the_murphy_sum(case):
+    # every transposition occurs once among the Murphy elements, which is
+    # why the omega eigenvalue follows from the Murphy certificates
+    n, terms, _ = case
+    out = {e: n * (n - 1) // 2 * c for e, c in terms.items()} if n > 1 else {}
+    for j in range(1, n + 1):
+        for e, c in ops.murphy_terms(n, j, terms).items():
+            mp._accumulate(out, e, c, sub=True)
+    assert ops.omega_terms(n, terms) == out
 
 
 def test_zero_element_is_refused(monkeypatch):
