@@ -236,6 +236,8 @@ def _axpy(acc, num, k):
 
 def _times(num, a, b):
     """num * (a*k + b)."""
+    if not b:
+        return [0] + [a * x for x in num]
     return [b * x + a * y for x, y in zip(num + [0], [0] + num)]
 
 

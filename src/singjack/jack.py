@@ -1,15 +1,16 @@
 """Nonsymmetric Jack polynomials over the generic parameter field.
 
-Construction is a triangular joint-eigenvector solve against the Cherednik
-operators; the transposition/cycle recurrences are implemented as separate
-routes so the two can be cross-checked.  All arithmetic is exact.
+zeta_x is a triangular joint-eigenvector solve against the Cherednik
+operators; the step formulas derive zeta_{t alpha} from zeta_alpha by the
+Knop-Sahi intertwiner, summed by the solve's kernel (_combined).  All
+arithmetic is exact.
 
-A JackPoly keeps the solve's factored coefficients, a Z[kappa] numerator
-over an integer times linear factors.  The eigen check, the shape check,
-the denominator profile, specialization and the JSON (to_json, and
-from_json, which reads the coefficient strings with int()) run on them;
-the Q(kappa) MultiPoly is built only when .poly is read, by the step
-formulas and p_expand.
+A JackPoly keeps factored coefficients, a Z[kappa] numerator over an
+integer times linear factors.  The solve, the steps, the eigen and shape
+checks, the denominator profile, specialization and the JSON (to_json,
+and from_json, which reads coefficient strings with int()) run on them;
+the Q(kappa) MultiPoly is built only when .poly is read, by dm_formula,
+bigdiff_verify, ks_coefficient_check, the inputs of p_expand and tests.
 """
 
 from fractions import Fraction
@@ -17,12 +18,10 @@ from math import factorial, gcd, lcm
 
 from . import combinatorics as comb
 from .exactarith import (
-    KAPPA,
     KP_ONE,
     KP_ZERO,
     KappaPoly,
     KappaRatio,
-    KR_ONE,
     KR_ZERO,
     PoleError,
     _at_root,
@@ -100,19 +99,37 @@ def _reduced(num, d0, top):
             tuple(sorted((f, m) for f, m in top.items() if m)))
 
 
-def _rescaled(c, tops, bottoms):
-    """The factored coefficient c * prod(tops) / prod(bottoms), for lists
-    of nonzero int pairs (a, b) standing for a*kappa + b."""
-    num, d0, facs = c
-    top = dict(facs)
+def _combined(groups, tops, bottoms):
+    """The factored form of (sum of groups) * prod(tops) / prod(bottoms),
+    or None when the sum vanishes; groups maps (d0, facs) to a Z[kappa]
+    numerator, and tops and bottoms list nonzero int pairs (a, b) standing
+    for a*kappa + b.  The sum is taken over the lcm of the denominators,
+    each numerator times the factors its facs lack, and then reduced
+    (_reduced): every linear factor is known, so no gcd is taken."""
+    d0 = lcm(*(gd for gd, _ in groups))
+    top = {}
+    for _, facs in groups:
+        for f, m in facs:
+            top[f] = max(top.get(f, 0), m)
+    total = []
+    for (gd, facs), num in groups.items():
+        have = dict(facs)
+        for (a, b), m in top.items():
+            for _ in range(m - have.get((a, b), 0)):
+                num = _times(num, a, b)
+        _axpy(total, num, d0 // gd)
+    while total and not total[-1]:
+        total.pop()
+    if not total:
+        return None
     for a, b in tops:
-        num = _times(num, a, b) if a else [b * x for x in num]
+        total = _times(total, a, b) if a else [b * x for x in total]
     for a, b in bottoms:
         g = b if not a else gcd(a, b) if a > 0 else -gcd(a, b)
         d0 *= g
         if a:
             top[a // g, b // g] = top.get((a // g, b // g), 0) + 1
-    return _reduced(num, d0, top)
+    return _reduced(total, d0, top)
 
 
 def _factored_terms(items, roots):
@@ -270,8 +287,9 @@ class JackPoly:
     strictly below alpha in the triangle order.  basis "p": the same
     polynomial rescaled so its p-expansion is monic at p_alpha.
     coeffs maps each exponent to its factored coefficient (num, d0, facs);
-    the eigen check, the shape check and specialize run on it, and the
-    Q(kappa) MultiPoly .poly is built from it when first read.
+    the step formulas, the eigen check, the shape check and specialize run
+    on it, and the Q(kappa) MultiPoly .poly is built from it when first
+    read.
     denominator_factors lists (kappa + c, multiplicity) pairs, as
     denominator_profile reads them off coeffs.
     """
@@ -381,8 +399,8 @@ class JackPoly:
         """Assert the support is alpha and exponents strictly below it, with
         1 at x^alpha in basis x and p_to_x_factor(alpha) in basis p."""
         lead = self.coeffs.get(self.alpha)
-        want = _ONE if self.basis == "x" else _rescaled(
-            _ONE, *p_to_x_factors(self.alpha))
+        want = _ONE if self.basis == "x" else _combined(
+            {(1, ()): [1]}, *p_to_x_factors(self.alpha))
         if lead != want:
             raise SolveFailure("coefficient at x^alpha is %r, not %r"
                                % (lead, want))
@@ -523,40 +541,13 @@ def _ambient(alpha, n):
     return comb.pad(alpha, n)
 
 
-def _solve_step(groups, s, t):
-    """kappa * (sum of groups) / (s*kappa + t) in factored form, or None
-    when it vanishes; groups maps (d0, facs) to a numerator.  The sum is
-    taken over the lcm of the denominators and then reduced (_reduced)."""
-    d0 = lcm(*(gd for gd, _ in groups))
-    top = {}
-    for _, facs in groups:
-        for f, m in facs:
-            top[f] = max(top.get(f, 0), m)
-    total = []
-    for (gd, facs), num in groups.items():
-        have = dict(facs)
-        for (a, b), m in top.items():
-            for _ in range(m - have.get((a, b), 0)):
-                num = _times(num, a, b)
-        _axpy(total, num, d0 // gd)
-    while total and not total[-1]:
-        total.pop()
-    if not total:
-        return None
-    g = t
-    if s:
-        g = gcd(s, t) if s > 0 else -gcd(s, t)
-        top[s // g, t // g] = top.get((s // g, t // g), 0) + 1
-    return _reduced([0] + total, d0 * g, top)
-
-
 def zeta_x(alpha, n):
     """The x-monic simultaneous eigenvector for composition alpha.
 
     Triangular solve over the down-set of alpha: the coefficient at a lower
     beta is kappa * sum_gamma c_gamma [x^beta] K_i x^gamma over
     xi_i(alpha) - xi_i(beta), i the least index where the spectra differ.
-    It runs over Z[kappa] with the linear denominators known (_solve_step),
+    It runs over Z[kappa] with the linear denominators known (_combined),
     with no polynomial gcd, and its factored coefficients are the
     JackPoly's; then every eigen-equation is asserted on them.
     """
@@ -584,7 +575,7 @@ def zeta_x(alpha, n):
     for beta in dset:
         groups = pending.pop(beta, None)
         c = _ONE if beta == alpha else (
-            groups and _solve_step(groups, *pivots[beta][1:]))
+            groups and _combined(groups, [(1, 0)], [pivots[beta][1:]]))
         if not c:
             continue
         coeffs[beta] = num, d0, facs = c
@@ -616,7 +607,7 @@ def p_to_x_factor(alpha):
 def zeta_p(alpha, n):
     """The p-monic eigenvector: zeta_x rescaled by the hook/E factor, each
     factored coefficient times its numerators over its denominators
-    (_rescaled), with no gcd.  The scalar is nonzero, so the
+    (_combined), with no gcd.  The scalar is nonzero, so the
     eigen-equations certified on zeta_x hold here too and are not checked
     again."""
     alpha = _ambient(alpha, n)
@@ -626,8 +617,9 @@ def zeta_p(alpha, n):
         return got
     tops, bottoms = p_to_x_factors(alpha)
     zp = JackPoly(alpha, n, "p", {
-        e: _rescaled(c, tops, bottoms)
-        for e, c in zeta_x(alpha, n).coeffs.items()}, check=False)
+        e: _combined({(d0, facs): num}, tops, bottoms)
+        for e, (num, d0, facs) in zeta_x(alpha, n).coeffs.items()},
+        check=False)
     _ZETA_CACHE[key] = zp
     return zp
 
@@ -672,22 +664,38 @@ def z2sz_step(zeta, i):
         raise NotDecreasingAt(i, "position %d has no successor in %d" % (i, n))
     if alpha[i - 1] <= alpha[i]:
         raise NotDecreasingAt(i)
-    d_r = comb.rank(alpha, i + 1) - comb.rank(alpha, i)
-    diff = alpha[i - 1] - alpha[i]
-    a = KAPPA / kappa_linear(d_r, diff)
-    sigma = comb.transposition(n, i, i + 1)
-    flipped = poly_sub(apply_perm(sigma, zeta.poly), poly_scale(zeta.poly, a))
+    return _step(zeta, i, i + 1, [])
+
+
+def _step(zeta, i, j, swaps):
+    """zeta_{t alpha} = (t - a (1 + sum of the swaps)) zeta, t = (i,j), over
+    1 - a^2 in basis x: the Knop-Sahi intertwiner, a = kappa / L with
+    L = d_r kappa + delta, d_r = r(alpha, j) - r(alpha, i) > 0 and
+    delta = alpha_i - alpha_j > 0.  The coefficient at x^e is
+    [L c_{te} - kappa (c_e + sum_w c_{we})] times L over
+    ((d_r - 1)kappa + delta)((d_r + 1)kappa + delta), which is L^2 (1 - a^2),
+    in basis x, or over L in basis p, summed by _combined with its linear
+    factors known.  The JackPoly constructor checks shape and eigenvalues."""
+    alpha, n = zeta.alpha, zeta.n
+    d_r = comb.rank(alpha, j) - comb.rank(alpha, i)
+    delta = alpha[i - 1] - alpha[j - 1]
     if zeta.basis == "x":
-        # 1 - a^2 = ((d_r - 1)kappa + diff)((d_r + 1)kappa + diff) / denom^2,
-        # nonzero as diff > 0
-        flipped = poly_scale(flipped, (KR_ONE - a * a).reciprocal())
-    # (d_r - 1)kappa + diff can only come from 1/(1 - a^2).  Unproven, but
-    # for N <= 6 and weight <= 6 it divides a denominator of the result only
-    # when it already divides one of zeta's, so no input tried needs it.
-    divided = [kappa_linear(d_r + e, diff) for e in (-1, 0, 1)]
-    return JackPoly.from_poly(
-        comb.perm_on_comp(sigma, alpha), n, zeta.basis, flipped,
-        [fac for fac, _ in zeta.denominator_factors] + divided)
+        tops, bottoms = [(d_r, delta)], [(d_r - 1, delta), (d_r + 1, delta)]
+    else:
+        tops, bottoms = [], [(d_r, delta)]
+    t = comb.transposition(n, i, j)
+    pending = {}
+    for k, w in [(1, t), (-1, comb.identity_perm(n))] + [
+            (-1, comb.transposition(n, u, v)) for u, v in swaps]:
+        for e, (num, d0, facs) in perm_terms(w, zeta.coeffs).items():
+            _axpy(pending.setdefault(e, {}).setdefault((d0, facs), []),
+                  _times(num, d_r, delta) if k > 0 else [0] + num, k)
+    coeffs = {}
+    for e, groups in pending.items():
+        c = _combined(groups, tops, bottoms)
+        if c:
+            coeffs[e] = c
+    return JackPoly(comb.perm_on_comp(t, alpha), n, zeta.basis, coeffs)
 
 
 def _check_window(zeta, i, s, name):
@@ -710,27 +718,12 @@ def _check_block(alpha, lo, hi, value):
                 % (j, alpha[j - 1], value))
 
 
-def _move_step(zeta, i, s, swaps):
-    """zeta_{(i,i+s)alpha} = ((i,i+s) - bracket * (1 + sum of swaps)) zeta."""
-    alpha, n = zeta.alpha, zeta.n
-    d_r = comb.rank(alpha, i + s) - comb.rank(alpha, i)
-    divided = kappa_linear(d_r, alpha[i - 1] - alpha[i + s - 1])
-    bracket = KAPPA / divided
-    word = [(1, comb.identity_perm(n))]
-    word.extend((1, comb.transposition(n, u, v)) for u, v in swaps)
-    t = comb.transposition(n, i, i + s)
-    moved = _word_step(t, bracket, word, zeta.poly)
-    return JackPoly.from_poly(
-        comb.perm_on_comp(t, alpha), n, "p", moved,
-        [fac for fac, _ in zeta.denominator_factors] + [divided])
-
-
 def movert_step(zeta, i, s):
     """Move a larger entry right across a block of equal smaller entries:
     alpha_i = a > b = alpha_{i+1} = ... = alpha_{i+s}.  p-monic only."""
     _check_window(zeta, i, s, "movert_step")
     _check_block(zeta.alpha, i + 1, i + s + 1, zeta.alpha[i + s - 1])
-    return _move_step(zeta, i, s, [(i, i + j) for j in range(1, s)])
+    return _step(zeta, i, i + s, [(i, i + j) for j in range(1, s)])
 
 
 def movelt_step(zeta, i, s):
@@ -738,7 +731,7 @@ def movelt_step(zeta, i, s):
     alpha_i = ... = alpha_{i+s-1} = b > a = alpha_{i+s}.  p-monic only."""
     _check_window(zeta, i, s, "movelt_step")
     _check_block(zeta.alpha, i + 1, i + s, zeta.alpha[i - 1])
-    return _move_step(zeta, i, s, [(i + j, i + s) for j in range(1, s)])
+    return _step(zeta, i, i + s, [(i + j, i + s) for j in range(1, s)])
 
 
 # ------------------------------------------------- differentiation formulas
@@ -776,13 +769,6 @@ def dm_formula(zeta):
                 "D_%d zeta_%s expected to vanish" % (i, alpha),
                 lhs=dunkl(ctx, i, zeta.poly), rhs=mp_zero(n))
     return scalar, out
-
-
-def _word_step(t, bracket, word, poly):
-    """(t - bracket * word) poly: t a transposition, bracket in Q(kappa)
-    and word a block word."""
-    return poly_sub(apply_perm(t, poly),
-                    poly_scale(word_apply(word, poly), bracket))
 
 
 def bigdiff_verify(lam, n):
@@ -842,7 +828,8 @@ def bigdiff_verify(lam, n):
                 raise FormulaMismatch(
                     "expected nu(%d,%d) == nu(%d,%d)" % (j - 1, j, j, j), at=j)
         for target, (t, bracket, word) in zip(expect, steps):
-            cur = _word_step(t, bracket, word, cur)
+            cur = poly_sub(apply_perm(t, cur),
+                           poly_scale(word_apply(word, cur), bracket))
             ok = cur == zeta_p(target, n).poly
             report["nu_chain"].append({"j": j, "target": list(target), "ok": ok})
             if not ok:

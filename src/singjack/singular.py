@@ -2,11 +2,14 @@
 
 For a resolved label (m, n, N) with kappa0 = -m/n the module is spanned
 by the specializations of zeta^x_{w.lam} where w.lam runs over the
-reverse lattice permutations of lam.  Construction checks, for every
-element: absence of poles at kappa0, annihilation by D_1, and Murphy
-eigenvalues equal to the tableau contents; then, for the module, that
-each adjacent transposition acts by the seminormal matrix that
-murphy_rule_matrices predicts from the tableaux.
+reverse lattice permutations of lam.  zeta^x_lam is solved once; each
+later sigma is jack.z2sz_step of its parent, sigma with its first ascent
+swapped back, which rlp_enumerate lists earlier, and passes the solve's
+shape and eigen checks.  Construction checks, for every element: absence
+of poles at kappa0, annihilation by D_1, and Murphy eigenvalues equal to
+the tableau contents; then, for the module, that each adjacent
+transposition acts by the seminormal matrix that murphy_rule_matrices
+predicts from the tableaux.
 
 The kappa0 certificates run over Z.  Scaling a polynomial by a nonzero
 integer changes no kernel and no eigen-equation, so each check takes the
@@ -185,10 +188,11 @@ def _murphy_ok(element, kappa0, big_f):
 def build_module(m, n, N):
     """Construct and certify the span of the zeta^x_{w.lam} at kappa0.
 
-    Builds each generic polynomial first, specializes, then checks
-    annihilation by D_1 and Murphy eigenvalues element by element, over Z
-    on its integer form, and last the action of the adjacent
-    transpositions on the module (_certify_action).  The jack memos serve
+    Solves zeta^x_lam and steps to each later sigma (see the module
+    docstring), specializes, then checks annihilation by D_1 and Murphy
+    eigenvalues element by element, over Z on its integer form, and last
+    the action of the adjacent transpositions on the module
+    (_certify_action).  The jack memos serve
     one module: they are emptied when this returns or raises.
     """
     label = comb.resolve_label(m, n, N)
@@ -204,11 +208,17 @@ def build_module(m, n, N):
             "internal: %d rearrangements vs %d standard tableaux"
             % (len(sigmas), _syt_count(label.tau)))
     p, q = kappa0.numerator, kappa0.denominator
-    elements, forms = [], []
+    elements, forms, zetas = [], [], {}
     try:
         for sigma in sigmas:
             w, tab = comb.tableau_from_rlp(label.lam, sigma)
-            jp = jack.zeta_x(sigma, N)
+            i = next((i for i in range(1, N) if sigma[i - 1] < sigma[i]), 0)
+            if i:  # moving a larger entry left keeps the lattice condition
+                jp = jack.z2sz_step(zetas[comb.perm_on_comp(
+                    comb.transposition(N, i, i + 1), sigma)], i)
+            else:
+                jp = jack.zeta_x(sigma, N)
+            zetas[sigma] = jp
             try:
                 f = jp.specialize(kappa0)
             except PoleError:

@@ -244,12 +244,21 @@ def test_swapped_elements_fail_the_murphy_check(monkeypatch):
     a.zeta, b.zeta = b.zeta, a.zeta
     assert not singular.murphy_spectrum_check(mod)["ok"]
     # both are singular, so only the Murphy comparison can refuse them
-    zeta_x = jack.zeta_x
-    swap = {(1, 0, 0): (0, 1, 0), (0, 1, 0): (1, 0, 0)}
-    monkeypatch.setattr(jack, "zeta_x", lambda sigma, N: zeta_x(
-        swap.get(tuple(sigma), tuple(sigma)), N))
+    _swap_the_elements_of_133(monkeypatch)
     with pytest.raises(jack.FormulaMismatch):
         singular.build_module(1, 3, 3)
+
+
+def _swap_the_elements_of_133(monkeypatch):
+    """Build each element of (1,3,3) as the other: the solve of lambda
+    gives zeta_(0,1,0), and the step from it, which the walk takes to
+    reach (0,1,0), gives zeta_(1,0,0)."""
+    swap = {(1, 0, 0): (0, 1, 0), (0, 1, 0): (1, 0, 0)}
+    zeta_x = jack.zeta_x
+    monkeypatch.setattr(jack, "zeta_x", lambda sigma, N: zeta_x(
+        swap[tuple(sigma)], N))
+    monkeypatch.setattr(jack, "z2sz_step", lambda zeta, i: zeta_x(
+        swap[zeta.alpha], zeta.n))
 
 
 def _power_of_e1(n, d, kappa0):
@@ -268,9 +277,8 @@ def test_weight_off_its_tableau_fails_the_spectral_identity(monkeypatch):
     # the Murphy eigen-equations and the action rows all hold; only the
     # spectral values of the weight can refuse the pairs
     swap = {(1, 0, 0): (0, 1, 0), (0, 1, 0): (1, 0, 0)}
-    zeta_x, tableau_from_rlp = jack.zeta_x, comb.tableau_from_rlp
-    monkeypatch.setattr(jack, "zeta_x", lambda sigma, N: zeta_x(
-        swap[tuple(sigma)], N))
+    tableau_from_rlp = comb.tableau_from_rlp
+    _swap_the_elements_of_133(monkeypatch)
     monkeypatch.setattr(comb, "tableau_from_rlp", lambda lam, sigma:
                         tableau_from_rlp(lam, swap[tuple(sigma)]))
     with pytest.raises(jack.FormulaMismatch):
@@ -461,6 +469,71 @@ def test_equal_entries_share_a_row_and_a_certified_unit_row():
                                                     for b in range(k)]
                     pairs += 1
     assert pairs
+
+
+# ------------------------------------------------ one solve, then the steps
+
+def _first_ascent_parent(sigma):
+    """(i, s_i sigma) for the first ascent sigma_i < sigma_{i+1}."""
+    i = next(i for i in range(1, len(sigma)) if sigma[i - 1] < sigma[i])
+    return i, comb.perm_on_comp(comb.transposition(len(sigma), i, i + 1),
+                                sigma)
+
+
+def _assert_steps_reproduce_the_solve(mnN):
+    """Every element after the first, stepped from its first-ascent
+    parent, has the factored coefficients and the denominator factors of
+    its own solve; the forms are canonical, so equal values compare
+    equal."""
+    N = mnN[2]
+    try:
+        for sigma in comb.rlp_enumerate(comb.resolve_label(*mnN).lam)[1:]:
+            i, parent = _first_ascent_parent(sigma)
+            got = jack.z2sz_step(jack.zeta_x(parent, N), i)
+            want = jack.zeta_x(sigma, N)
+            assert got.alpha == want.alpha
+            assert got.coeffs == want.coeffs
+            assert got.denominator_factors == want.denominator_factors
+    finally:
+        jack.clear_caches()
+
+
+@pytest.mark.parametrize("mnN", _FAST)
+def test_the_step_reproduces_the_solve(mnN):
+    _assert_steps_reproduce_the_solve(mnN)
+
+
+def test_every_rlp_after_lambda_steps_from_an_earlier_one():
+    # the walk of build_module: lambda first, then each sigma from s_i sigma
+    # at its first ascent i, which must already be built
+    count = 0
+    for N in range(2, 9):
+        for n in range(2, N + 1):
+            for m in range(1, 3 * n):
+                try:
+                    lam = comb.resolve_label(m, n, N).lam
+                except ParameterViolation:
+                    continue
+                sigmas = comb.rlp_enumerate(lam)
+                assert sigmas[0] == lam
+                for k, sigma in enumerate(sigmas[1:], 1):
+                    assert _first_ascent_parent(sigma)[1] in sigmas[:k]
+                count += len(sigmas)
+    assert count == 2946
+
+
+@pytest.mark.parametrize("mnN", [(2, 5, 6), (1, 3, 5)])
+def test_build_module_solves_lambda_only(monkeypatch, mnN):
+    calls = []
+    zeta_x = jack.zeta_x
+
+    def spy(alpha, n):
+        calls.append((tuple(alpha), n))
+        return zeta_x(alpha, n)
+
+    monkeypatch.setattr(jack, "zeta_x", spy)
+    mod = singular.build_module(*mnN)
+    assert calls == [(mod.label.lam, mnN[2])]
 
 
 @pytest.mark.parametrize("mnN", [(1, 3, 3), (2, 3, 4)])
