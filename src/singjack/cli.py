@@ -83,14 +83,14 @@ def _cache_key(alpha, n, basis):
 def _load_entry(path, alpha, n, basis):
     """The cache entry at path, certified for the request.
 
-    Checked in order: the stored alpha, N, basis and field; every term,
-    read with int() and no gcd, has an exponent of its own and a nonzero
-    coefficient, reduced with a monic denominator that the stored
-    denominator factors factor, and those factors are the ones read off
-    the coefficients (JackPoly.from_json); the shape and normalization
-    (assert_shape); the eigen-equations.  A failed check raises
-    SolveFailure; an entry that cannot be read or parsed is None, a
-    miss."""
+    Checked in order: the stored alpha, N, basis and field; then, in
+    JackPoly.from_json, every term, read with int() and no gcd, has an
+    exponent of its own and a nonzero coefficient, reduced with a monic
+    denominator that the stored denominator factors factor; the shape and
+    normalization and the eigen-equations (the JackPoly constructor); and
+    the stored factors are the ones read off the coefficients.  A failed
+    check raises SolveFailure; an entry that cannot be read or parsed is
+    None, a miss."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -98,15 +98,12 @@ def _load_entry(path, alpha, n, basis):
                 list(comb.pad(alpha, n)), n, basis, "Q(k)"):
             raise jack.SolveFailure("cache entry %s is not zeta_%s of %s, "
                                     "N=%d" % (path, basis, alpha, n))
-        jp = jack.JackPoly.from_json(obj)
+        return jack.JackPoly.from_json(obj)
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             ZeroDivisionError) as e:
         _note("cache: unreadable entry %s (%s: %s), recomputing"
               % (path, type(e).__name__, e))
         return None
-    jp.assert_shape()
-    jp._assert_eigen()
-    return jp
 
 
 def cached_zeta(alpha, n, basis="x"):

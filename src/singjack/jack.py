@@ -466,15 +466,17 @@ class JackPoly:
                 "denominator_factors": factors_json(self.denominator_factors)}
 
     @classmethod
-    def from_json(cls, obj, check=False):
+    def from_json(cls, obj):
         """The JackPoly stored as obj, read with int() and no gcd.
 
         Each coefficient string is read by _rationals and each distinct
         den list is factored once by the stored denominator factors
-        (_factored_terms), which must be the ones read off the
-        coefficients.  SolveFailure on a zero, repeated, non-canonical or
-        non-reduced term or on other stored factors; ValueError on an
-        exponent that is not N entries of at least 0."""
+        (_factored_terms); the constructor then checks the shape and the
+        eigen-equations, and the stored factors must be the ones read off
+        the coefficients.  SolveFailure on a zero, repeated, non-canonical
+        or non-reduced term, on a failed shape or eigen check or on other
+        stored factors; ValueError on an exponent that is not N entries of
+        at least 0."""
         if obj["field"] != "Q(k)":
             raise FieldMismatch("field %r is not Q(k)" % (obj["field"],))
         n = obj["N"]
@@ -497,8 +499,7 @@ class JackPoly:
             if den is None:
                 den = dens[key] = _rationals(key)
             items.append((e, _rationals(c["num"]), den))
-        jp = cls(obj["alpha"], n, obj["basis"], _factored_terms(items, roots),
-                 check)
+        jp = cls(obj["alpha"], n, obj["basis"], _factored_terms(items, roots))
         if obj["denominator_factors"] != factors_json(jp.denominator_factors):
             raise SolveFailure("stored denominator factors %s are not those "
                                "of the coefficients"

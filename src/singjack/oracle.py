@@ -5,7 +5,8 @@ writes the operators as integer matrices itself, from the pair-difference
 kernel of `operators`: with kappa0 = p/q in lowest terms, q D_i has
 integer coefficients on monomials.  Without candidates, the stacked
 matrices of every D_i on the monomials of one degree are eliminated
-exactly by fraction-free (Bareiss) elimination.
+exactly over Q by `_echelon`, the oracle's one elimination, and the
+kernel is read off the reduced rows (`_nullspace`).
 
 A caller may offer candidate polynomials, such as the module's, as vectors
 that might span the kernel K in degree d.  They are never trusted: their
@@ -13,7 +14,8 @@ span C is taken as K only when it is proven to be.  First, exact checks
 over Q: every vector of the reduced span is killed by every D_i, and the
 span is closed under every adjacent transposition, so C is an
 S_N-submodule of K.  Then the first of three methods that succeeds gives
-the report's `method`: the spectral bound, the spectral vectors, Bareiss.
+the report's `method`: the spectral bound, the spectral vectors, the
+elimination.
 
 The spectral bound ("spectral bound"), with no linear algebra:
 1. U_i = D_i x_i - kappa sum_{j<i} (ij) are the Cherednik operators.  As
@@ -47,11 +49,14 @@ The spectral vectors ("spectral vector"), where the bound is loose:
    and U_i v = xi_i(alpha) v for every i.  With these shapes decided and
    the others kept at their count, C = K when the sum meets dim C.
 
-If a check fails or neither sum is met, the Bareiss elimination
-("bareiss") runs as it does without candidates.  All paths give the same
-canonical basis, one vector per free column.  The partitions, tableaux,
-contents, rank vectors, Cherednik operators and spectral vectors are the
-oracle's own.
+If a check fails or neither sum is met, the elimination ("elimination")
+runs as it does without candidates.  All paths give the same canonical
+basis, one vector per free column: a subspace has one basis whose vectors
+each end (last nonzero entry) at a column of their own, with 1 there and 0
+at the others' ends.  `_echelon` keeps the candidates' span in that form,
+and the kernel vector x_f of a free column f ends at f and is 0 on every
+other free column.  The partitions, tableaux, contents, rank vectors,
+Cherednik operators and spectral vectors are the oracle's own.
 """
 
 from datetime import datetime, timezone
@@ -266,48 +271,25 @@ def dunkl_matrix(N, degree, kappa0):
     return cols, rows
 
 
-def _bareiss_echelon(mat):
-    """Fraction-free row echelon form of an integer matrix; returns the
-    nonzero rows and their pivot columns.  Pivot choice: leftmost column,
-    first nonzero row."""
-    a = [row[:] for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(cols):
-        p = next((i for i in range(r, rows) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        for i in range(r + 1, rows):
-            for j in range(cols - 1, c - 1, -1):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-        prev = a[r][c]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a[:r], pivots
-
-
 class KernelReport:
-    def __init__(self, N, degree, kappa0, monomials, basis, free_columns,
-                 method=None):
+    def __init__(self, N, degree, kappa0, monomials, rows, method=None):
         self.N = N
         self.degree = degree
         self.kappa0 = Fraction(kappa0)
         self.monomials = list(monomials)
-        self.basis = basis  # list of Fraction vectors, one per free column
-        self.free_columns = list(free_columns)
+        # {free column: sparse Fraction row}, the basis in `_echelon` form
+        self.rows = rows
         self.comparison = None
-        # "spectral bound", "spectral vector" or "bareiss"; not in the JSON
+        # "spectral bound", "spectral vector" or "elimination", not in JSON
         self.method = method
 
     @property
+    def free_columns(self):
+        return sorted(self.rows)
+
+    @property
     def dimension(self):
-        return len(self.basis)
+        return len(self.rows)
 
     def to_json(self, include_timestamp=True):
         out = {
@@ -316,9 +298,10 @@ class KernelReport:
             "kappa0": rat_to_str(self.kappa0),
             "monomials": [list(e) for e in self.monomials],
             "dimension": self.dimension,
-            "free_columns": list(self.free_columns),
-            "kernel_basis": [[rat_to_str(v) for v in vec]
-                             for vec in self.basis],
+            "free_columns": self.free_columns,
+            "kernel_basis": [[rat_to_str(self.rows[f].get(j, 0))
+                              for j in range(len(self.monomials))]
+                             for f in self.free_columns],
         }
         if self.comparison is not None:
             out["comparison"] = dict(self.comparison)
@@ -328,11 +311,10 @@ class KernelReport:
 
     @classmethod
     def from_json(cls, obj):
+        rows = {f: {j: x for j, x in enumerate(map(rat_from_str, vec)) if x}
+                for f, vec in zip(obj["free_columns"], obj["kernel_basis"])}
         rep = cls(obj["N"], obj["degree"], rat_from_str(obj["kappa0"]),
-                  [tuple(e) for e in obj["monomials"]],
-                  [[rat_from_str(s) for s in vec]
-                   for vec in obj["kernel_basis"]],
-                  obj["free_columns"])
+                  [tuple(e) for e in obj["monomials"]], rows)
         rep.comparison = obj.get("comparison")
         return rep
 
@@ -347,16 +329,22 @@ def _subtract_multiple(dst, t, src):
             dst.pop(j, None)
 
 
+def _reduce(v, span):
+    """The sparse vector v, reduced in place by the rows of an `_echelon`
+    span: each row clears v at its pivot column."""
+    for c, row in span.items():
+        if v.get(c):
+            _subtract_multiple(v, v[c], row)
+    return v
+
+
 def _echelon(vectors):
     """Right-to-left Gauss-Jordan over Q on sparse vectors {column: value}:
     {pivot column: row}, the pivot being the last nonzero column, each row
     1 there and 0 on every other pivot column."""
     span = {}
     for v in vectors:
-        v = dict(v)
-        for c, row in span.items():
-            if v.get(c):
-                _subtract_multiple(v, v[c], row)
+        v = _reduce(dict(v), span)
         if not v:
             continue
         c = max(v)
@@ -367,6 +355,26 @@ def _echelon(vectors):
                 _subtract_multiple(row, row[c], v)
         span[c] = v
     return span
+
+
+def _nullspace(rows, ncols):
+    """{free column f: x_f} spanning the nullspace of the sparse integer
+    `rows` on columns 0..ncols-1.  `_echelon` runs on the reversed columns,
+    so it pivots on the leftmost; x_f is 1 at f, -R_p[f] at each pivot
+    column p, R_p the reduced row of pivot p, and 0 on every other free
+    column."""
+    last = ncols - 1
+    span = _echelon({last - j: Fraction(x) for j, x in row.items()}
+                    for row in rows)
+    pivots = {last - c: row for c, row in span.items()}
+    out = {}
+    for f in range(ncols):
+        if f not in pivots:
+            x = out[f] = {f: Fraction(1)}
+            for p, row in pivots.items():
+                if row.get(last - f):
+                    x[p] = -row[last - f]
+    return out
 
 
 def _candidate_span(candidates, N, kappa0, cols):
@@ -399,10 +407,7 @@ def _stable(span, cols, N):
                 e = list(cols[j])
                 e[k], e[k + 1] = e[k + 1], e[k]
                 w[colix[tuple(e)]] = x
-            for c, row in span.items():
-                if w.get(c):
-                    _subtract_multiple(w, w[c], row)
-            if w:
+            if _reduce(w, span):
                 return False
     return True
 
@@ -438,8 +443,8 @@ def joint_kernel(N, degree, kappa0, candidates=None):
     `candidates`, specialized polynomials expected to span the kernel,
     are never trusted: the report is read off their span only when
     `_certified_span` proves that span is the kernel.  Otherwise, and
-    without candidates, the stacked full-space matrix is eliminated by
-    Bareiss."""
+    without candidates, the stacked full-space matrix is eliminated
+    (`_nullspace`) and every kernel vector is checked to be killed."""
     if degree < 1:
         raise comb.ParameterViolation("degree must be positive")
     kappa0 = Fraction(kappa0)
@@ -448,29 +453,14 @@ def joint_kernel(N, degree, kappa0, candidates=None):
                  and _certified_span(candidates, N, kappa0, cols))
     if certified:
         method, span = certified
-        free = sorted(span)
-        basis = [[span[f].get(j, Fraction(0)) for j in range(len(cols))]
-                 for f in free]
-        return KernelReport(N, degree, kappa0, cols, basis, free, method)
+        return KernelReport(N, degree, kappa0, cols, span, method)
     _, rows = dunkl_matrix(N, degree, kappa0)
-    ech, pivots = _bareiss_echelon([[row.get(c, 0) for c in range(len(cols))]
-                                    for row in rows])
-    free = [c for c in range(len(cols)) if c not in set(pivots)]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * len(cols)
-        x[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = sum(Fraction(ech[r][j]) * x[j]
-                    for j in range(c + 1, len(cols)) if ech[r][j] and x[j])
-            x[c] = Fraction(-s, ech[r][c])
-        basis.append(x)
-        if not _annihilated({cols[j]: v for j, v in enumerate(x) if v},
-                            N, kappa0):
+    kernel = _nullspace(rows, len(cols))
+    for x in kernel.values():
+        if not _annihilated({cols[j]: v for j, v in x.items()}, N, kappa0):
             raise KernelInvariantError(
                 "computed kernel vector is not annihilated")
-    return KernelReport(N, degree, kappa0, cols, basis, free, "bareiss")
+    return KernelReport(N, degree, kappa0, cols, kernel, "elimination")
 
 
 def compare_with_module(report, module):
@@ -479,24 +469,14 @@ def compare_with_module(report, module):
     colix = {e: i for i, e in enumerate(report.monomials)}
     per_element = []
     for el in module.elements:
-        ok = (el.zeta.n == report.N
+        z = el.zeta
+        ok = (z.n == report.N
               and module.kappa0 == report.kappa0
-              and el.zeta.is_homogeneous()
-              and el.zeta.degree() == report.degree)
-        if ok:
-            v = [Fraction(0)] * len(report.monomials)
-            for e, c in el.zeta.terms.items():
-                if e not in colix:
-                    ok = False
-                    break
-                v[colix[e]] = c
-        if ok:
-            for vec, f in zip(report.basis, report.free_columns):
-                t = v[f]
-                if t:
-                    v = [a - t * b for a, b in zip(v, vec)]
-            ok = not any(v)
-        per_element.append(ok)
+              and z.is_homogeneous()
+              and z.degree() == report.degree
+              and all(e in colix for e in z.terms))
+        per_element.append(ok and not _reduce(
+            {colix[e]: c for e, c in z.terms.items()}, report.rows))
     contains = all(per_element) and bool(per_element)
     comparison = {
         "module_label": module.label.to_json(),

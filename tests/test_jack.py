@@ -302,7 +302,7 @@ def test_ks_coefficient_small():
 def test_jackpoly_json_round_trip():
     z = jack.zeta_x((2, 0, 1), 3)
     obj = z.to_json()
-    back = jack.JackPoly.from_json(obj, check=True)
+    back = jack.JackPoly.from_json(obj)
     assert back.alpha == z.alpha and back.basis == "x"
     assert back.poly == z.poly
     assert [(f.coeffs, m) for f, m in back.denominator_factors] == [

@@ -38,14 +38,15 @@ def test_joint_kernel_rank_one():
     rep = oracle.joint_kernel(2, 1, Fraction(-1, 2))
     assert rep.dimension == 1
     assert rep.free_columns == [1]
-    assert rep.basis == [[Fraction(-1), Fraction(1)]]
+    assert rep.rows == {1: {0: Fraction(-1), 1: Fraction(1)}}
+    assert rep.to_json()["kernel_basis"] == [["-1", "1"]]
     assert rep.monomials == [(1, 0), (0, 1)]
 
 
 def test_joint_kernel_trivial_at_generic_value():
     rep = oracle.joint_kernel(2, 1, Fraction(1, 3))
     assert rep.dimension == 0
-    assert rep.basis == []
+    assert rep.rows == {}
 
 
 def test_joint_kernel_rejects_nonpositive_degree():
@@ -61,7 +62,9 @@ def test_report_json_round_trip():
     assert back.N == rep.N and back.degree == rep.degree
     assert back.kappa0 == rep.kappa0
     assert back.monomials == rep.monomials
-    assert back.basis == rep.basis
+    # the zeros of kernel_basis are dropped, and only they
+    assert back.rows == rep.rows == {1: {0: -1, 1: 1}, 2: {0: -1, 2: 1}}
+    assert back.to_json(include_timestamp=False) == obj
     assert back.free_columns == rep.free_columns
     assert "timestamp" in rep.to_json()
 
@@ -88,7 +91,7 @@ def test_compare_with_wrong_degree_records_not_raises():
 
 
 # ---------------------------------------------------------------------------
-# cross-check the fraction-free elimination against a plain Fraction RREF
+# cross-check the sparse elimination against a plain dense Fraction RREF
 
 def _rref_nullspace(mat, ncols):
     a = [[Fraction(v) for v in row] for row in mat]
@@ -119,71 +122,48 @@ def _rref_nullspace(mat, ncols):
     return out
 
 
-def _bareiss_nullspace(mat, ncols):
-    ech, pivots = oracle._bareiss_echelon(mat)
-    out = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = sum(Fraction(ech[r][j]) * x[j] for j in range(c + 1, ncols))
-            x[c] = -s / ech[r][c]
-        out.append(x)
-    return out
-
-
-def _in_span(vecs, v):
-    if not vecs:
-        return not any(v)
-    rows = [list(u) for u in vecs]
-    red = [Fraction(x) for x in v]
-    piv = []
-    a = [row[:] for row in rows]
-    r = 0
-    for c in range(len(v)):
-        p = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv.append(c)
-        r += 1
-    for row, c in zip(a, piv):
-        if red[c]:
-            f = red[c]
-            red = [x - f * y for x, y in zip(red, row)]
-    return not any(red)
+def _sparse_nullspace(mat, ncols):
+    kernel = oracle._nullspace(
+        [{j: v for j, v in enumerate(row) if v} for row in mat], ncols)
+    assert list(kernel) == sorted(kernel)
+    assert all(type(v) is Fraction for x in kernel.values()
+               for v in x.values())
+    return [[x.get(j, 0) for j in range(ncols)] for x in kernel.values()]
 
 
 def test_bareiss_against_plain_rref_on_random_matrices():
     rng = random.Random(42)
-    for _ in range(25):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        fast = _bareiss_nullspace(mat, cols)
-        slow = _rref_nullspace(mat, cols)
-        assert len(fast) == len(slow)
-        for v in fast:
-            assert _in_span(slow, v)
-        for v in slow:
-            assert _in_span(fast, v)
+    mats = [[[0] * 3] * 2, [[0] * 5], [[1, 2], [3, 4]],
+            [[2, 0, 0], [0, 0, 3], [1, -1, 0]]]
+    for _ in range(80):
+        rows = rng.randint(1, 8)
+        cols = rng.randint(1, 8)
+        mat = [[rng.choice([0, 0, rng.randint(-4, 4)]) for _ in range(cols)]
+               for _ in range(rows)]
+        if rng.random() < 0.3:
+            mat.insert(rng.randint(0, rows), [0] * cols)
+        mats.append(mat)
+    for k in range(1, 9):
+        # full rank: unit upper triangular, rows then shuffled
+        mat = [[int(i == j) or (j > i) * rng.randint(-3, 3)
+                for j in range(k)] for i in range(k)]
+        rng.shuffle(mat)
+        mats.append(mat)
+    for mat in mats:
+        cols = len(mat[0])
+        fast = _sparse_nullspace(mat, cols)
+        assert fast == _rref_nullspace(mat, cols)
         for v in fast:
             for row in mat:
-                assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
+                assert sum(a * b for a, b in zip(row, v)) == 0
+    assert _sparse_nullspace([[0] * 3] * 2, 3) == [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert _sparse_nullspace(mats[-1], 8) == []
 
 
 # ---------------------------------------------------------------------------
 # the candidate certificate: exact annihilation and S_N-stability of the
-# candidates' span, with Bareiss as the fallback
+# candidates' span, with the elimination as the fallback
 
 def _module_kernel(m, n, N):
     mod = singular.build_module(m, n, N)
@@ -193,13 +173,13 @@ def _module_kernel(m, n, N):
 
 def _spy_bareiss(monkeypatch):
     calls = []
-    real = oracle._bareiss_echelon
+    real = oracle._nullspace
 
-    def spy(mat):
-        calls.append(len(mat))
-        return real(mat)
+    def spy(rows, ncols):
+        calls.append(len(rows))
+        return real(rows, ncols)
 
-    monkeypatch.setattr(oracle, "_bareiss_echelon", spy)
+    monkeypatch.setattr(oracle, "_nullspace", spy)
     return calls
 
 
@@ -224,7 +204,8 @@ def test_back_solve_keeps_fractions_245():
     mod, degree, _ = _module_kernel(2, 4, 5)
     rep = oracle.joint_kernel(5, degree, Fraction(-1, 2))
     assert rep.dimension == 6
-    assert all(type(v) is Fraction for vec in rep.basis for v in vec)
+    assert all(type(v) is Fraction for row in rep.rows.values()
+               for v in row.values())
     cmpres = oracle.compare_with_module(rep, mod)
     assert cmpres["contains_module"] and cmpres["equal_to_module"]
 
@@ -369,15 +350,16 @@ def test_unstable_candidates_fall_back(monkeypatch):
 
 
 def _drop_last_row(monkeypatch):
-    # an echelon form that lost a row: its pivot column turns free and
-    # the back-solved vector there is not in the kernel
-    real = oracle._bareiss_echelon
+    # an echelon form that lost its last pivot row: that pivot column turns
+    # free and the vector read off there is not in the kernel
+    real = oracle._echelon
 
-    def short(mat):
-        ech, pivots = real(mat)
-        return ech[:-1], pivots[:-1]
+    def short(vectors):
+        span = real(vectors)
+        span.popitem()
+        return span
 
-    monkeypatch.setattr(oracle, "_bareiss_echelon", short)
+    monkeypatch.setattr(oracle, "_echelon", short)
 
 
 def test_lost_echelon_row_raises(monkeypatch):
@@ -473,7 +455,7 @@ def test_loose_slice_goes_through_the_slices_to_the_bareiss_report(
     assert oracle._spectral_bound(4, 3, kappa0) == 2
     brute = oracle.joint_kernel(4, 3, kappa0)
     got = oracle.joint_kernel(4, 3, kappa0, [])
-    assert (brute.dimension, brute.method) == (0, "bareiss")
+    assert (brute.dimension, brute.method) == (0, "elimination")
     assert got.method == "spectral vector"
     assert _json(got) == _json(brute)
     # the vector of (2,2) passes the check with its own spectrum, and fails
@@ -486,14 +468,14 @@ def test_loose_slice_goes_through_the_slices_to_the_bareiss_report(
     for k in range(4):
         off = xi[:k] + [xi[k] + 1] + xi[k + 1:]
         assert not oracle._joint_eigen_ok(v, 4, kappa0, off)
-    # a corrupted vector is refused, and Bareiss decides
+    # a corrupted vector is refused, and the elimination decides
     bad = dict(v)
     bad[alpha] += 1
     monkeypatch.setattr(oracle, "_solve", lambda *args: bad)
     assert oracle._decided(4, 3, kappa0) is None
     calls = _spy_bareiss(monkeypatch)
     got = oracle.joint_kernel(4, 3, kappa0, [])
-    assert (len(calls), got.method) == (1, "bareiss")
+    assert (len(calls), got.method) == (1, "elimination")
     assert _json(got) == _json(brute)
     # a shape matched by three compositions keeps its count: at N = 6,
     # degree 6, the bound 15 is 5 tableaux of (3,3) times 3
@@ -510,7 +492,7 @@ def test_report_names_the_method(monkeypatch, capsys):
         reports.append(oracle.joint_kernel(5, degree, mod.kappa0, zetas))
     reports.append(oracle.joint_kernel(5, degree, mod.kappa0))
     assert [r.method for r in reports] == ["spectral bound",
-                                           "spectral vector", "bareiss"]
+                                           "spectral vector", "elimination"]
     assert len({_json(r) for r in reports}) == 1
     assert "method" not in reports[0].to_json()
     assert cli.main(["verify", "--oracle", "--m", "1", "--n", "3",
