@@ -20,6 +20,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from . import combinatorics as comb
@@ -42,8 +43,67 @@ _CERT_ERRORS = (singular.NotAnnihilated, singular.ExpansionFailure,
                 oracle.KernelInvariantError)
 
 
+def _dumps(obj):
+    """json.dumps(obj, indent=1), byte for byte, for the JSON the program
+    writes: dicts with str keys, lists, tuples, str, int, bool and None;
+    anything else raises TypeError.  json runs its pure-Python encoder
+    whenever indent is set; here a list of plain ints or of plain strings,
+    which is most of a report, is written by str or
+    encode_basestring_ascii and one str.join."""
+    out = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, nl, out):
+    # nl is the newline and indent of the line obj starts on
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_SCALARS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + " "
+        if all(type(x) is int for x in obj):
+            out.append("[" + inner + ("," + inner).join(map(str, obj))
+                       + nl + "]")
+        elif all(type(x) is str for x in obj):
+            out.append("[" + inner + ("," + inner).join(map(_quote, obj))
+                       + nl + "]")
+        else:
+            out.append("[" + inner)
+            for k, x in enumerate(obj):
+                if k:
+                    out.append("," + inner)
+                _write(x, inner, out)
+            out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for key, x in obj.items():
+            if not isinstance(key, str):
+                raise TypeError("key %r is not a str" % (key,))
+            out.append(sep + _quote(key) + ": ")
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(obj).__name__)
+
+
+_SCALARS = {None: "null", True: "true", False: "false"}
+
+
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj, indent=1) + "\n")
+    sys.stdout.write(_dumps(obj) + "\n")
 
 
 def _note(*parts):
@@ -126,7 +186,7 @@ def cached_zeta(alpha, n, basis="x"):
             fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
-                    fh.write(json.dumps(jp.to_json(), indent=1))
+                    fh.write(json.dumps(jp.to_json(), separators=(",", ":")))
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
@@ -201,7 +261,7 @@ def cmd_verify(args):
     for el in module.elements:
         _note("  w=%s wlambda=%s certificates=%s"
               % (el.w, el.sigma, el.certificates))
-    text = json.dumps(report, indent=1)
+    text = _dumps(report)
     if args.report:
         try:
             with open(args.report, "w") as fh:

@@ -6,11 +6,54 @@ Knop-Sahi intertwiner, summed by the solve's kernel (_combined).  All
 arithmetic is exact.
 
 A JackPoly keeps factored coefficients, a Z[kappa] numerator over an
-integer times linear factors.  The solve, the steps, the eigen and shape
-checks, the denominator profile, specialization and the JSON (to_json,
-and from_json, which reads coefficient strings with int()) run on them;
-the Q(kappa) MultiPoly is built only when .poly is read, by dm_formula,
-bigdiff_verify, ks_coefficient_check, the inputs of p_expand and tests.
+integer times linear factors.  The solve, the steps, the eigen, shape
+and intertwiner checks, the denominator profile, specialization and the
+JSON (to_json, and from_json, which reads coefficient strings with int())
+run on them; the Q(kappa) MultiPoly is built only when .poly is read, by
+dm_formula, bigdiff_verify, ks_coefficient_check, the inputs of p_expand
+and tests.
+
+Certificates.  A solved zeta, a cache load (from_json), movert_step,
+movelt_step and every step in basis p are certified by their N - 1
+eigen-equations (JackPoly._assert_eigen).  The adjacent step in basis x,
+the one build_module takes, derives zeta' from a certified
+zeta = zeta_alpha with alpha_i > alpha_{i+1}.  It is certified by its
+coefficient 1 at x^{s_i alpha} and the intertwiner identity
+(_assert_intertwined)
+
+    P Q zeta' = L (L s_i zeta - kappa zeta),
+
+where L = xi_i(alpha) - xi_{i+1}(alpha) = d_r kappa + delta,
+P = L - kappa and Q = L + kappa.  Proof that these certify
+zeta' = zeta_{s_i alpha}:
+
+- The Cherednik operators satisfy s_i U_i - U_{i+1} s_i = kappa, and
+  s_i U_j = U_j s_i for j not in {i, i+1} (tests/test_operators.py checks
+  both over Q(kappa)).  Conjugating the first by s_i gives
+  U_i s_i - s_i U_{i+1} = kappa.
+- Let a = kappa / L and g = s_i zeta - a zeta.  Since aL = kappa,
+
+      U_{i+1} g = s_i U_i zeta - kappa zeta - a xi_{i+1} zeta
+                = xi_i s_i zeta - a xi_i zeta = xi_i g,
+      U_i g     = s_i U_{i+1} zeta + kappa zeta - a xi_i zeta
+                = xi_{i+1} s_i zeta - a xi_{i+1} zeta = xi_{i+1} g,
+
+  and U_j g = xi_j g for every other j.  Swapping alpha_i > alpha_{i+1}
+  swaps their ranks, so xi(s_i alpha) is xi(alpha) with entries i and
+  i + 1 swapped: g has the spectrum of s_i alpha.
+- At generic kappa distinct compositions have distinct spectra, and the
+  zeta_beta of degree |alpha| are a basis of eigenvectors, so that joint
+  eigenspace is the line of zeta_{s_i alpha}.
+- The identity says zeta' = L^2 g / (P Q) = g / (1 - a^2), so
+  zeta' = c zeta_{s_i alpha} for a scalar c.  zeta_{s_i alpha} has
+  coefficient 1 at x^{s_i alpha}, so c is the coefficient of zeta' there,
+  which is asserted to be 1.  So zeta' also has the shape of
+  zeta_{s_i alpha}, and its support is not scanned.
+
+So zeta' = zeta_{s_i alpha} with no eigen-equation of its own and no K_i
+term.  The check runs on the cleared integer forms, Kronecker-packed as
+the eigen check is.  No memo is kept across calls apart from the zeta
+and p-basis memos that clear_caches empties.
 """
 
 from fractions import Fraction
@@ -47,7 +90,8 @@ from .multipoly import (
     support_order,
     word_apply,
 )
-from .operators import OperatorContext, cherednik_k_terms, dunkl
+from .operators import (OperatorContext, cherednik_k_terms, dunkl,
+                        swap_terms)
 
 
 class NotDecreasingAt(ValueError):
@@ -117,7 +161,10 @@ def _combined(groups, tops, bottoms):
         for (a, b), m in top.items():
             for _ in range(m - have.get((a, b), 0)):
                 num = _times(num, a, b)
-        _axpy(total, num, d0 // gd)
+        if total:
+            _axpy(total, num, d0 // gd)
+        else:
+            total = [d0 // gd * x for x in num]
     while total and not total[-1]:
         total.pop()
     if not total:
@@ -217,25 +264,35 @@ def denominator_profile(coeffs):
     return [(kappa_linear(1, c), roots[c]) for c in sorted(roots)]
 
 
-def _cleared(coeffs):
-    """F = L*D*f as {exponent: Z[kappa] int list, low degree first}.
-
-    D = prod f^M_f over the profile and L is the lcm of the d0, so
-    F_e = (L/d0_e) num_e prod f^(M_f - m_{e,f}) with no division, and
-    F is f times a nonzero element of Q[kappa]."""
+def _cofactors(coeffs):
+    """(L, C, q) for the factored coeffs: L the lcm of the d0, C = L*D as
+    a Z[kappa] int list with D = prod f^M_f over the profile, and q
+    mapping each factor tuple facs of coeffs to prod f^(M_f - m_f), the
+    cofactor of its denominator in D, as an int list."""
     top = _profile(coeffs)
     big_l = lcm(*(d0 for _, d0, _ in coeffs.values()))
     cofactor = {}
+    for facs in {c[2] for c in coeffs.values()}:
+        have = dict(facs)
+        q = [1]
+        for f, m in top.items():
+            for _ in range(m - have.get(f, 0)):
+                q = _times(q, *f)
+        cofactor[facs] = q
+    scale = [big_l * x for x in _den_expansion(tuple(top.items()))]
+    return big_l, scale, cofactor
+
+
+def _cleared(coeffs):
+    """F = C*f as {exponent: Z[kappa] int list, low degree first}, C = L*D
+    of _cofactors.
+
+    F_e = (L/d0_e) num_e prod f^(M_f - m_{e,f}) with no division, and C is
+    a nonzero element of Z[kappa]."""
+    big_l, _, cofactor = _cofactors(coeffs)
     out = {}
     for e, (num, d0, facs) in coeffs.items():
-        q = cofactor.get(facs)
-        if q is None:
-            have = dict(facs)
-            q = [1]
-            for f, m in top.items():
-                for _ in range(m - have.get(f, 0)):
-                    q = _times(q, *f)
-            cofactor[facs] = q
+        q = cofactor[facs]
         scale = big_l // d0
         prod = [0] * (len(num) + len(q) - 1)
         for s, x in enumerate(num):
@@ -245,6 +302,31 @@ def _cleared(coeffs):
                     prod[s + t] += x * y
         out[e] = prod
     return out
+
+
+def _packed_cleared(coeffs):
+    """The cleared form F = C*f of _cleared, left unexpanded, for Kronecker
+    packing: (C, h, pack), with C = L*D as an int list, h at least the
+    1-norm of every F_e, and pack(bits) = {e: F_e(2**bits)}.
+
+    F_e = (L/d0_e) num_e q_e with q_e the cofactor of _cofactors, so F_e(X)
+    is (L/d0_e) num_e(X) q_e(X), each q_e packed once per factor tuple, and
+    the 1-norm is submultiplicative: |F_e| <= (L/d0_e) |num_e| |q_e|."""
+    big_l, scale, cofactor = _cofactors(coeffs)
+    norms = {facs: _norm(q) for facs, q in cofactor.items()}
+    h = max(big_l // d0 * _norm(num) * norms[facs]
+            for num, d0, facs in coeffs.values())
+
+    def pack(bits):
+        at = {facs: _pack(q, bits) for facs, q in cofactor.items()}
+        return {e: big_l // d0 * _pack(num, bits) * at[facs]
+                for e, (num, d0, facs) in coeffs.items()}
+    return scale, h, pack
+
+
+def _norm(num):
+    """The 1-norm of a Z[kappa] int list: the sum of |coefficients|."""
+    return sum(map(abs, num))
 
 
 def _shift_bits(big_f, alpha):
@@ -364,8 +446,9 @@ class JackPoly:
         With U_i = U_i^0 + kappa*K_i, U_i^0 x^e = (e_i + 1) x^e and
         xi_i = a_i*kappa + b_i, the identity holds iff the residual
         R = (U_i^0 - b_i - a_i*kappa) F + kappa*K_i F is 0.  It is checked
-        at kappa = X = 2**B (Kronecker substitution): with P_g = F_g(X) and
-        k_g the coefficient of x^e in K_i x^g, from the solve's memo,
+        at kappa = X = 2**B (Kronecker substitution): with P_g = F_g(X),
+        K_i applied once to the packed polynomial sum_g P_g x^g by
+        cherednik_k_terms, and k_g the coefficient of x^e in K_i x^g,
 
             R_e(X) = (e_i + 1 - b_i) P_e + X (sum_g k_g P_g - a_i P_e).
 
@@ -385,12 +468,10 @@ class JackPoly:
         spec = comb.spectral_vector(self.alpha)
         for i in range(1, n):
             a, b = spec[i - 1]
-            acc = {e: -a * p for e, p in packed.items()}
-            for e, p in packed.items():
-                for e2, k in _k_monomial_terms(n, i, e).items():
-                    acc[e2] = acc.get(e2, 0) + k * p
-            if any((e[i - 1] + 1 - b) * packed.get(e, 0) + (s << bits)
-                   for e, s in acc.items()):
+            acc = {}
+            cherednik_k_terms(n, i, packed, acc)
+            if any((e[i - 1] + 1 - b) * p + ((acc.pop(e, 0) - a * p) << bits)
+                   for e, p in packed.items()) or acc:
                 raise SolveFailure(
                     "U_%d eigen-equation fails for alpha=%s"
                     % (i, self.alpha))
@@ -513,24 +594,13 @@ class JackPoly:
 
 # ------------------------------------------------------------- construction
 
-_KTERMS_CACHE = {}
 _ZETA_CACHE = {}
 
 
 def clear_caches():
     """Empty every module-level memo: each call after this starts cold."""
-    _KTERMS_CACHE.clear()
     _ZETA_CACHE.clear()
     _PBASIS_CACHE.clear()
-
-
-def _k_monomial_terms(n, i, exp):
-    """Integer terms of K_i x^exp, where U_i = U_i^0 + kappa*K_i; cached."""
-    got = _KTERMS_CACHE.get((n, i, exp))
-    if got is None:
-        got = _KTERMS_CACHE[n, i, exp] = {}
-        cherednik_k_terms(n, i, {exp: 1}, got)
-    return got
 
 
 def _ambient(alpha, n):
@@ -581,7 +651,9 @@ def zeta_x(alpha, n):
             continue
         coeffs[beta] = num, d0, facs = c
         for i in used:
-            for b2, k in _k_monomial_terms(n, i, beta).items():
+            k_terms = {}
+            cherednik_k_terms(n, i, {beta: 1}, k_terms)
+            for b2, k in k_terms.items():
                 if b2 != beta and pivots.get(b2, (0,))[0] == i:
                     _axpy(pending.setdefault(b2, {}).setdefault(
                         (d0, facs), []), num, k)
@@ -676,7 +748,10 @@ def _step(zeta, i, j, swaps):
     [L c_{te} - kappa (c_e + sum_w c_{we})] times L over
     ((d_r - 1)kappa + delta)((d_r + 1)kappa + delta), which is L^2 (1 - a^2),
     in basis x, or over L in basis p, summed by _combined with its linear
-    factors known.  The JackPoly constructor checks shape and eigenvalues."""
+    factors known.  The adjacent step in basis x with no swaps, the one
+    build_module takes, is certified by its coefficient 1 at x^{t alpha}
+    and the intertwiner identity (_assert_intertwined); every other step
+    by its shape and its eigen-equations."""
     alpha, n = zeta.alpha, zeta.n
     d_r = comb.rank(alpha, j) - comb.rank(alpha, i)
     delta = alpha[i - 1] - alpha[j - 1]
@@ -686,17 +761,75 @@ def _step(zeta, i, j, swaps):
         tops, bottoms = [], [(d_r, delta)]
     t = comb.transposition(n, i, j)
     pending = {}
-    for k, w in [(1, t), (-1, comb.identity_perm(n))] + [
-            (-1, comb.transposition(n, u, v)) for u, v in swaps]:
-        for e, (num, d0, facs) in perm_terms(w, zeta.coeffs).items():
-            _axpy(pending.setdefault(e, {}).setdefault((d0, facs), []),
-                  _times(num, d_r, delta) if k > 0 else [0] + num, k)
+    for k, terms in [(1, perm_terms(t, zeta.coeffs)), (-1, zeta.coeffs)] + [
+            (-1, perm_terms(comb.transposition(n, u, v), zeta.coeffs))
+            for u, v in swaps]:
+        for e, (num, d0, facs) in terms.items():
+            add = (_times(num, d_r, delta) if k > 0
+                   else [0] + [-x for x in num])
+            groups = pending.setdefault(e, {})
+            got = groups.get((d0, facs))
+            if got is None:
+                groups[d0, facs] = add
+            else:
+                _axpy(got, add, 1)
     coeffs = {}
     for e, groups in pending.items():
         c = _combined(groups, tops, bottoms)
         if c:
             coeffs[e] = c
-    return JackPoly(comb.perm_on_comp(t, alpha), n, zeta.basis, coeffs)
+    intertwined = zeta.basis == "x" and j == i + 1 and not swaps
+    jp = JackPoly(comb.perm_on_comp(t, alpha), n, zeta.basis, coeffs,
+                  check=not intertwined)
+    if intertwined:
+        _assert_intertwined(zeta, jp, i)
+    return jp
+
+
+def _assert_intertwined(zeta, child, i):
+    """Assert that child has coefficient 1 at x^{s_i alpha} and that
+    P Q child = L (L s_i zeta - kappa zeta) exactly, with
+    L = xi_i(alpha) - xi_{i+1}(alpha) read off the spectral vector of
+    zeta = zeta_alpha, P = L - kappa and Q = L + kappa.  With zeta a
+    certified zeta_alpha and alpha_i > alpha_{i+1}, this certifies
+    child = zeta_{s_i alpha} (see the module docstring).
+
+    With F = C zeta and G = C' child the cleared forms (_packed_cleared),
+    the identity times C C' reads, at x^e,
+
+        R_e = C P Q G_e - C' L (L F_{s_i e} - kappa F_e) = 0.
+
+    Each coefficient of a product of polynomials is at most the product
+    of their 1-norms |.|, so every coefficient of R_e is at most
+    |C| |P| |Q| g + |C'| |L| (|L| + 1) f, with f and g bounds on the
+    1-norm of each coefficient of F and of G.  B is the bit length of that
+    bound, so every coefficient of R_e lies below X = 2**B in absolute
+    value, and R_e(X) = 0 iff R_e = 0, as in JackPoly._assert_eigen.  Both
+    sides are divided by the gcd of their packed scalars C P Q and C' L,
+    which changes no zero; each term then costs two small multiplies."""
+    if child.coeffs.get(child.alpha) != _ONE:
+        raise SolveFailure("coefficient of zeta_%s at its own x^alpha is "
+                           "not 1" % (child.alpha,))
+    (a1, b1), (a2, b2) = comb.spectral_vector(zeta.alpha)[i - 1:i + 1]
+    d, delta = a1 - a2, b1 - b2
+    ell, p, q = [delta, d], [delta, d - 1], [delta, d + 1]
+    scale_f, f, pack_f = _packed_cleared(zeta.coeffs)
+    scale_g, g, pack_g = _packed_cleared(child.coeffs)
+    bits = (_norm(scale_f) * _norm(p) * _norm(q) * g
+            + _norm(scale_g) * _norm(ell) * (_norm(ell) + 1) * f
+            ).bit_length()
+    left = _pack(scale_f, bits) * _pack(p, bits) * _pack(q, bits)
+    ell = _pack(ell, bits)
+    right = _pack(scale_g, bits) * ell
+    common = gcd(left, right)
+    left, right = left // common, right // common
+    packed = pack_f(bits)
+    rhs = {e: -(v << bits) for e, v in packed.items()}
+    swap_terms({e: ell * v for e, v in packed.items()}, i, i + 1, rhs)
+    if any(left * v != right * rhs.pop(e, 0)
+           for e, v in pack_g(bits).items()) or rhs:
+        raise SolveFailure("zeta_%s is not the intertwiner image of zeta_%s"
+                           % (child.alpha, zeta.alpha))
 
 
 def _check_window(zeta, i, s, name):

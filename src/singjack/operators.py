@@ -60,24 +60,38 @@ class OperatorContext:
         return "OperatorContext(n=%d, kappa0=%r)" % (self.n, self.kappa0)
 
 
-def _pair_difference_terms(terms, i0, j0, out):
-    # (g - (i,j)g)/(x_i - x_j) for g given by its terms, accumulated into
-    # out term by term:
-    # (x^a y^b - x^b y^a)/(x-y) = sign * sum_{u=lo}^{hi-1} x^u y^{a+b-1-u}
+def _pair_difference_terms(terms, i0, lift, out):
+    """Accumulate sum_{j != i} (h - (ij)h)/(x_i - x_j) into out, for
+    h = x_i^lift g and g given by its terms, term by term:
+
+        (x^a y^b - x^b y^a)/(x-y) = sign * sum_{u=lo}^{hi-1} x^u y^{a+b-1-u}.
+    """
+    get = out.get
     for e, c in terms.items():
-        a, b = e[i0], e[j0]
-        if a == b:
-            continue
-        if a > b:
-            lo, hi, cc = b, a, c
-        else:
-            lo, hi, cc = a, b, -c
+        a = e[i0] + lift
         base = list(e)
-        s = a + b - 1
-        for u in range(lo, hi):
-            base[i0] = u
-            base[j0] = s - u
-            _accumulate(out, tuple(base), cc)
+        for j0, b in enumerate(e):
+            if j0 == i0 or a == b:
+                continue
+            if a > b:
+                lo, hi, cc = b, a, c
+            else:
+                lo, hi, cc = a, b, -c
+            s = a + b - 1
+            for u in range(lo, hi):
+                base[i0] = u
+                base[j0] = s - u
+                key = tuple(base)
+                acc = get(key)
+                if acc is None:
+                    out[key] = cc
+                else:
+                    acc += cc
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
+            base[j0] = b
 
 
 def swap_terms(terms, a, b, out, sub=False):
@@ -99,15 +113,7 @@ def cherednik_k_terms(n, i, terms, out):
 
     g is given by its terms dict; K_i has integer coefficients, so the
     coefficients may lie in any ring (Z, Q or Q(kappa))."""
-    i0 = i - 1
-    shifted = {}
-    for e, c in terms.items():
-        xe = list(e)
-        xe[i0] += 1
-        shifted[tuple(xe)] = c
-    for j0 in range(n):
-        if j0 != i0:
-            _pair_difference_terms(shifted, i0, j0, out)
+    _pair_difference_terms(terms, i - 1, 1, out)
     for j in range(1, i):
         swap_terms(terms, j, i, out, True)
 
@@ -122,9 +128,7 @@ def dunkl_terms(n, i, terms, p, q):
     q D_i maps integer terms to integer terms."""
     i0 = i - 1
     out = {}
-    for j0 in range(n):
-        if j0 != i0:
-            _pair_difference_terms(terms, i0, j0, out)
+    _pair_difference_terms(terms, i0, 0, out)
     out = {e: p * c for e, c in out.items()} if p else {}
     for e, c in terms.items():
         a = e[i0]

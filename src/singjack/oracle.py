@@ -157,9 +157,7 @@ def _dunkl_terms(N, i0, terms, kappa0):
     out = {}
     if p:
         scaled = {e: p * c for e, c in terms.items()}
-        for j0 in range(N):
-            if j0 != i0:
-                _pair_difference_terms(scaled, i0, j0, out)
+        _pair_difference_terms(scaled, i0, 0, out)
     for e, c in terms.items():
         a = e[i0]
         if a:

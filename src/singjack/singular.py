@@ -2,10 +2,12 @@
 
 For a resolved label (m, n, N) with kappa0 = -m/n the module is spanned
 by the specializations of zeta^x_{w.lam} where w.lam runs over the
-reverse lattice permutations of lam.  zeta^x_lam is solved once; each
-later sigma is jack.z2sz_step of its parent, sigma with its first ascent
-swapped back, which rlp_enumerate lists earlier, and passes the solve's
-shape and eigen checks.  Construction checks, for every element: absence
+reverse lattice permutations of lam.  zeta^x_lam is solved once and
+checked by its eigen-equations; each later sigma is jack.z2sz_step of
+its parent, sigma with its first ascent swapped back, which
+rlp_enumerate lists earlier, and is certified by its coefficient 1 at
+x^sigma and the Knop-Sahi intertwiner identity with that certified
+parent (see the jack module docstring).  Construction checks, for every element: absence
 of poles at kappa0, annihilation by D_1, and Murphy eigenvalues equal to
 the tableau contents; then, for the module, that each adjacent
 transposition acts by the seminormal matrix that murphy_rule_matrices
@@ -46,6 +48,8 @@ verify_singular keeps the Fraction Dunkl operators as the reference
 path.
 """
 
+import gc
+from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import factorial, lcm, prod
@@ -188,12 +192,16 @@ def _murphy_ok(element, kappa0, big_f):
 def build_module(m, n, N):
     """Construct and certify the span of the zeta^x_{w.lam} at kappa0.
 
-    Solves zeta^x_lam and steps to each later sigma (see the module
-    docstring), specializes, then checks annihilation by D_1 and Murphy
-    eigenvalues element by element, over Z on its integer form, and last
-    the action of the adjacent transpositions on the module
-    (_certify_action).  The jack memos serve
-    one module: they are emptied when this returns or raises.
+    Solves zeta^x_lam, certified by its eigen-equations, and steps to
+    each later sigma, each derived element certified by the intertwiner
+    identity P Q zeta' = L (L s_i zeta - kappa zeta) with its parent and
+    by its coefficient 1 at x^sigma (jack._assert_intertwined; see the
+    module docstrings).
+    Then it specializes, checks annihilation by D_1 and Murphy eigenvalues
+    element by element, over Z on its integer form, and last the action
+    of the adjacent transpositions on the module (_certify_action).  The
+    jack memos serve one module: they are emptied when this returns or
+    raises.
     """
     label = comb.resolve_label(m, n, N)
     if label.family == "two_part":
@@ -208,17 +216,34 @@ def build_module(m, n, N):
             "internal: %d rearrangements vs %d standard tableaux"
             % (len(sigmas), _syt_count(label.tau)))
     p, q = kappa0.numerator, kappa0.denominator
+    # sigma's parent is sigma with its first ascent i swapped back; moving
+    # a larger entry left keeps the lattice condition.  A parent is kept
+    # only until its last child is stepped.
+    steps = []
+    for sigma in sigmas:
+        i = next((i for i in range(1, N) if sigma[i - 1] < sigma[i]), 0)
+        steps.append((i, comb.perm_on_comp(comb.transposition(N, i, i + 1),
+                                           sigma) if i else None))
+    children = Counter(parent for _, parent in steps)
     elements, forms, zetas = [], [], {}
+    # The solve and the steps allocate millions of small lists, tuples and
+    # dicts that form no reference cycles, so reference counting frees
+    # them all; the cyclic collector's full passes over them took a
+    # quarter of build_module (2,4,7).  It is paused for the loop.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        for sigma in sigmas:
+        for sigma, (i, parent) in zip(sigmas, steps):
             w, tab = comb.tableau_from_rlp(label.lam, sigma)
-            i = next((i for i in range(1, N) if sigma[i - 1] < sigma[i]), 0)
-            if i:  # moving a larger entry left keeps the lattice condition
-                jp = jack.z2sz_step(zetas[comb.perm_on_comp(
-                    comb.transposition(N, i, i + 1), sigma)], i)
+            if i:
+                jp = jack.z2sz_step(zetas[parent], i)
+                children[parent] -= 1
+                if not children[parent]:
+                    del zetas[parent]
             else:
                 jp = jack.zeta_x(sigma, N)
-            zetas[sigma] = jp
+            if children[sigma]:
+                zetas[sigma] = jp
             try:
                 f = jp.specialize(kappa0)
             except PoleError:
@@ -240,6 +265,8 @@ def build_module(m, n, N):
             forms.append(big_f)
     finally:
         jack.clear_caches()
+        if collecting:
+            gc.enable()
     module = SingularModule(label, elements)
     module.seminormal = _certify_action(module, forms)
     return module

@@ -5,6 +5,8 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singjack import cli
 from singjack import exactarith
@@ -334,7 +336,7 @@ def test_zeta_empties_the_jack_memos(capsys, tmp_path, monkeypatch):
 
     def zeta_x_fails(alpha, n):
         zeta_x(alpha, n)
-        filled.append(bool(jack._KTERMS_CACHE) and bool(jack._ZETA_CACHE))
+        filled.append(bool(jack._ZETA_CACHE))
         raise jack.SolveFailure("injected")
 
     monkeypatch.setattr(jack, "zeta_x", zeta_x_fails)
@@ -594,3 +596,30 @@ def test_a_cache_hit_stays_off_q_kappa(capsys, tmp_path, monkeypatch):
                 if not kappa:
                     assert out == fresh
         assert calls == []
+
+
+# --------------------------------------------------- the indent-1 writer
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+                | st.integers(-2**70, 2**70) | st.text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_JSON_LEAVES, lambda inner: (
+    st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.lists(st.integers(), max_size=4) | st.lists(st.text(), max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4)), max_leaves=25))
+@example([[], {}, [[]], {"": {}}, [True, 1, "1"], {"é": ["ü\n", " "]}])
+def test_the_writer_matches_json_dumps_indent_1(obj):
+    # nested empty containers, bools, None, ints and non-ASCII strings,
+    # as lists, tuples and dicts of any depth
+    assert cli._dumps(obj) == json.dumps(obj, indent=1)
+
+
+def test_the_writer_matches_json_dumps_on_a_report():
+    report = singular.build_module(2, 5, 6).to_json()
+    assert cli._dumps(report) == json.dumps(report, indent=1)
+    # a value or key of another type is refused, never written differently
+    for obj in ({"kappa": Fraction(1, 2)}, [0.5], {1: 0}):
+        with pytest.raises(TypeError):
+            cli._dumps(obj)

@@ -278,3 +278,34 @@ def test_swap_terms_matches_the_permutation_route(f):
         out = {}
         ops.cherednik_k_terms(n, i, f.terms, out)
         assert out == slow.terms
+
+
+@st.composite
+def _generic_polys(draw):
+    """A polynomial in N = 3 or 4 variables, each exponent at most 2, with
+    coefficients (a + b kappa)/c in Q(kappa)."""
+    n = draw(st.sampled_from([3, 4]))
+    exps = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+    coeffs = st.builds(lambda a, b, c: KAPPA * b + Fraction(a, c),
+                       st.integers(-5, 5), st.integers(-5, 5),
+                       st.integers(1, 4))
+    return mp.MultiPoly(n, draw(st.dictionaries(exps, coeffs, max_size=5)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generic_polys())
+def test_adjacent_transpositions_intertwine_the_cherednik_operators(f):
+    # s_i U_i - U_{i+1} s_i = kappa and s_i U_j = U_j s_i for j not in
+    # {i, i+1}, over Q(kappa): the identities behind the certificate of a
+    # stepped zeta (jack._assert_intertwined)
+    n = f.n
+    ctx = ops.OperatorContext(n)
+    for i in range(1, n):
+        s = transposition(n, i, i + 1)
+        assert (mp.apply_perm(s, ops.cherednik(ctx, i, f))
+                - ops.cherednik(ctx, i + 1, mp.apply_perm(s, f))
+                == mp.poly_scale(f, KAPPA))
+        for j in range(1, n + 1):
+            if j not in (i, i + 1):
+                assert (mp.apply_perm(s, ops.cherednik(ctx, j, f))
+                        == ops.cherednik(ctx, j, mp.apply_perm(s, f)))

@@ -1,6 +1,7 @@
 """Module construction, certification, and representation structure."""
 
 import functools
+import gc
 from fractions import Fraction
 
 import pytest
@@ -190,7 +191,7 @@ def test_build_module_empties_the_jack_memos(monkeypatch):
     filled = []
 
     def murphy_fails(*args):
-        filled.append(bool(jack._KTERMS_CACHE) and bool(jack._ZETA_CACHE))
+        filled.append(bool(jack._ZETA_CACHE))
         return False
 
     monkeypatch.setattr(singular, "_murphy_ok", murphy_fails)
@@ -198,6 +199,24 @@ def test_build_module_empties_the_jack_memos(monkeypatch):
         singular.build_module(1, 2, 4)
     assert filled == [True]
     assert not any(memos)
+
+
+def test_build_module_restores_the_cycle_collector(monkeypatch):
+    # the collector is paused for the solve and the steps only, and comes
+    # back on after a failure too; a caller that paused it keeps it paused
+    singular.build_module(1, 2, 4)
+    assert gc.isenabled()
+    monkeypatch.setattr(singular, "_murphy_ok", lambda *args: False)
+    with pytest.raises(jack.FormulaMismatch):
+        singular.build_module(1, 2, 4)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(jack.FormulaMismatch):
+            singular.build_module(1, 2, 4)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------- the kappa0 certificates over Z
