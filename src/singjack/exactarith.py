@@ -252,14 +252,19 @@ def _at_root(num, a, b):
 
 def _divide_out(num, a, b, most):
     """(num / (a*k + b)^m, m) for the largest m <= most with (a*k + b)^m
-    dividing the nonzero num, by synthetic division; a*k + b primitive, so
-    each quotient stays in Z[k] (Gauss's lemma)."""
+    dividing the nonzero num, by synthetic division.  a*k + b is primitive
+    with a > 0, so a quotient in Q[k] lies in Z[k] (Gauss's lemma): a pass
+    stops at the first step a does not divide, or a nonzero remainder."""
     m = 0
-    while m < most and not _at_root(num, a, b):
+    while m < most and len(num) > 1:
         quo, r = [0] * (len(num) - 1), num[-1]
         for j in range(len(num) - 2, -1, -1):
-            quo[j] = r // a
+            quo[j], r = divmod(r, a)
+            if r:
+                return num, m
             r = num[j] - b * quo[j]
+        if r:
+            return num, m
         num, m = quo, m + 1
     return num, m
 

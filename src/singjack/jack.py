@@ -2,26 +2,39 @@
 
 zeta_x is a triangular joint-eigenvector solve against the Cherednik
 operators; the step formulas derive zeta_{t alpha} from zeta_alpha by the
-Knop-Sahi intertwiner, summed by the solve's kernel (_combined).  All
-arithmetic is exact.
+Knop-Sahi intertwiner.  All arithmetic is exact.
 
-A JackPoly keeps factored coefficients, a Z[kappa] numerator over an
-integer times linear factors.  The solve, the steps, the eigen, shape
-and intertwiner checks, the denominator profile, specialization and the
-JSON (to_json, and from_json, which reads coefficient strings with int())
-run on them; the Q(kappa) MultiPoly is built only when .poly is read, by
-dm_formula, bigdiff_verify, ks_coefficient_check, the inputs of p_expand
-and tests.
+The integer form.  A JackPoly holds N over d: nums maps each exponent e
+to N_e in Z[kappa] (an int list, low degree first), den = (d0, facs) is
+d = d0 prod f^m, f = (a, b) the primitive a*kappa + b with a > 0, and the
+coefficient at x^e is N_e / d.  Knop and Sahi (Invent. Math. 128, 1997)
+prove d_alpha E_alpha integral, d_alpha = prod over the boxes s of alpha
+of (a(s) + 1) alpha + l(s) + 1 with their leg for compositions.  With
+alpha = 1/kappa a box gives (l(s) + 1) kappa + a(s) + 1 (_ks_denominator)
+and N = d_alpha zeta_alpha is in Z[kappa][x]; with L, P and Q as below,
+d_{s_i alpha} = d_alpha Q / L (tests/test_jack.py checks both on every
+small composition).  So the solve divides each kappa S by its pivot
+factor exactly, and the x-basis step is N' = (L s_i N - kappa N) / P over
+d_alpha Q / L.  Each division is by _divide_out or an integer divmod, and
+a remainder raises SolveFailure.  build_module divides out of
+zeta_lambda, once (cancel_common), each factor C of d_lambda that
+divides all of N and is no step's L or P.  A step from N = N_alpha / C
+then still divides exactly: P N'_alpha = C (L s_i N - kappa N) for the
+integral N'_alpha = d_{s_i alpha} zeta_{s_i alpha}, and C is primitive
+and prime to P, so C | N'_alpha by Gauss's lemma.  The reduced factored
+form of each coefficient (JackPoly.coeffs) is built only where it is
+printed or compared; denominator_factors is read off N by a witness
+scan, and specialize divides out only the factor with root kappa0.
 
 Certificates.  A solved zeta, a cache load (from_json), movert_step,
 movelt_step and every step in basis p are certified by their N - 1
 eigen-equations (JackPoly._assert_eigen).  The adjacent step in basis x,
-the one build_module takes, derives zeta' from a certified
-zeta = zeta_alpha with alpha_i > alpha_{i+1}.  It is certified by its
-coefficient 1 at x^{s_i alpha} and the intertwiner identity
+the one build_module takes, derives zeta' = N' / d' from a certified
+zeta = N / d = zeta_alpha with alpha_i > alpha_{i+1}.  It is certified by
+its lead N'_{s_i alpha} = d' and the intertwiner identity
 (_assert_intertwined)
 
-    P Q zeta' = L (L s_i zeta - kappa zeta),
+    P N' = L s_i N - kappa N,
 
 where L = xi_i(alpha) - xi_{i+1}(alpha) = d_r kappa + delta,
 P = L - kappa and Q = L + kappa.  Proof that these certify
@@ -39,57 +52,31 @@ zeta' = zeta_{s_i alpha}:
                 = xi_{i+1} s_i zeta - a xi_{i+1} zeta = xi_{i+1} g,
 
   and U_j g = xi_j g for every other j.  Swapping alpha_i > alpha_{i+1}
-  swaps their ranks, so xi(s_i alpha) is xi(alpha) with entries i and
-  i + 1 swapped: g has the spectrum of s_i alpha.
+  swaps their ranks, so g has the spectrum of s_i alpha.
 - At generic kappa distinct compositions have distinct spectra, and the
   zeta_beta of degree |alpha| are a basis of eigenvectors, so that joint
   eigenspace is the line of zeta_{s_i alpha}.
-- The identity says zeta' = L^2 g / (P Q) = g / (1 - a^2), so
-  zeta' = c zeta_{s_i alpha} for a scalar c.  zeta_{s_i alpha} has
-  coefficient 1 at x^{s_i alpha}, so c is the coefficient of zeta' there,
-  which is asserted to be 1.  So zeta' also has the shape of
-  zeta_{s_i alpha}, and its support is not scanned.
+- L s_i N - kappa N = d L g, so the identity gives zeta' = c zeta_{s_i
+  alpha} for a scalar c, the coefficient of zeta' at x^{s_i alpha}, which
+  the lead makes 1.  So zeta' has the shape of zeta_{s_i alpha} too, and
+  its support is not scanned.
 
 So zeta' = zeta_{s_i alpha} with no eigen-equation of its own and no K_i
-term.  The check runs on the cleared integer forms, Kronecker-packed as
-the eigen check is.  No memo is kept across calls apart from the zeta
-and p-basis memos that clear_caches empties.
+term.  The identity is checked Kronecker-packed, as the eigen check is.
+No memo is kept across calls apart from the zeta and p-basis memos that
+clear_caches empties.
 """
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from . import combinatorics as comb
-from .exactarith import (
-    KP_ONE,
-    KP_ZERO,
-    KappaPoly,
-    KappaRatio,
-    KR_ZERO,
-    PoleError,
-    _at_root,
-    _axpy,
-    _divide_out,
-    _int_form,
-    _times,
-    kappa_linear,
-    rat_to_str,
-    ratio_str,
-)
-from .multipoly import (
-    FieldMismatch,
-    MultiPoly,
-    apply_perm,
-    coeff,
-    expand_in_basis,
-    mp_zero,
-    perm_terms,
-    poly_add,
-    poly_scale,
-    poly_sub,
-    support_order,
-    word_apply,
-)
+from .exactarith import (KP_ONE, KP_ZERO, KappaPoly, KappaRatio, KR_ZERO,
+                         PoleError, _at_root, _axpy, _divide_out, _int_form,
+                         _times, kappa_linear, rat_to_str, ratio_str)
+from .multipoly import (FieldMismatch, MultiPoly, apply_perm, coeff,
+                        expand_in_basis, mp_zero, perm_terms, poly_add,
+                        poly_scale, poly_sub, support_order, word_apply)
 from .operators import (OperatorContext, cherednik_k_terms, dunkl,
                         swap_terms)
 
@@ -120,15 +107,70 @@ class SolveFailure(ArithmeticError):
     pass
 
 
-# ----------------------------------------------------- factored coefficients
+# -------------------------------------------------------------- integer forms
 
-# A coefficient is held factored, as (num, d0, facs): num / (d0 * prod f^m)
-# with num in Z[kappa] as an int list, d0 a positive int and facs a sorted
-# tuple of (f, m), f = (a, b) the primitive factor a*kappa + b with a > 0.
-# It is reduced: num is nonzero and coprime to every f, and d0 is coprime
-# to the content of num.  So equal values have equal forms.
+def _split(a, b):
+    """(g, f) with a*kappa + b = g * f: f the primitive factor with a
+    positive leading coefficient, or f None and g = b when a is 0."""
+    if not a:
+        return b, None
+    g = gcd(a, b) if a > 0 else -gcd(a, b)
+    return g, (a // g, b // g)
 
-_ONE = ([1], 1, ())
+
+def _rescaled(den, ups, downs):
+    """The denominator den times the linear factors ups over those in
+    downs, int pairs (a, b) for a*kappa + b; SolveFailure when one of
+    downs does not divide it."""
+    d0, top = den[0], dict(den[1])
+    for (a, b), up in [(f, 1) for f in ups] + [(f, 0) for f in downs]:
+        g, f = _split(a, b)
+        if not up and (d0 % g or f and not top.get(f)):
+            raise SolveFailure("%d*k + %d does not divide the denominator"
+                               % (a, b))
+        d0 = d0 * g if up else d0 // g
+        if f:
+            top[f] = top.get(f, 0) + (1 if up else -1)
+    return d0, tuple(sorted((f, m) for f, m in top.items() if m))
+
+
+def _ks_denominator(alpha):
+    """d_alpha, the product over the boxes (i, j) of alpha of
+    (l + 1) kappa + a + 1 with a = alpha_i - j and l the number of k > i
+    with j <= alpha_k <= alpha_i and of k < i with j <= alpha_k + 1 <=
+    alpha_i."""
+    boxes = [(sum(j <= ak <= ai for ak in alpha[i + 1:])
+              + sum(j <= ak + 1 <= ai for ak in alpha[:i]) + 1, ai - j + 1)
+             for i, ai in enumerate(alpha) for j in range(1, ai + 1)]
+    return _rescaled((1, ()), boxes, [])
+
+
+def _times_all(num, pairs):
+    """num times every a*kappa + b in pairs."""
+    for a, b in pairs:
+        num = _times(num, a, b) if a else [b * x for x in num]
+    return num
+
+
+def _den_expansion(facs, d0=1):
+    """d0 * prod f^m over the factor tuple facs, as a Z[kappa] int list;
+    its leading coefficient is d0 * prod a^m."""
+    return _times_all([d0], [f for f, m in facs for _ in range(m)])
+
+
+def _divided(num, a, b):
+    """num / (a*kappa + b) in Z[kappa], by an integer divmod and
+    _divide_out; SolveFailure when it does not divide."""
+    g, f = _split(a, b)
+    exact = True
+    if g != 1:
+        num, rest = zip(*(divmod(x, g) for x in num))
+        num, exact = list(num), not any(rest)
+    if exact and f:
+        num, exact = _divide_out(num, *f, 1)
+    if not exact:
+        raise SolveFailure("%d*k + %d does not divide a numerator" % (a, b))
+    return num
 
 
 def _reduced(num, d0, top):
@@ -143,53 +185,14 @@ def _reduced(num, d0, top):
             tuple(sorted((f, m) for f, m in top.items() if m)))
 
 
-def _combined(groups, tops, bottoms):
-    """The factored form of (sum of groups) * prod(tops) / prod(bottoms),
-    or None when the sum vanishes; groups maps (d0, facs) to a Z[kappa]
-    numerator, and tops and bottoms list nonzero int pairs (a, b) standing
-    for a*kappa + b.  The sum is taken over the lcm of the denominators,
-    each numerator times the factors its facs lack, and then reduced
-    (_reduced): every linear factor is known, so no gcd is taken."""
-    d0 = lcm(*(gd for gd, _ in groups))
-    top = {}
-    for _, facs in groups:
-        for f, m in facs:
-            top[f] = max(top.get(f, 0), m)
-    total = []
-    for (gd, facs), num in groups.items():
-        have = dict(facs)
-        for (a, b), m in top.items():
-            for _ in range(m - have.get((a, b), 0)):
-                num = _times(num, a, b)
-        if total:
-            _axpy(total, num, d0 // gd)
-        else:
-            total = [d0 // gd * x for x in num]
-    while total and not total[-1]:
-        total.pop()
-    if not total:
-        return None
-    for a, b in tops:
-        total = _times(total, a, b) if a else [b * x for x in total]
-    for a, b in bottoms:
-        g = b if not a else gcd(a, b) if a > 0 else -gcd(a, b)
-        d0 *= g
-        if a:
-            top[a // g, b // g] = top.get((a // g, b // g), 0) + 1
-    return _reduced(total, d0, top)
-
-
 def _factored_terms(items, roots):
-    """The factored forms {e: (num, d0, facs)} of the coefficients given as
-    (e, (num, dn), (den, dd)), each (num/dn) / (den/dd) with num and den
-    in Z[kappa] as int lists and dn, dd positive ints.
-
-    Each distinct den is divided once by the primitive linear factors in
-    roots with _divide_out.  SolveFailure when an exponent repeats, a
-    coefficient is zero, its denominator is zero, not monic or not fully
-    factored by roots, or a factor's root is a root of its numerator.  So
-    the forms have the coefficients' values, and the coefficients as
-    given are canonical."""
+    """The reduced factored forms {e: (num, d0, facs)} of the coefficients
+    given as (e, (num, dn), (den, dd)), each (num/dn) / (den/dd) with num
+    and den Z[kappa] int lists and dn, dd positive ints; each distinct den
+    is divided once by the primitive linear factors in roots.  SolveFailure
+    when an exponent repeats, a coefficient is zero, its denominator is
+    zero, not monic or not factored by roots, or it is not reduced: so the
+    coefficients as given are canonical."""
     split = {}
     out = {}
     for e, (num, dn), (den, dd) in items:
@@ -217,16 +220,6 @@ def _factored_terms(items, roots):
     return out
 
 
-def _den_expansion(facs):
-    """prod f^m over the factor tuple facs, as a Z[kappa] int list; its
-    leading coefficient is prod a^m."""
-    den = [1]
-    for f, m in facs:
-        for _ in range(m):
-            den = _times(den, *f)
-    return den
-
-
 def _rationals(strs):
     """(ints, d), d > 0 the lcm of the denominators, with the rationals
     written "p" or "p/q" in strs equal to ints / d; trailing zeros are
@@ -245,83 +238,6 @@ def _rationals(strs):
     while ints and not ints[-1]:
         ints.pop()
     return ints, d
-
-
-def _profile(coeffs):
-    """{f: the largest multiplicity of f over the factored coeffs}."""
-    top = {}
-    for facs in {c[2] for c in coeffs.values()}:
-        for f, m in facs:
-            if m > top.get(f, 0):
-                top[f] = m
-    return top
-
-
-def denominator_profile(coeffs):
-    """The denominator factors kappa + c of the factored coeffs, each with
-    its largest multiplicity in one coefficient, ordered by c."""
-    roots = {Fraction(b, a): m for (a, b), m in _profile(coeffs).items()}
-    return [(kappa_linear(1, c), roots[c]) for c in sorted(roots)]
-
-
-def _cofactors(coeffs):
-    """(L, C, q) for the factored coeffs: L the lcm of the d0, C = L*D as
-    a Z[kappa] int list with D = prod f^M_f over the profile, and q
-    mapping each factor tuple facs of coeffs to prod f^(M_f - m_f), the
-    cofactor of its denominator in D, as an int list."""
-    top = _profile(coeffs)
-    big_l = lcm(*(d0 for _, d0, _ in coeffs.values()))
-    cofactor = {}
-    for facs in {c[2] for c in coeffs.values()}:
-        have = dict(facs)
-        q = [1]
-        for f, m in top.items():
-            for _ in range(m - have.get(f, 0)):
-                q = _times(q, *f)
-        cofactor[facs] = q
-    scale = [big_l * x for x in _den_expansion(tuple(top.items()))]
-    return big_l, scale, cofactor
-
-
-def _cleared(coeffs):
-    """F = C*f as {exponent: Z[kappa] int list, low degree first}, C = L*D
-    of _cofactors.
-
-    F_e = (L/d0_e) num_e prod f^(M_f - m_{e,f}) with no division, and C is
-    a nonzero element of Z[kappa]."""
-    big_l, _, cofactor = _cofactors(coeffs)
-    out = {}
-    for e, (num, d0, facs) in coeffs.items():
-        q = cofactor[facs]
-        scale = big_l // d0
-        prod = [0] * (len(num) + len(q) - 1)
-        for s, x in enumerate(num):
-            if x:
-                x *= scale
-                for t, y in enumerate(q):
-                    prod[s + t] += x * y
-        out[e] = prod
-    return out
-
-
-def _packed_cleared(coeffs):
-    """The cleared form F = C*f of _cleared, left unexpanded, for Kronecker
-    packing: (C, h, pack), with C = L*D as an int list, h at least the
-    1-norm of every F_e, and pack(bits) = {e: F_e(2**bits)}.
-
-    F_e = (L/d0_e) num_e q_e with q_e the cofactor of _cofactors, so F_e(X)
-    is (L/d0_e) num_e(X) q_e(X), each q_e packed once per factor tuple, and
-    the 1-norm is submultiplicative: |F_e| <= (L/d0_e) |num_e| |q_e|."""
-    big_l, scale, cofactor = _cofactors(coeffs)
-    norms = {facs: _norm(q) for facs, q in cofactor.items()}
-    h = max(big_l // d0 * _norm(num) * norms[facs]
-            for num, d0, facs in coeffs.values())
-
-    def pack(bits):
-        at = {facs: _pack(q, bits) for facs, q in cofactor.items()}
-        return {e: big_l // d0 * _pack(num, bits) * at[facs]
-                for e, (num, d0, facs) in coeffs.items()}
-    return scale, h, pack
 
 
 def _norm(num):
@@ -367,30 +283,48 @@ class JackPoly:
 
     basis "x": coefficient of x^alpha is 1 and the rest of the support is
     strictly below alpha in the triangle order.  basis "p": the same
-    polynomial rescaled so its p-expansion is monic at p_alpha.
-    coeffs maps each exponent to its factored coefficient (num, d0, facs);
-    the step formulas, the eigen check, the shape check and specialize run
-    on it, and the Q(kappa) MultiPoly .poly is built from it when first
-    read.
-    denominator_factors lists (kappa + c, multiplicity) pairs, as
-    denominator_profile reads them off coeffs.
+    polynomial rescaled so its p-expansion is monic at p_alpha.  It is
+    held as its integer form nums over den (module docstring).
     """
 
-    __slots__ = ("alpha", "n", "basis", "coeffs", "denominator_factors",
-                 "_poly")
+    __slots__ = ("alpha", "n", "basis", "nums", "den", "_coeffs",
+                 "_factors", "_poly")
 
-    def __init__(self, alpha, n, basis, coeffs, check=True):
+    def __init__(self, alpha, n, basis, nums, den, check=True):
         if basis not in ("x", "p"):
             raise ValueError("basis must be 'x' or 'p', got %r" % (basis,))
         self.alpha = comb.pad(alpha, n)
         self.n = n
         self.basis = basis
-        self.coeffs = coeffs
-        self.denominator_factors = denominator_profile(coeffs)
-        self._poly = None
+        self.nums = nums
+        self.den = den
+        self._coeffs = self._factors = self._poly = None
         if check:
             self.assert_shape()
             self._assert_eigen()
+
+    @classmethod
+    def _from_coeffs(cls, alpha, n, basis, coeffs, check):
+        """The JackPoly of the reduced factored coeffs, over
+        den = L * prod f^M_f with L the lcm of the d0 and M_f the largest
+        multiplicity of f: nums[e] = (L/d0_e) num_e prod f^(M_f - m_{e,f})."""
+        top = {}
+        for facs in {c[2] for c in coeffs.values()}:
+            for f, m in facs:
+                top[f] = max(top.get(f, 0), m)
+        big_l = lcm(*(d0 for _, d0, _ in coeffs.values()))
+        cofactors, nums = {}, {}
+        for e, (num, d0, facs) in coeffs.items():
+            q = cofactors.get(facs)
+            if q is None:
+                have = dict(facs)
+                q = cofactors[facs] = [f for f, m in top.items()
+                                       for _ in range(m - have.get(f, 0))]
+            nums[e] = _times_all([big_l // d0 * x for x in num], q)
+        jp = cls(alpha, n, basis, nums, (big_l, tuple(sorted(top.items()))),
+                 check)
+        jp._coeffs = coeffs
+        return jp
 
     @classmethod
     def from_poly(cls, alpha, n, basis, poly, candidates, check=True):
@@ -406,9 +340,39 @@ class JackPoly:
                 roots.add((c.denominator, c.numerator))
         items = ((e, _int_form(c.num), _int_form(c.den))
                  for e, c in poly.terms.items())
-        jp = cls(alpha, n, basis, _factored_terms(items, roots), check)
+        jp = cls._from_coeffs(alpha, n, basis, _factored_terms(items, roots),
+                              check)
         jp._poly = poly
         return jp
+
+    @property
+    def coeffs(self):
+        """{e: the reduced factored form of the coefficient at x^e}."""
+        if self._coeffs is None:
+            d0, facs = self.den
+            self._coeffs = {e: _reduced(num, d0, dict(facs))
+                            for e, num in self.nums.items()}
+        return self._coeffs
+
+    @property
+    def denominator_factors(self):
+        """The factors kappa + c of the reduced denominators with their
+        largest multiplicities, ordered by c: M less the least multiplicity
+        in the numerators for f^M in den, scanned from the last numerator
+        until a witness that f does not divide."""
+        if self._factors is None:
+            roots = {}
+            for f, m in self.den[1]:
+                least = m
+                for num in reversed(self.nums.values()):
+                    least = _divide_out(num, *f, least)[1]
+                    if not least:
+                        break
+                if m > least:
+                    roots[Fraction(f[1], f[0])] = m - least
+            self._factors = [(kappa_linear(1, c), roots[c])
+                             for c in sorted(roots)]
+        return self._factors
 
     @property
     def poly(self):
@@ -442,8 +406,8 @@ class JackPoly:
         kappa * sum_i (N - r(alpha, i)), the ranks a permutation of 1..N.
         Hence U_N f = xi_N f follows from the other N - 1 equations.
 
-        F = L*D*f (see _cleared) is f times a nonzero element of Q[kappa].
-        With U_i = U_i^0 + kappa*K_i, U_i^0 x^e = (e_i + 1) x^e and
+        The integer form F = nums is f times the nonzero den.  With
+        U_i = U_i^0 + kappa*K_i, U_i^0 x^e = (e_i + 1) x^e and
         xi_i = a_i*kappa + b_i, the identity holds iff the residual
         R = (U_i^0 - b_i - a_i*kappa) F + kappa*K_i F is 0.  It is checked
         at kappa = X = 2**B (Kronecker substitution): with P_g = F_g(X),
@@ -459,7 +423,7 @@ class JackPoly:
         R_e(X) != 0.  Hence R_e(X) = 0 iff R_e = 0.
         """
         n = self.n
-        big_f = _cleared(self.coeffs)
+        big_f = self.nums
         weight = comb.comp_weight(self.alpha)
         if any(sum(e) != weight for e in big_f):
             raise SolveFailure("zeta_%s is not homogeneous" % (self.alpha,))
@@ -476,50 +440,58 @@ class JackPoly:
                     "U_%d eigen-equation fails for alpha=%s"
                     % (i, self.alpha))
 
+    def _assert_lead(self):
+        """Assert nums[alpha] / den is 1 in basis x and p_to_x_factor(alpha)
+        = prod tops / prod bottoms in basis p."""
+        d0, facs = self.den
+        got, want = self.nums.get(self.alpha), _den_expansion(facs, d0)
+        if got and self.basis == "p":
+            tops, bottoms = p_to_x_factors(self.alpha)
+            got, want = _times_all(got, bottoms), _times_all(want, tops)
+        if got != want:
+            raise SolveFailure("coefficient of zeta_%s at its own x^alpha "
+                               "is not %s" % (self.alpha, "1" if self.basis
+                                              == "x" else "p_to_x_factor"))
+
     def assert_shape(self):
         """Assert the support is alpha and exponents strictly below it, with
         1 at x^alpha in basis x and p_to_x_factor(alpha) in basis p."""
-        lead = self.coeffs.get(self.alpha)
-        want = _ONE if self.basis == "x" else _combined(
-            {(1, ()): [1]}, *p_to_x_factors(self.alpha))
-        if lead != want:
-            raise SolveFailure("coefficient at x^alpha is %r, not %r"
-                               % (lead, want))
+        self._assert_lead()
         weight = comb.comp_weight(self.alpha)
-        for e in self.coeffs:
+        for e in self.nums:
             if e != self.alpha and not (
                     sum(e) == weight and comb.triangle_greater(self.alpha, e)):
                 raise SolveFailure("support %s not below %s" % (e, self.alpha))
 
     def specialize(self, kappa0):
-        """The MultiPoly at kappa = kappa0, from the factored form.
+        """The MultiPoly at kappa = kappa0 = p/q in lowest terms.
 
-        With kappa0 = p/q in lowest terms, a coefficient num/(d0 prod f^m)
-        with s = deg num and M = sum of the m takes the value
-        q^(M-s) _at_root(num, q, -p) / (d0 prod (a*p + b*q)^m), each factor
-        a*kappa + b evaluated once.  PoleError if a factor vanishes."""
+        f0 = q*kappa - p, the one primitive factor with root kappa0, is
+        divided out of every numerator as often as it divides den, or
+        PoleError.  A numerator n of degree s then takes the value
+        q^(T-s) _at_root(n, q, -p) / D, with T the degree of den less f0
+        and D = d0 * prod (a*p + b*q)^m over the other factors."""
         kappa0 = Fraction(kappa0)
         p, q = kappa0.numerator, kappa0.denominator
-        at = {(a, b): a * p + b * q for a, b in _profile(self.coeffs)}
-        for f, v in at.items():
-            if not v:
-                raise PoleError("denominator factor %s vanishes at kappa=%s"
-                                % (kappa_linear(*f).monic(),
-                                   rat_to_str(kappa0)), at=kappa0)
-        dens = {}
+        d0, facs = self.den
+        pole = dict(facs).get((q, -p), 0)
+        at = d0 * prod((a * p + b * q) ** m for (a, b), m in facs
+                       if (a, b) != (q, -p))
+        deg = sum(m for _, m in facs) - pole
         terms = {}
-        for e, (num, d0, facs) in self.coeffs.items():
+        for e, num in self.nums.items():
+            if pole:
+                num, m = _divide_out(num, q, -p, pole)
+                if m < pole:
+                    raise PoleError("denominator factor %s vanishes at "
+                                    "kappa=%s" % (kappa_linear(q, -p).monic(),
+                                                  rat_to_str(kappa0)),
+                                    at=kappa0)
             v = _at_root(num, q, -p)
             if v:
-                if facs not in dens:
-                    den = 1
-                    for f, m in facs:
-                        den *= at[f] ** m
-                    dens[facs] = den, sum(m for _, m in facs)
-                den, deg = dens[facs]
                 s = deg - len(num) + 1
-                terms[e] = (Fraction(v * q ** s, d0 * den) if s >= 0 else
-                            Fraction(v, d0 * den * q ** -s))
+                terms[e] = (Fraction(v * q ** s, at) if s >= 0 else
+                            Fraction(v, at * q ** -s))
         return MultiPoly(self.n, terms, field=kappa0, _clean=True)
 
     def degree(self):
@@ -548,16 +520,13 @@ class JackPoly:
 
     @classmethod
     def from_json(cls, obj):
-        """The JackPoly stored as obj, read with int() and no gcd.
-
-        Each coefficient string is read by _rationals and each distinct
-        den list is factored once by the stored denominator factors
-        (_factored_terms); the constructor then checks the shape and the
-        eigen-equations, and the stored factors must be the ones read off
-        the coefficients.  SolveFailure on a zero, repeated, non-canonical
-        or non-reduced term, on a failed shape or eigen check or on other
-        stored factors; ValueError on an exponent that is not N entries of
-        at least 0."""
+        """The JackPoly stored as obj, read with int() and no gcd: each
+        coefficient by _rationals, each distinct den list factored once by
+        the stored factors (_factored_terms), then the shape and the
+        eigen-equations checked, and the stored factors must be those read
+        off.  SolveFailure on a zero, repeated, non-canonical or non-reduced
+        term, a failed check or other stored factors; ValueError on an
+        exponent that is not N entries of at least 0."""
         if obj["field"] != "Q(k)":
             raise FieldMismatch("field %r is not Q(k)" % (obj["field"],))
         n = obj["N"]
@@ -565,9 +534,7 @@ class JackPoly:
         for d in obj["denominator_factors"]:
             ints, _ = _rationals(d["factor"])
             if len(ints) == 2:
-                b, a = ints
-                g = gcd(a, b) if a > 0 else -gcd(a, b)
-                roots.add((a // g, b // g))
+                roots.add(_split(*ints[::-1])[1])
         dens, items = {}, []
         for t in obj["terms"]:
             e = tuple(map(int, t["exp"]))
@@ -580,7 +547,8 @@ class JackPoly:
             if den is None:
                 den = dens[key] = _rationals(key)
             items.append((e, _rationals(c["num"]), den))
-        jp = cls(obj["alpha"], n, obj["basis"], _factored_terms(items, roots))
+        jp = cls._from_coeffs(obj["alpha"], n, obj["basis"],
+                              _factored_terms(items, roots), True)
         if obj["denominator_factors"] != factors_json(jp.denominator_factors):
             raise SolveFailure("stored denominator factors %s are not those "
                                "of the coefficients"
@@ -618,9 +586,9 @@ def zeta_x(alpha, n):
     Triangular solve over the down-set of alpha: the coefficient at a lower
     beta is kappa * sum_gamma c_gamma [x^beta] K_i x^gamma over
     xi_i(alpha) - xi_i(beta), i the least index where the spectra differ.
-    It runs over Z[kappa] with the linear denominators known (_combined),
-    with no polynomial gcd, and its factored coefficients are the
-    JackPoly's; then every eigen-equation is asserted on them.
+    It runs on the integer form N over d_alpha (module docstring), with
+    one Z[kappa] sum per pending beta; then the shape and every
+    eigen-equation are asserted on N.
     """
     alpha = _ambient(alpha, n)
     key = (alpha, n, "x")
@@ -638,29 +606,58 @@ def zeta_x(alpha, n):
         pivots[beta] = (i + 1, spec_a[i][0] - spec_b[i][0],
                         spec_a[i][1] - spec_b[i][1])
     used = {p[0] for p in pivots.values()}
-    # pending[beta]: the contributions of the solved gammas, grouped by
-    # denominator.  K_i x^gamma lies triangle-below gamma, so all of them
-    # arrive before beta is reached in down-set order.
+    # pending[beta]: the sum S of the solved gammas' contributions.
+    # K_i x^gamma lies triangle-below gamma, so all of them arrive before
+    # beta is reached in down-set order.
+    den = _ks_denominator(alpha)
     pending = {}
-    coeffs = {}
+    nums = {}
     for beta in dset:
-        groups = pending.pop(beta, None)
-        c = _ONE if beta == alpha else (
-            groups and _combined(groups, [(1, 0)], [pivots[beta][1:]]))
-        if not c:
-            continue
-        coeffs[beta] = num, d0, facs = c
+        if beta == alpha:
+            num = _den_expansion(den[1], den[0])
+        else:
+            num = pending.pop(beta, None)
+            while num and not num[-1]:
+                num.pop()
+            if not num:
+                continue
+            num = _divided([0] + num, *pivots[beta][1:])
+        nums[beta] = num
         for i in used:
             k_terms = {}
             cherednik_k_terms(n, i, {beta: 1}, k_terms)
             for b2, k in k_terms.items():
                 if b2 != beta and pivots.get(b2, (0,))[0] == i:
-                    _axpy(pending.setdefault(b2, {}).setdefault(
-                        (d0, facs), []), num, k)
+                    _axpy(pending.setdefault(b2, []), num, k)
 
-    zp = JackPoly(alpha, n, "x", coeffs)
+    zp = JackPoly(alpha, n, "x", nums, den)
     _ZETA_CACHE[key] = zp
     return zp
+
+
+def cancel_common(zeta, steps):
+    """zeta with each factor f of den that divides every numerator divided
+    out of them and of den, one round at a time, unless f is a factor of
+    the L or P of one of the steps (alpha, i); the integer part stays
+    (module docstring)."""
+    keep = {_split(*pair)[1] for alpha, i in steps
+            for pair in _intertwiner(alpha, i, i + 1)[:2]}
+    nums, (d0, facs) = zeta.nums, zeta.den
+    left = []
+    for f, m in facs:
+        while f not in keep and m:
+            quotients = {}
+            for e in reversed(nums):  # the last is the likeliest witness
+                quotients[e], one = _divide_out(nums[e], *f, 1)
+                if not one:
+                    break
+            if not one:
+                break
+            nums, m = {e: quotients[e] for e in nums}, m - 1
+        if m:
+            left.append((f, m))
+    return JackPoly(zeta.alpha, zeta.n, zeta.basis, nums, (d0, tuple(left)),
+                    check=False)
 
 
 def p_to_x_factors(alpha):
@@ -678,21 +675,20 @@ def p_to_x_factor(alpha):
 
 
 def zeta_p(alpha, n):
-    """The p-monic eigenvector: zeta_x rescaled by the hook/E factor, each
-    factored coefficient times its numerators over its denominators
-    (_combined), with no gcd.  The scalar is nonzero, so the
-    eigen-equations certified on zeta_x hold here too and are not checked
-    again."""
+    """The p-monic eigenvector: zeta_x times the hook/E factor, its
+    numerators times the factor's numerators and its den times the
+    denominators.  The scalar is nonzero, so the eigen-equations
+    certified on zeta_x hold here too and are not checked again."""
     alpha = _ambient(alpha, n)
     key = (alpha, n, "p")
     got = _ZETA_CACHE.get(key)
     if got is not None:
         return got
     tops, bottoms = p_to_x_factors(alpha)
-    zp = JackPoly(alpha, n, "p", {
-        e: _combined({(d0, facs): num}, tops, bottoms)
-        for e, (num, d0, facs) in zeta_x(alpha, n).coeffs.items()},
-        check=False)
+    zx = zeta_x(alpha, n)
+    zp = JackPoly(alpha, n, "p", {e: _times_all(num, tops)
+                                  for e, num in zx.nums.items()},
+                  _rescaled(zx.den, bottoms, []), check=False)
     _ZETA_CACHE[key] = zp
     return zp
 
@@ -740,94 +736,90 @@ def z2sz_step(zeta, i):
     return _step(zeta, i, i + 1, [])
 
 
+def _intertwiner(alpha, i, j):
+    """(L, P, Q) as int pairs (a, b) for a*kappa + b:
+    L = xi_i(alpha) - xi_j(alpha) = d_r kappa + delta with
+    d_r = r(alpha, j) - r(alpha, i) and delta = alpha_i - alpha_j,
+    P = L - kappa and Q = L + kappa."""
+    (a1, b1), (a2, b2) = (comb.spectral_vector(alpha)[k - 1] for k in (i, j))
+    d, delta = a1 - a2, b1 - b2
+    return (d, delta), (d - 1, delta), (d + 1, delta)
+
+
 def _step(zeta, i, j, swaps):
     """zeta_{t alpha} = (t - a (1 + sum of the swaps)) zeta, t = (i,j), over
-    1 - a^2 in basis x: the Knop-Sahi intertwiner, a = kappa / L with
-    L = d_r kappa + delta, d_r = r(alpha, j) - r(alpha, i) > 0 and
-    delta = alpha_i - alpha_j > 0.  The coefficient at x^e is
-    [L c_{te} - kappa (c_e + sum_w c_{we})] times L over
-    ((d_r - 1)kappa + delta)((d_r + 1)kappa + delta), which is L^2 (1 - a^2),
-    in basis x, or over L in basis p, summed by _combined with its linear
-    factors known.  The adjacent step in basis x with no swaps, the one
-    build_module takes, is certified by its coefficient 1 at x^{t alpha}
-    and the intertwiner identity (_assert_intertwined); every other step
-    by its shape and its eigen-equations."""
+    1 - a^2 in basis x, or over 1 in basis p: the Knop-Sahi intertwiner,
+    a = kappa / L.  With S = L tN - kappa (N + sum_w wN), the step in basis
+    p is S over d L, certified by its shape and eigen-equations.  In basis
+    x it is adjacent with no swaps: N' = S / P exactly, over d Q / L,
+    certified by _assert_intertwined (module docstring)."""
     alpha, n = zeta.alpha, zeta.n
-    d_r = comb.rank(alpha, j) - comb.rank(alpha, i)
-    delta = alpha[i - 1] - alpha[j - 1]
-    if zeta.basis == "x":
-        tops, bottoms = [(d_r, delta)], [(d_r - 1, delta), (d_r + 1, delta)]
-    else:
-        tops, bottoms = [], [(d_r, delta)]
+    ell, p, q = _intertwiner(alpha, i, j)
+    intertwined = zeta.basis == "x"
+    if intertwined:
+        zeta = _over_ks(zeta, ell, p)
+    nums = zeta.nums
     t = comb.transposition(n, i, j)
-    pending = {}
-    for k, terms in [(1, perm_terms(t, zeta.coeffs)), (-1, zeta.coeffs)] + [
-            (-1, perm_terms(comb.transposition(n, u, v), zeta.coeffs))
-            for u, v in swaps]:
-        for e, (num, d0, facs) in terms.items():
-            add = (_times(num, d_r, delta) if k > 0
-                   else [0] + [-x for x in num])
-            groups = pending.setdefault(e, {})
-            got = groups.get((d0, facs))
-            if got is None:
-                groups[d0, facs] = add
-            else:
-                _axpy(got, add, 1)
-    coeffs = {}
-    for e, groups in pending.items():
-        c = _combined(groups, tops, bottoms)
-        if c:
-            coeffs[e] = c
-    intertwined = zeta.basis == "x" and j == i + 1 and not swaps
-    jp = JackPoly(comb.perm_on_comp(t, alpha), n, zeta.basis, coeffs,
+    acc = {e: _times(num, *ell) for e, num in perm_terms(t, nums).items()}
+    for terms in [nums] + [perm_terms(comb.transposition(n, u, v), nums)
+                           for u, v in swaps]:
+        for e, num in terms.items():
+            _axpy(acc.setdefault(e, []), [0] + num, -1)
+    out = {}
+    for e, s in acc.items():
+        while s and not s[-1]:
+            s.pop()
+        if s:
+            out[e] = _divided(s, *p) if intertwined else s
+    jp = JackPoly(comb.perm_on_comp(t, alpha), n, zeta.basis, out,
+                  _rescaled(zeta.den, [q], [ell]) if intertwined
+                  else _rescaled(zeta.den, [ell], []),
                   check=not intertwined)
     if intertwined:
         _assert_intertwined(zeta, jp, i)
     return jp
 
 
+def _over_ks(zeta, ell, p):
+    """zeta itself when d_alpha = c * den with c prime to ell and p and
+    their contents, as for zeta_x, the steps and cancel_common; else zeta
+    over d_alpha, each numerator times c (SolveFailure if den does not
+    divide d_alpha)."""
+    d0, facs = zeta.den
+    c0, cut = _rescaled(_ks_denominator(zeta.alpha), [], [(0, d0)] + [
+        f for f, m in facs for _ in range(m)])
+    (gl, fl), (gp, fp) = _split(*ell), _split(*p)
+    if gcd(c0, gl * gp) == 1 and not {fl, fp} & set(dict(cut)):
+        return zeta
+    c = [f for f, m in cut for _ in range(m)]
+    return JackPoly(zeta.alpha, zeta.n, "x", {
+        e: _times_all([c0 * x for x in num], c)
+        for e, num in zeta.nums.items()}, _ks_denominator(zeta.alpha),
+        check=False)
+
+
 def _assert_intertwined(zeta, child, i):
     """Assert that child has coefficient 1 at x^{s_i alpha} and that
-    P Q child = L (L s_i zeta - kappa zeta) exactly, with
-    L = xi_i(alpha) - xi_{i+1}(alpha) read off the spectral vector of
-    zeta = zeta_alpha, P = L - kappa and Q = L + kappa.  With zeta a
-    certified zeta_alpha and alpha_i > alpha_{i+1}, this certifies
-    child = zeta_{s_i alpha} (see the module docstring).
+    P N' = L s_i N - kappa N for the integer forms N of zeta and N' of
+    child, which certifies child = zeta_{s_i alpha} (module docstring).
 
-    With F = C zeta and G = C' child the cleared forms (_packed_cleared),
-    the identity times C C' reads, at x^e,
-
-        R_e = C P Q G_e - C' L (L F_{s_i e} - kappa F_e) = 0.
-
-    Each coefficient of a product of polynomials is at most the product
-    of their 1-norms |.|, so every coefficient of R_e is at most
-    |C| |P| |Q| g + |C'| |L| (|L| + 1) f, with f and g bounds on the
-    1-norm of each coefficient of F and of G.  B is the bit length of that
-    bound, so every coefficient of R_e lies below X = 2**B in absolute
-    value, and R_e(X) = 0 iff R_e = 0, as in JackPoly._assert_eigen.  Both
-    sides are divided by the gcd of their packed scalars C P Q and C' L,
-    which changes no zero; each term then costs two small multiplies."""
-    if child.coeffs.get(child.alpha) != _ONE:
-        raise SolveFailure("coefficient of zeta_%s at its own x^alpha is "
-                           "not 1" % (child.alpha,))
-    (a1, b1), (a2, b2) = comb.spectral_vector(zeta.alpha)[i - 1:i + 1]
-    d, delta = a1 - a2, b1 - b2
-    ell, p, q = [delta, d], [delta, d - 1], [delta, d + 1]
-    scale_f, f, pack_f = _packed_cleared(zeta.coeffs)
-    scale_g, g, pack_g = _packed_cleared(child.coeffs)
-    bits = (_norm(scale_f) * _norm(p) * _norm(q) * g
-            + _norm(scale_g) * _norm(ell) * (_norm(ell) + 1) * f
-            ).bit_length()
-    left = _pack(scale_f, bits) * _pack(p, bits) * _pack(q, bits)
-    ell = _pack(ell, bits)
-    right = _pack(scale_g, bits) * ell
-    common = gcd(left, right)
-    left, right = left // common, right // common
-    packed = pack_f(bits)
+    A coefficient of a product is at most the product of the factors'
+    1-norms, so each coefficient of the residual P N'_e - L N_{s_i e} +
+    kappa N_e is at most |P| g + (|L| + 1) f, f and g the largest 1-norms
+    of the N_e and of the N'_e.  It lies below X = 2**B for B the bit
+    length of that bound, so the residual is 0 iff it is 0 at X, as in
+    JackPoly._assert_eigen."""
+    child._assert_lead()
+    ell, p, _ = _intertwiner(zeta.alpha, i, i + 1)
+    f = max(map(_norm, zeta.nums.values()))
+    g = max(map(_norm, child.nums.values()))
+    bits = (_norm(p) * g + (_norm(ell) + 1) * f).bit_length()
+    packed = {e: _pack(num, bits) for e, num in zeta.nums.items()}
+    ell, p = (ell[0] << bits) + ell[1], (p[0] << bits) + p[1]
     rhs = {e: -(v << bits) for e, v in packed.items()}
     swap_terms({e: ell * v for e, v in packed.items()}, i, i + 1, rhs)
-    if any(left * v != right * rhs.pop(e, 0)
-           for e, v in pack_g(bits).items()) or rhs:
+    if any(p * _pack(num, bits) != rhs.pop(e, 0)
+           for e, num in child.nums.items()) or rhs:
         raise SolveFailure("zeta_%s is not the intertwiner image of zeta_%s"
                            % (child.alpha, zeta.alpha))
 
@@ -889,7 +881,7 @@ def dm_formula(zeta):
     at = comb.tilde(alpha)
     zt = zeta_p(at, n)
     out = JackPoly(at, n, "p", perm_terms(comb.invert(comb.theta_perm(n, m)),
-                                          zt.coeffs), check=False)
+                                          zt.nums), zt.den, check=False)
     ctx = OperatorContext(n)
     lhs = dunkl(ctx, m, zeta.poly)
     rhs = poly_scale(out.poly, scalar)

@@ -2,16 +2,15 @@
 
 For a resolved label (m, n, N) with kappa0 = -m/n the module is spanned
 by the specializations of zeta^x_{w.lam} where w.lam runs over the
-reverse lattice permutations of lam.  zeta^x_lam is solved once and
-checked by its eigen-equations; each later sigma is jack.z2sz_step of
-its parent, sigma with its first ascent swapped back, which
-rlp_enumerate lists earlier, and is certified by its coefficient 1 at
-x^sigma and the Knop-Sahi intertwiner identity with that certified
-parent (see the jack module docstring).  Construction checks, for every element: absence
-of poles at kappa0, annihilation by D_1, and Murphy eigenvalues equal to
-the tableau contents; then, for the module, that each adjacent
-transposition acts by the seminormal matrix that murphy_rule_matrices
-predicts from the tableaux.
+reverse lattice permutations of lam.  zeta^x_lam is solved once, on its
+Knop-Sahi integer form, and checked by its eigen-equations; each later
+sigma is jack.z2sz_step of its parent, sigma with its first ascent
+swapped back, which rlp_enumerate lists earlier, certified by its lead
+and the intertwiner identity (see the jack module docstring).
+Construction checks, for every element: absence of poles at kappa0,
+annihilation by D_1, and Murphy eigenvalues equal to the tableau
+contents; then, for the module, that each adjacent transposition acts by
+the seminormal matrix that murphy_rule_matrices predicts.
 
 The kappa0 certificates run over Z.  Scaling a polynomial by a nonzero
 integer changes no kernel and no eigen-equation, so each check takes the
@@ -192,16 +191,17 @@ def _murphy_ok(element, kappa0, big_f):
 def build_module(m, n, N):
     """Construct and certify the span of the zeta^x_{w.lam} at kappa0.
 
-    Solves zeta^x_lam, certified by its eigen-equations, and steps to
-    each later sigma, each derived element certified by the intertwiner
-    identity P Q zeta' = L (L s_i zeta - kappa zeta) with its parent and
-    by its coefficient 1 at x^sigma (jack._assert_intertwined; see the
-    module docstrings).
-    Then it specializes, checks annihilation by D_1 and Murphy eigenvalues
-    element by element, over Z on its integer form, and last the action
-    of the adjacent transpositions on the module (_certify_action).  The
-    jack memos serve one module: they are emptied when this returns or
-    raises.
+    Solves zeta^x_lam as N = d_lam zeta over the Knop-Sahi denominator,
+    certified by its eigen-equations, and divides out once each factor of
+    d_lam that divides all of N and is no step's L or P
+    (jack.cancel_common).  Each later sigma is N' = (L s_i N - kappa N) / P
+    over d Q / L, one division per term, exact by the Knop-Sahi theorem
+    and Gauss's lemma, certified by P N' = L s_i N - kappa N and its lead
+    (see the jack module docstring).  Then it specializes, dividing out only the factor
+    of kappa0, checks annihilation by D_1 and Murphy eigenvalues element
+    by element, over Z, and last the action of the adjacent
+    transpositions (_certify_action).  The jack memos serve one module:
+    they are emptied when this returns or raises.
     """
     label = comb.resolve_label(m, n, N)
     if label.family == "two_part":
@@ -241,7 +241,8 @@ def build_module(m, n, N):
                 if not children[parent]:
                     del zetas[parent]
             else:
-                jp = jack.zeta_x(sigma, N)
+                jp = jack.cancel_common(jack.zeta_x(sigma, N), [
+                    (par, k) for k, par in steps if k])
             if children[sigma]:
                 zetas[sigma] = jp
             try:

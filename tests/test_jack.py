@@ -173,10 +173,10 @@ _STEPS = [((2, 0, 1), 3, 1), ((3, 1, 0), 3, 2), ((1, 3, 2, 0), 4, 2),
           ((2, 2, 0, 0, 0, 0), 6, 2)]
 
 
-def _with_coefficient(jp, e, c):
-    coeffs = dict(jp.coeffs)
-    coeffs[e] = c
-    return jack.JackPoly(jp.alpha, jp.n, jp.basis, coeffs, check=False)
+def _with_numerator(jp, e, num):
+    nums = dict(jp.nums)
+    nums[e] = num
+    return jack.JackPoly(jp.alpha, jp.n, jp.basis, nums, jp.den, check=False)
 
 
 @pytest.mark.parametrize("alpha, n, i", _STEPS)
@@ -208,33 +208,18 @@ def test_the_intertwiner_check_kills_each_mutation(monkeypatch, alpha, n, i):
         with pytest.raises(jack.SolveFailure, match="intertwiner"):
             jack._assert_intertwined(zeta, child, i)
     monkeypatch.undo()
-    # one coefficient below the lead off by kappa^k: the shape check passes
+    # one numerator below the lead off by kappa^k: the shape check passes
     # it, so the identity alone refuses it and skipping it would not
-    e = next(e for e in mp.support_order(child.coeffs) if e != child.alpha)
-    num, d0, facs = child.coeffs[e]
-    off = _with_coefficient(child, e, (num + [1], d0, facs))
+    e = next(e for e in mp.support_order(child.nums) if e != child.alpha)
+    off = _with_numerator(child, e, child.nums[e] + [1])
     off.assert_shape()
     with pytest.raises(jack.SolveFailure, match="intertwiner"):
         jack._assert_intertwined(zeta, off, i)
     # a leading coefficient of 2 is refused before the identity is read
-    two = _with_coefficient(child, child.alpha, ([2], 1, ()))
+    two = _with_numerator(child, child.alpha,
+                          [2 * x for x in child.nums[child.alpha]])
     with pytest.raises(jack.SolveFailure, match="not 1"):
         jack._assert_intertwined(zeta, two, i)
-    # one step coefficient corrupted inside the step: the step refuses it
-    combined = jack._combined
-    seen = []
-
-    def corrupt_one(groups, tops, bottoms):
-        c = combined(groups, tops, bottoms)
-        if c and c != jack._ONE and not seen:
-            seen.append(c)
-            return c[0] + [1], c[1], c[2]
-        return c
-
-    monkeypatch.setattr(jack, "_combined", corrupt_one)
-    with pytest.raises(jack.SolveFailure):
-        jack.z2sz_step(zeta, i)
-    assert seen
 
 
 def test_only_the_adjacent_x_step_skips_the_eigen_check(monkeypatch):
@@ -632,7 +617,7 @@ def _list_residual_max(jp):
     """The largest |coefficient| of the eigen residual over every i, with
     the residual expanded as one Z[kappa] list per monomial."""
     n = jp.n
-    big_f = jack._cleared(jp.coeffs)
+    big_f = jp.nums
     spec = comb.spectral_vector(jp.alpha)
     worst = 0
     for i in range(1, n + 1):
@@ -649,7 +634,7 @@ def _list_residual_max(jp):
 
 
 def _below_the_shift(jp):
-    bits = jack._shift_bits(jack._cleared(jp.coeffs), jp.alpha)
+    bits = jack._shift_bits(jp.nums, jp.alpha)
     return _list_residual_max(jp) < 2 ** bits
 
 
@@ -894,14 +879,162 @@ def test_zeta_p_rescales_the_factored_form_without_a_gcd(monkeypatch):
     jack.clear_caches()
 
 
+def _ks_d(alpha):
+    """d_alpha of Knop and Sahi as a KappaPoly: prod over the boxes (i, j)
+    of (l + 1) kappa + a + 1, a = alpha_i - j and l their leg for
+    compositions."""
+    out = KP_ONE
+    for i, ai in enumerate(alpha):
+        for j in range(1, ai + 1):
+            leg = (sum(1 for k in range(i + 1, len(alpha))
+                       if j <= alpha[k] <= ai)
+                   + sum(1 for k in range(i) if j <= alpha[k] + 1 <= ai))
+            out = out * kappa_linear(leg + 1, ai - j + 1)
+    return out
+
+
+def _expanded(den):
+    d0, facs = den
+    out = KappaPoly((d0,))
+    for (a, b), m in facs:
+        for _ in range(m):
+            out = out * kappa_linear(a, b)
+    return out
+
+
 def test_zeta_x_matches_the_q_kappa_solve():
+    # zeta_x is the reference solve, over the denominator d_alpha, and
+    # d_alpha times each reference coefficient lies in Z[kappa]
     for alpha, n in _small_compositions():
         z = jack.zeta_x(alpha, n)
         poly, profile = _reference_zeta_x(alpha, n)
         assert z.poly.terms == poly.terms
         assert z.denominator_factors == profile
+        d = _ks_d(comb.pad(alpha, n))
+        assert _expanded(z.den) == d
+        for c in poly.terms.values():
+            scaled = c * d
+            assert scaled.is_poly()
+            assert all(x.denominator == 1 for x in scaled.num.coeffs)
         zp = jack.zeta_p(alpha, n)
         assert zp.denominator_factors == _reference_profile(zp.poly)
+
+
+def _adjacent_steps():
+    for alpha, n in _small_compositions():
+        alpha = comb.pad(alpha, n)
+        for i in range(1, n):
+            if alpha[i - 1] > alpha[i]:
+                yield alpha, n, i
+
+
+def test_each_step_multiplies_d_alpha_by_q_over_l():
+    count = 0
+    for alpha, n, i in _adjacent_steps():
+        (a1, b1), (a2, b2) = comb.spectral_vector(alpha)[i - 1:i + 1]
+        ell = kappa_linear(a1 - a2, b1 - b2)
+        child = comb.perm_on_comp(comb.transposition(n, i, i + 1), alpha)
+        assert _ks_d(child) * ell == _ks_d(alpha) * (ell + KAPPA.num)
+        assert jack.z2sz_step(jack.zeta_x(alpha, n), i).den == (
+            jack._ks_denominator(child))
+        count += 1
+    assert count == 111
+    jack.clear_caches()
+
+
+def test_a_loaded_zeta_steps_to_the_solved_one():
+    # from_json holds zeta over its own tight denominator, not over
+    # d_alpha; the step brings it to d_alpha where a division needs it
+    count = 0
+    for alpha, n, i in _adjacent_steps():
+        loaded = jack.JackPoly.from_json(jack.zeta_x(alpha, n).to_json())
+        child = jack.z2sz_step(loaded, i)
+        assert child.coeffs == jack.zeta_x(child.alpha, n).coeffs
+        count += loaded.den != jack._ks_denominator(alpha)
+    assert count
+    jack.clear_caches()
+
+
+def test_a_factor_dropped_from_d_alpha_is_refused(monkeypatch):
+    # drop one factor that no numerator can spare: a pivot division turns
+    # inexact
+    ks = jack._ks_denominator
+    count = 0
+    for alpha, n in _small_compositions():
+        z = jack.zeta_x(alpha, n)
+        d0, facs = z.den
+        profile = {(f.coeffs[0], m) for f, m in z.denominator_factors}
+        full = [k for k, (f, m) in enumerate(facs)
+                if (Fraction(f[1], f[0]), m) in profile]
+        if not full:
+            continue
+        k = full[0]
+        (f, m) = facs[k]
+        cut = (d0, facs[:k] + ((f, m - 1),) * (m > 1) + facs[k + 1:])
+        jack.clear_caches()
+        monkeypatch.setattr(jack, "_ks_denominator",
+                            lambda beta, _a=z.alpha, _c=cut:
+                            _c if beta == _a else ks(beta))
+        with pytest.raises(jack.SolveFailure, match="does not divide"):
+            jack.zeta_x(alpha, n)
+        monkeypatch.undo()
+        count += 1
+    assert count == 89
+    jack.clear_caches()
+
+
+def test_divided_is_exact_or_refused():
+    # exact: (2k^2 + 4k + 2) / (2k + 2), (1 + 2k) / (2k + 1) and
+    # (6 - 3k) / -3; refused: a content or a root that does not divide
+    assert jack._divided([2, 4, 2], 2, 2) == [1, 1]
+    assert jack._divided([1, 2], 2, 1) == [1]
+    assert jack._divided([6, -3], 0, -3) == [-2, 1]
+    for num, a, b in (([3, 2], 2, 2), ([2, 3], 2, 2), ([1, 2], 1, 1),
+                      ([3], 0, 2), ([1, 1], 2, 0)):
+        with pytest.raises(jack.SolveFailure, match="does not divide"):
+            jack._divided(num, a, b)
+
+
+def test_each_step_mutation_is_refused(monkeypatch):
+    # delta +- 1 in P turns the division inexact; a child numerator
+    # corrupted after the division, or the child doubled with the lead
+    # check skipped, fails the identity
+    intertwiner, divided = jack._intertwiner, jack._divided
+    count = 0
+    for alpha, n, i in _adjacent_steps():
+        zeta = jack.zeta_x(alpha, n)
+        child = jack.z2sz_step(zeta, i)
+        for db in (1, -1):
+            def edited(beta, u, v, _db=db):
+                ell, (a, b), q = intertwiner(beta, u, v)
+                return ell, (a, b + _db), q
+            if intertwiner(alpha, i, i + 1)[1] != (0, 1) or db > 0:
+                monkeypatch.setattr(jack, "_intertwiner", edited)
+                with pytest.raises(jack.SolveFailure):
+                    jack.z2sz_step(zeta, i)
+                monkeypatch.undo()
+        if len(child.nums) > 1:
+            # the first division gives the lead, which _assert_lead reads
+            calls = []
+
+            def corrupted(num, a, b):
+                calls.append(a)
+                out = divided(num, a, b)
+                return out + [1] if len(calls) == 2 else out
+            monkeypatch.setattr(jack, "_divided", corrupted)
+            with pytest.raises(jack.SolveFailure, match="intertwiner"):
+                jack.z2sz_step(zeta, i)
+            monkeypatch.undo()
+        doubled = jack.JackPoly(child.alpha, n, "x", {
+            e: [2 * x for x in num] for e, num in child.nums.items()},
+            child.den, check=False)
+        monkeypatch.setattr(jack.JackPoly, "_assert_lead", lambda jp: None)
+        with pytest.raises(jack.SolveFailure, match="intertwiner"):
+            jack._assert_intertwined(zeta, doubled, i)
+        monkeypatch.undo()
+        count += 1
+    assert count == 111
+    jack.clear_caches()
 
 
 def test_step_formula_denominators_match_the_search():

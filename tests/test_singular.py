@@ -541,6 +541,33 @@ def test_every_rlp_after_lambda_steps_from_an_earlier_one():
     assert count == 2946
 
 
+@pytest.mark.parametrize("mnN, ks_degree, degree", [((4, 3, 4), 8, 5),
+                                                     ((7, 3, 4), 14, 9)])
+def test_steps_from_the_cancelled_lambda_reproduce_the_solve(
+        monkeypatch, mnN, ks_degree, degree):
+    # d_lambda is not tight here, so build_module steps from a zeta_lambda
+    # over a smaller denominator (jack.cancel_common); each stepped element
+    # is still the solved one, with the reference denominator profile
+    from test_jack import _reference_profile
+    N = mnN[2]
+    lam = jack.zeta_x(comb.resolve_label(*mnN).lam, N)
+    assert sum(m for _, m in lam.den[1]) == ks_degree
+    assert sum(m for _, m in lam.denominator_factors) == degree
+    stepped = []
+    step = jack.z2sz_step
+    monkeypatch.setattr(jack, "z2sz_step", lambda zeta, i: stepped.append(
+        (zeta, step(zeta, i))) or stepped[-1][1])
+    mod = singular.build_module(*mnN)
+    monkeypatch.undo()
+    assert len(mod.elements) == 2 and len(stepped) == 1
+    for parent, jp in stepped:
+        assert sum(m for _, m in parent.den[1]) < ks_degree
+        want = jack.zeta_x(jp.alpha, N)
+        assert jp.coeffs == want.coeffs
+        assert jp.denominator_factors == _reference_profile(jp.poly)
+    jack.clear_caches()
+
+
 @pytest.mark.parametrize("mnN", [(2, 5, 6), (1, 3, 5)])
 def test_build_module_solves_lambda_only(monkeypatch, mnN):
     calls = []
