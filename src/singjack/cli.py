@@ -5,11 +5,10 @@ stderr.  Exit codes: 0 success, 2 usage or parameter problems, 3 pole at
 the requested value, 4 a falsified certificate, 5 search budget
 exhausted, 6 an internal fault: any other exception, noted on stderr as
 "internal error:".  Set SINGJACK_CACHE_DIR to reuse constructed
-polynomials across runs; every load reads each stored term on the
-factored form, with int() and no gcd, and checks the entry's key, that no
-term is zero or stored twice, the canonical form of its coefficients and
-their denominator factors, its shape and normalization, and the
-eigen-equations.
+polynomials across runs; an entry holds only the integer numerators of a
+zeta, its denominator is computed from alpha, and every load checks the
+entry's key, that its terms are canonical, the shape and normalization
+over that denominator, and the eigen-equations.
 """
 
 import argparse
@@ -130,7 +129,7 @@ def _parse_kappa(text):
 
 # ------------------------------------------------------------------- caching
 
-CACHE_TAG = "singjack-%s" % __version__
+CACHE_TAG = "singjack-%s-nums" % __version__
 
 
 def _cache_key(alpha, n, basis):
@@ -143,27 +142,36 @@ def _cache_key(alpha, n, basis):
 def _load_entry(path, alpha, n, basis):
     """The cache entry at path, certified for the request.
 
-    Checked in order: the stored alpha, N, basis and field; then, in
-    JackPoly.from_json, every term, read with int() and no gcd, has an
-    exponent of its own and a nonzero coefficient, reduced with a monic
-    denominator that the stored denominator factors factor; the shape and
-    normalization and the eigen-equations (the JackPoly constructor); and
-    the stored factors are the ones read off the coefficients.  A failed
-    check raises SolveFailure; an entry that cannot be read or parsed is
-    None, a miss."""
+    An entry is its key (alpha, N, basis) and the numerators of
+    JackPoly.nums as [exponent, numerator] pairs; its den is
+    jack.zeta_den(alpha, basis), never stored.  Checked in order: the key,
+    as JSON; every term canonical: an exponent of N ints of at least 0
+    that no earlier term has, and a numerator of ints whose last entry is
+    not 0; then the shape over that den and the eigen-equations (the
+    JackPoly constructor).  A failed check raises SolveFailure; an entry
+    that cannot be read or parsed, or lacks a key, is None, a miss."""
+    alpha = comb.pad(alpha, n)
     try:
         with open(path) as fh:
             obj = json.load(fh)
-        if (obj["alpha"], obj["N"], obj["basis"], obj["field"]) != (
-                list(comb.pad(alpha, n)), n, basis, "Q(k)"):
+        if json.dumps([obj["alpha"], obj["N"], obj["basis"]]) != json.dumps(
+                [list(alpha), n, basis]):
             raise jack.SolveFailure("cache entry %s is not zeta_%s of %s, "
                                     "N=%d" % (path, basis, alpha, n))
-        return jack.JackPoly.from_json(obj)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError,
-            ZeroDivisionError) as e:
+        nums = {}
+        for e, num in obj["nums"]:
+            e = tuple(e)
+            if (any(type(x) is not int for x in e + tuple(num))
+                    or len(e) != n or min(e) < 0 or e in nums
+                    or not num or not num[-1]):
+                raise jack.SolveFailure("cache entry %s: term %s %s is not "
+                                        "canonical" % (path, list(e), num))
+            nums[e] = num
+    except (OSError, ValueError, KeyError, TypeError) as e:
         _note("cache: unreadable entry %s (%s: %s), recomputing"
               % (path, type(e).__name__, e))
         return None
+    return jack.JackPoly(alpha, n, basis, nums, jack.zeta_den(alpha, basis))
 
 
 def cached_zeta(alpha, n, basis="x"):
@@ -186,7 +194,11 @@ def cached_zeta(alpha, n, basis="x"):
             fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w") as fh:
-                    fh.write(json.dumps(jp.to_json(), separators=(",", ":")))
+                    fh.write(json.dumps(
+                        {"alpha": list(jp.alpha), "N": n, "basis": basis,
+                         "nums": [[list(e), num]
+                                  for e, num in jp.nums.items()]},
+                        separators=(",", ":")))
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):

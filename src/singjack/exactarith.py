@@ -39,10 +39,6 @@ def ratio_str(p, q):
     return str(p // g) if g == q else "%d/%d" % (p // g, q // g)
 
 
-def rat_from_str(s):
-    return Fraction(s)
-
-
 class KappaPoly:
     """Polynomial in k with Fraction coefficients, coeffs[i] on k**i."""
 
@@ -173,10 +169,6 @@ class KappaPoly:
 
     def to_json(self):
         return [rat_to_str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(Fraction(s) for s in data))
 
     def __str__(self):
         if not self.coeffs:
@@ -505,13 +497,6 @@ class KappaRatio:
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data):
-        """The value num/den as written, brought to canonical form (reduced
-        by a gcd, denominator monic), so that == on it is value equality."""
-        return cls(KappaPoly.from_json(data["num"]),
-                   KappaPoly.from_json(data["den"]))
 
     def __str__(self):
         if self.den.is_one():

@@ -21,12 +21,15 @@ zeta_lambda, once (cancel_common), each factor C of d_lambda that
 divides all of N and is no step's L or P.  A step from N = N_alpha / C
 then still divides exactly: P N'_alpha = C (L s_i N - kappa N) for the
 integral N'_alpha = d_{s_i alpha} zeta_{s_i alpha}, and C is primitive
-and prime to P, so C | N'_alpha by Gauss's lemma.  The reduced factored
-form of each coefficient (JackPoly.coeffs) is built only where it is
-printed or compared; denominator_factors is read off N by a witness
-scan, and specialize divides out only the factor with root kappa0.
+and prime to P, so C | N'_alpha by Gauss's lemma.  So every x-basis
+JackPoly is over d_alpha or over d_alpha / C, and zeta_den gives the den
+of zeta_alpha in either basis from alpha alone: a cache entry stores
+only N.  The reduced factored form of each coefficient (JackPoly.coeffs)
+is built only where it is printed or compared; denominator_factors is
+read off N by a witness scan, and specialize divides out only the factor
+with root kappa0.
 
-Certificates.  A solved zeta, a cache load (from_json), movert_step,
+Certificates.  A solved zeta, a cache load (cli._load_entry), movert_step,
 movelt_step and every step in basis p are certified by their N - 1
 eigen-equations (JackPoly._assert_eigen).  The adjacent step in basis x,
 the one build_module takes, derives zeta' = N' / d' from a certified
@@ -68,15 +71,15 @@ clear_caches empties.
 """
 
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 
 from . import combinatorics as comb
 from .exactarith import (KP_ONE, KP_ZERO, KappaPoly, KappaRatio, KR_ZERO,
-                         PoleError, _at_root, _axpy, _divide_out, _int_form,
-                         _times, kappa_linear, rat_to_str, ratio_str)
-from .multipoly import (FieldMismatch, MultiPoly, apply_perm, coeff,
-                        expand_in_basis, mp_zero, perm_terms, poly_add,
-                        poly_scale, poly_sub, support_order, word_apply)
+                         PoleError, _at_root, _axpy, _divide_out, _times,
+                         kappa_linear, rat_to_str, ratio_str)
+from .multipoly import (MultiPoly, apply_perm, coeff, expand_in_basis,
+                        mp_zero, perm_terms, poly_add, poly_scale, poly_sub,
+                        support_order, word_apply)
 from .operators import (OperatorContext, cherednik_k_terms, dunkl,
                         swap_terms)
 
@@ -185,61 +188,6 @@ def _reduced(num, d0, top):
             tuple(sorted((f, m) for f, m in top.items() if m)))
 
 
-def _factored_terms(items, roots):
-    """The reduced factored forms {e: (num, d0, facs)} of the coefficients
-    given as (e, (num, dn), (den, dd)), each (num/dn) / (den/dd) with num
-    and den Z[kappa] int lists and dn, dd positive ints; each distinct den
-    is divided once by the primitive linear factors in roots.  SolveFailure
-    when an exponent repeats, a coefficient is zero, its denominator is
-    zero, not monic or not factored by roots, or it is not reduced: so the
-    coefficients as given are canonical."""
-    split = {}
-    out = {}
-    for e, (num, dn), (den, dd) in items:
-        if e in out:
-            raise SolveFailure("x^%s has two coefficients" % (e,))
-        if not num or not den or den[-1] != dd:
-            raise SolveFailure("coefficient of x^%s is not in canonical "
-                               "form" % (e,))
-        den = tuple(den)
-        got = split.get(den)
-        if got is None:
-            rest, facs = list(den), []
-            for f in roots:
-                rest, m = _divide_out(rest, *f, len(rest))
-                if m:
-                    facs.append((f, m))
-            if len(rest) > 1:
-                raise SolveFailure("denominator factor %s is not among the "
-                                   "candidates" % KappaPoly(rest).monic())
-            got = split[den] = rest[0], tuple(sorted(facs))
-        const, facs = got
-        out[e] = _reduced([x * dd for x in num], dn * const, dict(facs))
-        if out[e][2] != facs:
-            raise SolveFailure("coefficient of x^%s is not reduced" % (e,))
-    return out
-
-
-def _rationals(strs):
-    """(ints, d), d > 0 the lcm of the denominators, with the rationals
-    written "p" or "p/q" in strs equal to ints / d; trailing zeros are
-    dropped.  Read by int(), with no Fraction; ValueError on another
-    form."""
-    ps, qs = [], []
-    for s in strs:
-        p, slash, q = s.partition("/")
-        q = int(q) if slash else 1
-        if q <= 0:
-            raise ValueError("%r is not p/q with q > 0" % (s,))
-        ps.append(int(p))
-        qs.append(q)
-    d = lcm(*qs)
-    ints = [p * (d // q) for p, q in zip(ps, qs)]
-    while ints and not ints[-1]:
-        ints.pop()
-    return ints, d
-
-
 def _norm(num):
     """The 1-norm of a Z[kappa] int list: the sum of |coefficients|."""
     return sum(map(abs, num))
@@ -302,48 +250,6 @@ class JackPoly:
         if check:
             self.assert_shape()
             self._assert_eigen()
-
-    @classmethod
-    def _from_coeffs(cls, alpha, n, basis, coeffs, check):
-        """The JackPoly of the reduced factored coeffs, over
-        den = L * prod f^M_f with L the lcm of the d0 and M_f the largest
-        multiplicity of f: nums[e] = (L/d0_e) num_e prod f^(M_f - m_{e,f})."""
-        top = {}
-        for facs in {c[2] for c in coeffs.values()}:
-            for f, m in facs:
-                top[f] = max(top.get(f, 0), m)
-        big_l = lcm(*(d0 for _, d0, _ in coeffs.values()))
-        cofactors, nums = {}, {}
-        for e, (num, d0, facs) in coeffs.items():
-            q = cofactors.get(facs)
-            if q is None:
-                have = dict(facs)
-                q = cofactors[facs] = [f for f, m in top.items()
-                                       for _ in range(m - have.get(f, 0))]
-            nums[e] = _times_all([big_l // d0 * x for x in num], q)
-        jp = cls(alpha, n, basis, nums, (big_l, tuple(sorted(top.items()))),
-                 check)
-        jp._coeffs = coeffs
-        return jp
-
-    @classmethod
-    def from_poly(cls, alpha, n, basis, poly, candidates, check=True):
-        """The JackPoly of a canonical Q(kappa) MultiPoly whose denominators
-        the linear candidates (KappaPolys; the others are ignored) factor
-        (see _factored_terms)."""
-        OperatorContext(n).check(poly)
-        roots = set()
-        for fac in candidates:
-            if fac.degree == 1:
-                # kappa + c = (a*kappa + b) / a, primitive
-                c = fac.monic().coeffs[0]
-                roots.add((c.denominator, c.numerator))
-        items = ((e, _int_form(c.num), _int_form(c.den))
-                 for e, c in poly.terms.items())
-        jp = cls._from_coeffs(alpha, n, basis, _factored_terms(items, roots),
-                              check)
-        jp._poly = poly
-        return jp
 
     @property
     def coeffs(self):
@@ -518,43 +424,6 @@ class JackPoly:
                 "alpha": list(self.alpha), "basis": self.basis,
                 "denominator_factors": factors_json(self.denominator_factors)}
 
-    @classmethod
-    def from_json(cls, obj):
-        """The JackPoly stored as obj, read with int() and no gcd: each
-        coefficient by _rationals, each distinct den list factored once by
-        the stored factors (_factored_terms), then the shape and the
-        eigen-equations checked, and the stored factors must be those read
-        off.  SolveFailure on a zero, repeated, non-canonical or non-reduced
-        term, a failed check or other stored factors; ValueError on an
-        exponent that is not N entries of at least 0."""
-        if obj["field"] != "Q(k)":
-            raise FieldMismatch("field %r is not Q(k)" % (obj["field"],))
-        n = obj["N"]
-        roots = set()
-        for d in obj["denominator_factors"]:
-            ints, _ = _rationals(d["factor"])
-            if len(ints) == 2:
-                roots.add(_split(*ints[::-1])[1])
-        dens, items = {}, []
-        for t in obj["terms"]:
-            e = tuple(map(int, t["exp"]))
-            if len(e) != n or min(e, default=0) < 0:
-                raise ValueError("exponent %s is not %d entries of at "
-                                 "least 0" % (t["exp"], n))
-            c = t["coeff"]
-            key = tuple(c["den"])
-            den = dens.get(key)
-            if den is None:
-                den = dens[key] = _rationals(key)
-            items.append((e, _rationals(c["num"]), den))
-        jp = cls._from_coeffs(obj["alpha"], n, obj["basis"],
-                              _factored_terms(items, roots), True)
-        if obj["denominator_factors"] != factors_json(jp.denominator_factors):
-            raise SolveFailure("stored denominator factors %s are not those "
-                               "of the coefficients"
-                               % obj["denominator_factors"])
-        return jp
-
     def __repr__(self):
         return "JackPoly(alpha=%s, n=%d, basis=%r)" % (
             self.alpha, self.n, self.basis)
@@ -674,21 +543,30 @@ def p_to_x_factor(alpha):
     return KappaRatio.from_factors(*p_to_x_factors(alpha))
 
 
+def zeta_den(alpha, basis):
+    """The den of zeta_alpha in basis: d_alpha (_ks_denominator) in basis
+    x, and d_alpha times the bottoms of p_to_x_factors(alpha) in basis p."""
+    den = _ks_denominator(alpha)
+    if basis == "p":
+        den = _rescaled(den, p_to_x_factors(alpha)[1], [])
+    return den
+
+
 def zeta_p(alpha, n):
     """The p-monic eigenvector: zeta_x times the hook/E factor, its
-    numerators times the factor's numerators and its den times the
-    denominators.  The scalar is nonzero, so the eigen-equations
-    certified on zeta_x hold here too and are not checked again."""
+    numerators times the factor's numerators over zeta_den(alpha, "p").
+    The scalar is nonzero, so the eigen-equations certified on zeta_x hold
+    here too and are not checked again."""
     alpha = _ambient(alpha, n)
     key = (alpha, n, "p")
     got = _ZETA_CACHE.get(key)
     if got is not None:
         return got
-    tops, bottoms = p_to_x_factors(alpha)
+    tops = p_to_x_factors(alpha)[0]
     zx = zeta_x(alpha, n)
     zp = JackPoly(alpha, n, "p", {e: _times_all(num, tops)
                                   for e, num in zx.nums.items()},
-                  _rescaled(zx.den, bottoms, []), check=False)
+                  zeta_den(alpha, "p"), check=False)
     _ZETA_CACHE[key] = zp
     return zp
 
@@ -756,8 +634,6 @@ def _step(zeta, i, j, swaps):
     alpha, n = zeta.alpha, zeta.n
     ell, p, q = _intertwiner(alpha, i, j)
     intertwined = zeta.basis == "x"
-    if intertwined:
-        zeta = _over_ks(zeta, ell, p)
     nums = zeta.nums
     t = comb.transposition(n, i, j)
     acc = {e: _times(num, *ell) for e, num in perm_terms(t, nums).items()}
@@ -778,24 +654,6 @@ def _step(zeta, i, j, swaps):
     if intertwined:
         _assert_intertwined(zeta, jp, i)
     return jp
-
-
-def _over_ks(zeta, ell, p):
-    """zeta itself when d_alpha = c * den with c prime to ell and p and
-    their contents, as for zeta_x, the steps and cancel_common; else zeta
-    over d_alpha, each numerator times c (SolveFailure if den does not
-    divide d_alpha)."""
-    d0, facs = zeta.den
-    c0, cut = _rescaled(_ks_denominator(zeta.alpha), [], [(0, d0)] + [
-        f for f, m in facs for _ in range(m)])
-    (gl, fl), (gp, fp) = _split(*ell), _split(*p)
-    if gcd(c0, gl * gp) == 1 and not {fl, fp} & set(dict(cut)):
-        return zeta
-    c = [f for f, m in cut for _ in range(m)]
-    return JackPoly(zeta.alpha, zeta.n, "x", {
-        e: _times_all([c0 * x for x in num], c)
-        for e, num in zeta.nums.items()}, _ks_denominator(zeta.alpha),
-        check=False)
 
 
 def _assert_intertwined(zeta, child, i):

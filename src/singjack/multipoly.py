@@ -14,7 +14,6 @@ from .exactarith import (
     KappaRatio,
     KR_ZERO,
     PoleError,
-    rat_from_str,
     rat_to_str,
 )
 
@@ -178,20 +177,6 @@ class MultiPoly:
                 {"exp": list(e), "coeff": cj(self.terms[e])} for e in self.support()
             ],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        field = obj["field"]
-        if field == "Q(k)":
-            kappa0 = None
-            cf = KappaRatio.from_json
-        elif field.startswith("Q@"):
-            kappa0 = rat_from_str(field[2:])
-            cf = rat_from_str
-        else:
-            raise FieldMismatch("unknown field tag %r" % (field,))
-        terms = {tuple(t["exp"]): cf(t["coeff"]) for t in obj["terms"]}
-        return cls(obj["N"], terms, field=kappa0)
 
     def __str__(self):
         if not self.terms:

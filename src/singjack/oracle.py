@@ -64,7 +64,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import combinatorics as comb
-from .exactarith import rat_from_str, rat_to_str
+from .exactarith import rat_to_str
 from .multipoly import _accumulate, integer_terms
 from .operators import _pair_difference_terms
 
@@ -306,15 +306,6 @@ class KernelReport:
         if include_timestamp:
             out["timestamp"] = datetime.now(timezone.utc).isoformat()
         return out
-
-    @classmethod
-    def from_json(cls, obj):
-        rows = {f: {j: x for j, x in enumerate(map(rat_from_str, vec)) if x}
-                for f, vec in zip(obj["free_columns"], obj["kernel_basis"])}
-        rep = cls(obj["N"], obj["degree"], rat_from_str(obj["kappa0"]),
-                  [tuple(e) for e in obj["monomials"]], rows)
-        rep.comparison = obj.get("comparison")
-        return rep
 
 
 def _subtract_multiple(dst, t, src):

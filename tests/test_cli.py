@@ -364,96 +364,112 @@ def test_cache_write_does_not_collide_on_a_shared_temp_name(
     monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
     path = tmp_path / (cli._cache_key((2, 0, 1), 3, "x") + ".json")
     (tmp_path / (path.name + ".tmp")).mkdir()
-    code, out, _ = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
+    code, _, _ = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
     assert code == 0
-    assert json.loads(path.read_text()) == json.loads(out)
+    assert json.loads(path.read_text())["nums"] == [
+        [list(e), num] for e, num in jack.zeta_x((2, 0, 1), 3).nums.items()]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [path.name, path.name + ".tmp"])
 
 
-def test_cache_tampered_coefficient_is_refused(capsys, tmp_path,
-                                               monkeypatch):
-    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
-    run(capsys, "zeta", "--alpha", "1,0", "--N", "2")
-    path = tmp_path / (cli._cache_key((1, 0), 2, "x") + ".json")
-    obj = json.loads(path.read_text())
-    for t in obj["terms"]:
-        if t["exp"] == [0, 1]:
-            t["coeff"] = {"num": ["0", "1"], "den": ["2", "1"]}
-    path.write_text(json.dumps(obj))
-    code, out, err = run(capsys, "zeta", "--alpha", "1,0", "--N", "2")
-    assert (code, out) == (4, "")
-    assert "falsified:" in err
-
-
-def test_cache_tampered_denominator_is_refused(capsys, tmp_path,
-                                               monkeypatch):
-    # the eigen check clears denominators read from the coefficients,
-    # not from the stored denominator_factors, which stay untouched here
-    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
-    code, good, _ = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
-    assert code == 0
-    path = tmp_path / (cli._cache_key((2, 0, 1), 3, "x") + ".json")
-    obj = json.loads(path.read_text())
-    factors = obj["denominator_factors"]
-    edited = next(t for t in obj["terms"] if t["coeff"]["den"] != ["1"])
-    edited["coeff"]["den"] = ["3"] + edited["coeff"]["den"][1:]
-    path.write_text(json.dumps(obj))
-    assert json.loads(path.read_text())["denominator_factors"] == factors
-    code, out, err = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
-    assert (code, out) == (4, "")
-    assert "falsified:" in err
-
-
 def _cached_entry(capsys, tmp_path, monkeypatch, alpha, n, basis="x"):
+    # a fresh entry, written over any edited one
     monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
+    path = tmp_path / (cli._cache_key(alpha, n, basis) + ".json")
+    path.unlink(missing_ok=True)
     code, out, _ = run(capsys, "zeta", "--alpha",
                        ",".join(map(str, alpha)), "--N", str(n),
                        "--basis", basis)
     assert code == 0
-    return tmp_path / (cli._cache_key(alpha, n, basis) + ".json"), out
+    return path, out
 
 
-def _refused(capsys, alpha, basis):
+def _refused(capsys, alpha, basis, *kappa, why=""):
     code, out, err = run(capsys, "zeta", "--alpha", ",".join(map(str, alpha)),
-                         "--N", str(len(alpha)), "--basis", basis)
-    return code == 4 and out == "" and "falsified:" in err
+                         "--N", str(len(alpha)), "--basis", basis, *kappa)
+    return code == 4 and out == "" and "falsified:" in err and why in err
+
+
+def _edit_refused(capsys, tmp_path, monkeypatch, alpha, basis, edit, *kappa,
+                  why=""):
+    """Whether zeta exits 4 with empty stdout, and why on stderr, on this
+    key's cache entry once edit(pairs) has changed its [exponent,
+    numerator] pairs."""
+    path, _ = _cached_entry(capsys, tmp_path, monkeypatch, alpha, len(alpha),
+                            basis)
+    obj = json.loads(path.read_text())
+    edit(obj["nums"])
+    path.write_text(json.dumps(obj))
+    return _refused(capsys, alpha, basis, *kappa, why=why)
+
+
+def _at(exp, change):
+    """The edit that applies change to the numerator at exp."""
+    def edit(pairs):
+        pair = next(p for p in pairs if p[0] == exp)
+        pair[1] = change(pair[1])
+    return edit
+
+
+def _plus_one(num):
+    return [num[0] + 1] + num[1:]
+
+
+def _replaced(change):
+    """The edit that replaces the pairs by change(pairs)."""
+    def edit(pairs):
+        pairs[:] = change(pairs)
+    return edit
+
+
+def test_cache_tampered_coefficient_is_refused(capsys, tmp_path,
+                                               monkeypatch):
+    for basis in "xp":
+        assert _edit_refused(capsys, tmp_path, monkeypatch, (1, 0), basis,
+                             _at([0, 1], _plus_one))
+
+
+def test_cache_tampered_denominator_is_refused(capsys, tmp_path,
+                                               monkeypatch):
+    # the den is computed from alpha, so an entry written over another
+    # den has every numerator rescaled: by 2 or by k + 1, a factor of d
+    def rescaled(pairs, by):
+        for pair in pairs:
+            pair[1] = exactarith._times(pair[1], *by)
+    for basis in "xp":
+        for by in ((0, 2), (1, 1)):
+            assert _edit_refused(capsys, tmp_path, monkeypatch, (2, 0, 1),
+                                 basis, lambda p, _by=by: rescaled(p, _by))
 
 
 def test_cache_edited_leading_coefficient_is_refused(capsys, tmp_path,
                                                      monkeypatch):
     # once served as "coeff": "5" with exit 0
-    path, _ = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3)
-    obj = json.loads(path.read_text())
-    lead = next(t for t in obj["terms"] if t["exp"] == [2, 0, 1])
-    lead["coeff"] = {"num": ["5"], "den": ["1"]}
-    path.write_text(json.dumps(obj))
-    code, out, err = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3",
-                         "--kappa", "-1/3")
-    assert code == 4
-    assert out == ""
-    assert "falsified:" in err
+    for basis in "xp":
+        for change in (lambda num: [5], _plus_one):
+            assert _edit_refused(capsys, tmp_path, monkeypatch, (2, 0, 1),
+                                 basis, _at([2, 0, 1], change),
+                                 "--kappa", "-1/3")
 
 
 def test_cache_load_checks_the_key_and_the_support(capsys, tmp_path,
                                                    monkeypatch):
-    path, _ = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3)
-    good = json.loads(path.read_text())
-    above = dict(good, terms=good["terms"] + [
-        {"exp": [3, 0, 0], "coeff": {"num": ["1"], "den": ["1"]}}])
-    other_degree = dict(good, terms=good["terms"] + [
-        {"exp": [0, 0, 1], "coeff": {"num": ["1"], "den": ["1"]}}])
-    for bad in (dict(good, alpha=[1, 0, 2]), dict(good, basis="p"), above,
-                other_degree):
-        path.write_text(json.dumps(bad))
-        code, out, err = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
-        assert (code, out) == (4, "")
-        assert "falsified:" in err
-    # another key's entry stored under this key's name
-    other, _ = _cached_entry(capsys, tmp_path, monkeypatch, (1, 0, 2), 3)
-    path.write_text(other.read_text())
-    code, _, err = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
-    assert code == 4 and "falsified:" in err
+    # exponents above alpha or of another degree fail the shape; negative
+    # or of the wrong length, they are not canonical; another key's entry
+    # stored under this key's name
+    for basis in "xp":
+        for exp, why in (([3, 0, 0], "not below"), ([0, 0, 1], "not below"),
+                         ([4, -1, 0], "canonical"),
+                         ([2, 0, 1, 0], "canonical"), ([3, 0], "canonical")):
+            assert _edit_refused(capsys, tmp_path, monkeypatch, (2, 0, 1),
+                                 basis, lambda p, _e=exp: p.append([_e, [1]]),
+                                 why=why)
+        path, _ = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3,
+                                basis)
+        other, _ = _cached_entry(capsys, tmp_path, monkeypatch, (1, 0, 2), 3,
+                                 basis)
+        path.write_text(other.read_text())
+        assert _refused(capsys, (2, 0, 1), basis)
 
 
 def test_cache_unreadable_entry_is_recomputed(capsys, tmp_path,
@@ -461,67 +477,55 @@ def test_cache_unreadable_entry_is_recomputed(capsys, tmp_path,
     path, fresh = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3)
     text = path.read_text()
     missing = json.loads(text)
-    del missing["denominator_factors"]
+    del missing["nums"]
     for broken in (text[:len(text) // 2], "", json.dumps(missing)):
         path.write_text(broken)
         code, out, err = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
         assert code == 0
         assert out == fresh
         assert "recomputing" in err
-        assert json.loads(path.read_text()) == json.loads(fresh)
-
-
-def test_cache_stored_denominator_factors_are_checked(capsys, tmp_path,
-                                                      monkeypatch):
-    path, fresh = _cached_entry(capsys, tmp_path, monkeypatch, (0, 3, 0), 3)
-    obj = json.loads(path.read_text())
-    assert [d["multiplicity"] for d in obj["denominator_factors"]] == [1, 1]
-    for factors in (obj["denominator_factors"][:1],
-                    [dict(d, multiplicity=2)
-                     for d in obj["denominator_factors"]]):
-        path.write_text(json.dumps(dict(obj, denominator_factors=factors)))
-        code, out, err = run(capsys, "zeta", "--alpha", "0,3,0", "--N", "3")
-        assert (code, out) == (4, "")
-        assert "falsified:" in err
+        assert path.read_text() == text
 
 
 def test_cache_edited_coefficient_below_the_lead_is_refused(capsys, tmp_path,
                                                             monkeypatch):
     # once served with exit 0: of the load checks, only the eigen check
     # sees this edit
-    path, _ = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3)
-    obj = json.loads(path.read_text())
-    edited = next(t for t in obj["terms"] if t["exp"] == [1, 1, 1])
-    edited["coeff"] = {"num": ["5"], "den": ["1"]}
-    path.write_text(json.dumps(obj))
-    assert _refused(capsys, (2, 0, 1), "x")
+    for basis in "xp":
+        assert _edit_refused(capsys, tmp_path, monkeypatch, (2, 0, 1), basis,
+                             _at([1, 1, 1], _plus_one))
 
 
 @pytest.mark.parametrize("basis", ["x", "p"])
 def test_cache_unreduced_coefficient_is_refused(capsys, tmp_path,
                                                 monkeypatch, basis):
-    # the same value with num and den both times a stored factor: once
-    # re-reduced by a gcd on load and served; the load reads it as written
-    path, _ = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3,
-                            basis)
-    obj = json.loads(path.read_text())
-    fac = KappaPoly.from_json(obj["denominator_factors"][0]["factor"])
-    edited = obj["terms"][-1]["coeff"]
-    for side in ("num", "den"):
-        edited[side] = (KappaPoly.from_json(edited[side]) * fac).to_json()
-    path.write_text(json.dumps(obj))
-    assert _refused(capsys, (2, 0, 1), basis)
+    # the same value written with a trailing zero: not canonical
+    assert _edit_refused(capsys, tmp_path, monkeypatch, (2, 0, 1), basis,
+                         _at([1, 1, 1], lambda num: num + [0]))
+
+
+@pytest.mark.parametrize("basis", ["x", "p"])
+def test_cache_float_or_bool_entry_is_refused(capsys, tmp_path, monkeypatch,
+                                              basis):
+    # json reads 1.0 as a float and true as a bool, and both compare equal
+    # to 1; neither is an entry the writer makes
+    for change in (lambda e, num: [e, [float(x) for x in num]],
+                   lambda e, num: [[float(x) for x in e], num],
+                   lambda e, num: [e, num[:-1] + [True]],
+                   lambda e, num: [[bool(x) for x in e], num]):
+        assert _edit_refused(capsys, tmp_path, monkeypatch, (1, 0, 1), basis,
+                             _replaced(lambda p, _c=change: [_c(*p[0])]
+                                       + p[1:]))
 
 
 def test_cache_rescaled_p_entry_is_refused(capsys, tmp_path, monkeypatch):
     # once served with every coefficient doubled, with exit 0: the eigen
-    # check and the denominator factors cannot see a constant scalar
-    path, _ = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3, "p")
-    obj = json.loads(path.read_text())
-    for t in obj["terms"]:
-        t["coeff"]["num"] = [str(2 * Fraction(c)) for c in t["coeff"]["num"]]
-    path.write_text(json.dumps(obj))
-    assert _refused(capsys, (2, 0, 1), "p")
+    # check cannot see a constant scalar, the lead check does
+    def doubled(pairs):
+        for pair in pairs:
+            pair[1] = [2 * x for x in pair[1]]
+    assert _edit_refused(capsys, tmp_path, monkeypatch, (2, 0, 1), "p",
+                         doubled)
 
 
 @pytest.mark.parametrize("basis", ["x", "p"])
@@ -550,44 +554,39 @@ def test_cache_swapped_alpha_or_basis_is_refused(capsys, tmp_path,
 @pytest.mark.parametrize("basis", ["x", "p"])
 def test_cache_zero_term_or_repeated_exponent_is_refused(capsys, tmp_path,
                                                          monkeypatch, basis):
-    # once served with exit 0: the Q(kappa) reader dropped a zero term and
-    # all but the last copy of an exponent before any load check saw them
-    path, _ = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3,
-                            basis)
-    obj = json.loads(path.read_text())
-    terms = obj["terms"]
-    wrong_first = dict(terms[-1], coeff={"num": ["5"], "den": ["1"]})
-    zeros = [{"exp": [0, 0, 3], "coeff": {"num": [], "den": den}}
-             for den in (["1", "1"], ["2", "4"], ["1", "0", "1"], ["0"])]
-    edits = ([[wrong_first] + terms + zeros[:1], [wrong_first] + terms,
-              terms + terms[-1:]] + [terms + [zero] for zero in zeros])
-    for edited in edits:
-        path.write_text(json.dumps(dict(obj, terms=edited)))
-        assert _refused(capsys, (2, 0, 1), basis)
+    # a reader into a dict would drop the zero term and all but the last
+    # copy of an exponent before any load check saw them
+    zero = [[0, 0, 3], []]
+    for change in (lambda p: [[p[-1][0], [5]]] + p + [zero],
+                   lambda p: [[p[-1][0], [5]]] + p,
+                   lambda p: p + p[-1:],
+                   lambda p: p + [zero],
+                   lambda p: p + [[[0, 0, 3], [0]]],
+                   lambda p: p[:-1] + [[p[-1][0], p[-1][1] + [0]]]):
+        assert _edit_refused(capsys, tmp_path, monkeypatch, (2, 0, 1), basis,
+                             _replaced(change))
+
+
+def _spy(calls, name, real):
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    return wrapped
 
 
 def test_a_cache_hit_stays_off_q_kappa(capsys, tmp_path, monkeypatch):
-    # a hit reads and prints the entry on the factored form: no .poly, no
-    # MultiPoly.from_json, no poly_gcd
+    # a hit reads and prints the entry on the integer form: no .poly and
+    # no poly_gcd
     calls = []
-
-    def spy(name, real):
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return wrapped
-
     for alpha, basis in (((2, 0, 1), "x"), ((2, 0, 1), "p"),
                          ((3, 0, 1, 1), "x"), ((0, 3, 0), "p")):
         _, fresh = _cached_entry(capsys, tmp_path, monkeypatch, alpha,
                                  len(alpha), basis)
         with monkeypatch.context() as m:
             m.setattr(jack.JackPoly, "poly", property(
-                spy("poly", jack.JackPoly.poly.fget)))
-            m.setattr(mp.MultiPoly, "from_json", classmethod(
-                spy("from_json", mp.MultiPoly.from_json.__func__)))
+                _spy(calls, "poly", jack.JackPoly.poly.fget)))
             m.setattr(exactarith, "poly_gcd",
-                      spy("poly_gcd", exactarith.poly_gcd))
+                      _spy(calls, "poly_gcd", exactarith.poly_gcd))
             for kappa in ([], ["--kappa", "-1/2"]):
                 code, out, err = run(
                     capsys, "zeta", "--alpha", ",".join(map(str, alpha)),
@@ -596,6 +595,45 @@ def test_a_cache_hit_stays_off_q_kappa(capsys, tmp_path, monkeypatch):
                 if not kappa:
                     assert out == fresh
         assert calls == []
+
+
+def test_a_kappa_request_reduces_no_coefficient(capsys, tmp_path,
+                                                monkeypatch):
+    # the entry is written and read as numerators, and specialize works on
+    # them: a --kappa miss and hit reduce no coefficient
+    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
+    calls = []
+    monkeypatch.setattr(jack, "_reduced", _spy(calls, "_reduced",
+                                               jack._reduced))
+    for alpha, basis in (((2, 0, 1), "x"), ((2, 0, 1), "p"),
+                         ((0, 3, 0), "p")):
+        argv = ["zeta", "--alpha", ",".join(map(str, alpha)), "--N",
+                str(len(alpha)), "--basis", basis, "--kappa", "-1/2"]
+        miss = run(capsys, *argv)
+        hit = run(capsys, *argv)
+        assert miss[0] == 0 and miss[:2] == hit[:2]
+        assert "recomputing" not in hit[2]
+    assert len(list(tmp_path.glob("*.json"))) == 3
+    assert calls == []
+
+
+def test_every_small_entry_reloads_as_solved(tmp_path, monkeypatch):
+    # the 209 compositions with N <= 4 and weight <= 5, both bases: the
+    # reloaded entry has the solved nums and den and prints the same bytes
+    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
+    keys = [(alpha, n) for n in range(1, 5) for d in range(6)
+            for alpha in comb.compositions_of(d, n)]
+    assert len(keys) == 209
+    for alpha, n in keys:
+        for basis, build in (("x", jack.zeta_x), ("p", jack.zeta_p)):
+            cli.cached_zeta(alpha, n, basis)
+            path = tmp_path / (cli._cache_key(alpha, n, basis) + ".json")
+            loaded = cli._load_entry(str(path), alpha, n, basis)
+            solved = build(alpha, n)
+            assert loaded.nums == solved.nums and loaded.den == solved.den
+            assert cli._dumps(loaded.to_json()) == cli._dumps(
+                solved.to_json())
+            jack.clear_caches()
 
 
 # --------------------------------------------------- the indent-1 writer

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from collections import Counter
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singjack import cli
 from singjack import combinatorics as comb
 from singjack import exactarith
 from singjack import jack
@@ -30,6 +32,28 @@ from singjack.exactarith import (
 )
 from singjack.operators import (OperatorContext, cherednik,
                                 cherednik_k_terms, dunkl)
+
+
+def _over(jp, poly, facs):
+    """A JackPoly with the alpha, N and basis of jp and the value of the
+    Q(kappa) MultiPoly poly, over d0 times the product of facs, primitive
+    linear factors (a, b) for a*kappa + b: each coefficient times that
+    product by exact KappaPoly division, and d0 the lcm of the
+    denominators left."""
+    top = KP_ONE
+    for f in facs:
+        top = top * kappa_linear(*f)
+    ints = {e: _int_form((c.num * top).exact_div(c.den))
+            for e, c in poly.terms.items()}
+    d0 = lcm(*(d for _, d in ints.values()))
+    return jack.JackPoly(jp.alpha, jp.n, jp.basis, {
+        e: [x * (d0 // d) for x in num] for e, (num, d) in ints.items()},
+        (d0, tuple(sorted(Counter(facs).items()))), check=False)
+
+
+def _facs(jp):
+    """The linear factors of jp's den, each as often as it divides."""
+    return [f for f, m in jp.den[1] for _ in range(m)]
 
 
 def test_zeta_x_smallest_cases():
@@ -240,7 +264,8 @@ def test_only_the_adjacent_x_step_skips_the_eigen_check(monkeypatch):
     jack.z2sz_step(zp, 1)
     jack.movert_step(zp, 1, 2)
     jack.movelt_step(zl, 2, 1)
-    jack.JackPoly.from_json(json.loads(json.dumps(zx.to_json())))
+    # what a cache load builds
+    jack.JackPoly(zx.alpha, 3, "x", zx.nums, jack.zeta_den(zx.alpha, "x"))
     assert checked == [("p", (1, 2, 1)), ("p", (1, 1, 2)), ("p", (2, 1, 2)),
                        ("x", (2, 1, 0))]
 
@@ -379,10 +404,13 @@ def test_ks_coefficient_small():
         jack.ks_coefficient_check((1, 2), 5)
 
 
-def test_jackpoly_json_round_trip():
-    z = jack.zeta_x((2, 0, 1), 3)
-    obj = z.to_json()
-    back = jack.JackPoly.from_json(obj)
+def test_jackpoly_json_round_trip(tmp_path, monkeypatch):
+    # through the cache entry: its writer and its one reader
+    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
+    z = cli.cached_zeta((2, 0, 1), 3)
+    back = cli._load_entry(
+        str(tmp_path / (cli._cache_key((2, 0, 1), 3, "x") + ".json")),
+        (2, 0, 1), 3, "x")
     assert back.alpha == z.alpha and back.basis == "x"
     assert back.poly == z.poly
     assert [(f.coeffs, m) for f, m in back.denominator_factors] == [
@@ -390,8 +418,8 @@ def test_jackpoly_json_round_trip():
 
 
 def test_json_from_the_factored_form_matches_the_q_kappa_route():
-    # to_json writes from coeffs and from_json reads with int(); the
-    # reference writes the KappaRatios of .poly
+    # to_json writes from coeffs; the reference writes the KappaRatios of
+    # .poly
     keys = [(alpha, n) for n in range(1, 5) for d in range(6)
             for alpha in comb.compositions_of(d, n)]
     assert len(keys) == 209
@@ -401,21 +429,8 @@ def test_json_from_the_factored_form_matches_the_q_kappa_route():
             want.update(alpha=list(jp.alpha), basis=jp.basis,
                         denominator_factors=jack.factors_json(
                             jp.denominator_factors))
-            obj = jp.to_json()
-            assert json.dumps(obj) == json.dumps(want)
-            back = jack.JackPoly.from_json(obj)
-            assert back.coeffs == jp.coeffs
-            assert back.denominator_factors == jp.denominator_factors
+            assert json.dumps(jp.to_json()) == json.dumps(want)
     jack.clear_caches()
-
-
-def test_coefficient_strings_are_read_by_int():
-    assert jack._rationals(["3", "-1/2", "0"]) == ([6, -1], 2)
-    assert jack._rationals(["1/6", "-1/4", "1"]) == ([2, -3, 12], 12)
-    assert jack._rationals([]) == ([], 1)
-    for bad in (["1/0"], ["1/-2"], ["1/"], ["0.5"], [""]):
-        with pytest.raises(ValueError):
-            jack._rationals(bad)
 
 
 # ------------------------------------------------ the integer eigen check
@@ -507,14 +522,10 @@ def test_eigen_check_accepts_every_small_zeta():
 
 
 def _tampered(jp, e, c):
-    # the candidates factor every tampered denominator, so the
-    # eigen-equations, not the factoring, have to refuse the edit
+    # over den and k + 7, which hold every tampered denominator
     terms = dict(jp.poly.terms)
     terms[e] = c
-    return jack.JackPoly.from_poly(
-        jp.alpha, jp.n, jp.basis, mp.MultiPoly(jp.n, terms),
-        [fac for fac, _ in jp.denominator_factors] + [kappa_linear(1, 7)],
-        check=False)
+    return _over(jp, mp.MultiPoly(jp.n, terms), _facs(jp) + [(1, 7)])
 
 
 def _tampers(jp):
@@ -590,10 +601,7 @@ def test_eigen_check_asserts_the_last_operator():
                     for b in comb.compositions_of(d, n)
                     if comb.spectral_vector(b)[:-1] == spec[:-1])
         za, zb = jack.zeta_x(alpha, n), jack.zeta_x(beta, n)
-        bad = jack.JackPoly.from_poly(
-            alpha, n, "x", za.poly + zb.poly,
-            [fac for z in (za, zb) for fac, _ in z.denominator_factors],
-            check=False)
+        bad = _over(za, za.poly + zb.poly, _facs(za) + _facs(zb))
         ctx = OperatorContext(n)
         for i in range(1, n):
             xi = kappa_linear(*spec[i - 1])
@@ -602,13 +610,6 @@ def test_eigen_check_asserts_the_last_operator():
         assert not _layered_eigen_ok(bad)
         with pytest.raises(jack.SolveFailure):
             bad._assert_eigen()
-
-
-def test_eigen_check_rejects_a_specialized_poly():
-    z = jack.zeta_x((2, 1, 0), 3)
-    with pytest.raises(mp.FieldMismatch):
-        jack.JackPoly.from_poly(z.alpha, 3, "x",
-                                mp.specialize(z.poly, Fraction(-1, 2)), [])
 
 
 # ------------------------------------------ the Kronecker-packed eigen check
@@ -666,9 +667,7 @@ def _edited(draw):
     c = terms.get(e, KR_ZERO)
     j = draw(st.sampled_from([0, max(c.num.degree, 0), c.num.degree + 1]))
     terms[e] = c + KappaRatio(KappaPoly((0,) * j + (draw(_BIG),)), c.den)
-    return jack.JackPoly.from_poly(
-        jp.alpha, jp.n, jp.basis, mp.MultiPoly(jp.n, terms),
-        [fac for fac, _ in jp.denominator_factors], check=False)
+    return _over(jp, mp.MultiPoly(jp.n, terms), _facs(jp))
 
 
 @settings(max_examples=150, deadline=None)
@@ -689,42 +688,10 @@ def test_residual_stays_below_the_shift():
             for e, c in jp.poly.terms.items():
                 terms = dict(jp.poly.terms)
                 terms[e] = c + KappaRatio(KappaPoly((v,)), c.den)
-                assert _below_the_shift(jack.JackPoly.from_poly(
-                    jp.alpha, jp.n, jp.basis, mp.MultiPoly(jp.n, terms),
-                    [fac for fac, _ in jp.denominator_factors], check=False))
+                assert _below_the_shift(
+                    _over(jp, mp.MultiPoly(jp.n, terms), _facs(jp)))
     for sigma in comb.rlp_enumerate(comb.resolve_label(1, 2, 5).lam):
         assert _below_the_shift(jack.zeta_x(sigma, 5))
-
-
-def test_a_denominator_the_candidates_do_not_factor_is_refused():
-    z = jack.zeta_x((2, 0, 1), 3)
-    facs = [fac for fac, _ in z.denominator_factors]
-    e, c = next((e, c) for e, c in z.poly.terms.items() if not c.is_poly())
-    for bad in (kappa_linear(1, 7), KappaPoly((1, 0, 1))):
-        terms = dict(z.poly.terms)
-        terms[e] = KappaRatio(c.num, c.den * bad)
-        poly = mp.MultiPoly(3, terms)
-        with pytest.raises(jack.SolveFailure, match="not among"):
-            jack.JackPoly.from_poly(z.alpha, 3, "x", poly, facs, check=False)
-        # with the factor among the candidates it is read, and refused by
-        # the eigen-equations
-        if bad.degree == 1:
-            with pytest.raises(jack.SolveFailure, match="eigen"):
-                jack.JackPoly.from_poly(z.alpha, 3, "x", poly, facs + [bad])
-
-
-def test_a_coefficient_not_in_canonical_form_is_refused():
-    # the same values, written with no gcd: not reduced, or not monic
-    z = jack.zeta_x((2, 0, 1), 3)
-    facs = [fac for fac, _ in z.denominator_factors]
-    e, c = next((e, c) for e, c in z.poly.terms.items() if not c.is_poly())
-    for num, den in ((c.num * facs[0], c.den * facs[0]),
-                     (c.num * 2, c.den * 2)):
-        terms = dict(z.poly.terms)
-        terms[e] = KappaRatio(num, den, _canonical=True)
-        with pytest.raises(jack.SolveFailure, match="not"):
-            jack.JackPoly.from_poly(z.alpha, 3, "x", mp.MultiPoly(3, terms),
-                                    facs, check=False)
 
 
 def test_specialize_matches_the_q_kappa_specialization():
@@ -942,16 +909,17 @@ def test_each_step_multiplies_d_alpha_by_q_over_l():
     jack.clear_caches()
 
 
-def test_a_loaded_zeta_steps_to_the_solved_one():
-    # from_json holds zeta over its own tight denominator, not over
-    # d_alpha; the step brings it to d_alpha where a division needs it
-    count = 0
+def test_a_loaded_zeta_steps_to_the_solved_one(tmp_path, monkeypatch):
+    # a cache load is over d_alpha, computed from alpha, as the solve is
+    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
     for alpha, n, i in _adjacent_steps():
-        loaded = jack.JackPoly.from_json(jack.zeta_x(alpha, n).to_json())
+        cli.cached_zeta(alpha, n)
+        loaded = cli._load_entry(
+            str(tmp_path / (cli._cache_key(alpha, n, "x") + ".json")),
+            alpha, n, "x")
+        assert loaded.den == jack._ks_denominator(alpha)
         child = jack.z2sz_step(loaded, i)
         assert child.coeffs == jack.zeta_x(child.alpha, n).coeffs
-        count += loaded.den != jack._ks_denominator(alpha)
-    assert count
     jack.clear_caches()
 
 
@@ -1049,23 +1017,3 @@ def test_step_formula_denominators_match_the_search():
     for moved in (jack.movert_step(jack.zeta_p((2, 1, 1), 3), 1, 2),
                   jack.movelt_step(jack.zeta_p((2, 2, 1), 3), 1, 2)):
         assert moved.denominator_factors == _reference_profile(moved.poly)
-
-
-def _profile(z, candidates):
-    return jack.JackPoly.from_poly(z.alpha, z.n, z.basis, z.poly, candidates,
-                                   check=False).denominator_factors
-
-
-def test_denominator_profile_refuses_a_missing_candidate():
-    z = jack.zeta_x((0, 3, 0), 3)
-    facs = [fac for fac, _ in z.denominator_factors]
-    assert len(facs) == 2
-    # scaled, repeated, unused and constant candidates change nothing
-    extra = [fac * 4 for fac in facs] + facs + [
-        kappa_linear(1, 7), kappa_linear(0, 5), KappaPoly((1, 0, 1))]
-    assert _profile(z, extra) == z.denominator_factors
-    for missing in facs:
-        with pytest.raises(jack.SolveFailure):
-            _profile(z, [fac for fac in extra if fac.monic() != missing])
-    with pytest.raises(jack.SolveFailure):
-        _profile(jack.zeta_x((2, 0, 1), 3), [])
