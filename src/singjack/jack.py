@@ -29,6 +29,44 @@ is built only where it is printed or compared; denominator_factors is
 read off N by a witness scan, and specialize divides out only the factor
 with root kappa0.
 
+The solve.  zeta_x finds N_beta row by row in down-set order.  With i
+the pivot of beta, the least index at which xi(beta) differs from
+xi(alpha), the U_i eigen-equation at x^beta is (xi_i(alpha) - xi_i(beta))
+N_beta = kappa S_beta, S_beta the sum over the solved gamma of
+[x^beta] K_i x^gamma N_gamma.  So a solved beta sends K_i x^beta only to
+later rows of pivot i, and the prefix lemma says which terms can reach
+one (_row_terms):
+
+- A row b2 has pivot i only if b2_k = alpha_k for every k < i, because
+  the constant term of xi_k(b2) is b2_k + 1.
+- A term of K_i x^beta differs from beta in position i and in at most one
+  other position j: it comes from a pair difference of x_i x^beta in
+  positions i and j, or from the swap (j, i) with j < i.  Let
+  D = {k < i : beta_k != alpha_k}.
+- If |D| >= 2, some k in D is not j, and b2_k = beta_k != alpha_k: no
+  term reaches a pivot-i row.  D only grows with i, so the same holds for
+  every larger i, and the loop over the increasing i stops.
+- If D = {k}, then j = k.  The pair difference with a = beta_i + 1 and
+  b = beta_k puts a + b - 1 - u at k for u from min(a, b) to max(a, b) - 1,
+  so it reaches b2_k = alpha_k at the one u = a + b - 1 - alpha_k, if that
+  lies in the range.  The swap (k, i) puts beta_i at k, so it reaches one
+  only when beta_i = alpha_k.  The two may land on the same b2 and merge.
+- If D is empty, a term with j < i moves beta_j = alpha_j, unless it is
+  x^beta itself (u = beta_i, or the swap with beta_j = beta_i), which is
+  never a target.  So only the pair differences with j > i are made, by
+  the one kernel over that range of j.
+- The ranks must agree too, so each term made still passes the pivot test.
+
+Each pending S_beta is held as one integer S_beta(X), X = 2**B, with a
+bound M on its coefficients: a contribution k N_gamma adds |k| max
+|N_gamma| to M.  While M < X / 2 every coefficient lies strictly between
+-X/2 and X/2, so S_beta's coefficients are the balanced base-X digits of
+S_beta(X) (_unpack), by induction from the lowest: each is the residue
+of the rest modulo X in [-X/2, X/2).  Before an update would take a
+bound to X / 2, B is widened and every pending sum re-packed from its
+exact digits (_widened).  A wrong digit could only make a pivot division
+inexact or fail the eigen check: a refusal, never a wrong zeta.
+
 Certificates.  A solved zeta, a cache load (cli._load_entry), movert_step,
 movelt_step and every step in basis p are certified by their N - 1
 eigen-equations (JackPoly._assert_eigen).  The adjacent step in basis x,
@@ -80,8 +118,8 @@ from .exactarith import (KP_ONE, KP_ZERO, KappaPoly, KappaRatio, KR_ZERO,
 from .multipoly import (MultiPoly, apply_perm, coeff, expand_in_basis,
                         mp_zero, perm_terms, poly_add, poly_scale, poly_sub,
                         support_order, word_apply)
-from .operators import (OperatorContext, cherednik_k_terms, dunkl,
-                        swap_terms)
+from .operators import (OperatorContext, _pair_difference_terms,
+                        cherednik_k_terms, dunkl, swap_terms)
 
 
 class NotDecreasingAt(ValueError):
@@ -449,15 +487,86 @@ def _ambient(alpha, n):
     return comb.pad(alpha, n)
 
 
+def _pivot(alpha, spec_a, beta):
+    """(i, a, b): i the pivot of the row beta != alpha, found by comparing
+    rank and value index by index, and xi_i(alpha) - xi_i(beta) =
+    a*kappa + b, xi(alpha) = spec_a."""
+    for i0, (x, y) in enumerate(zip(alpha, beta)):
+        r = sum(z > y for z in beta) + sum(z == y for z in beta[:i0 + 1])
+        if x != y or spec_a[i0][0] != len(beta) - r:
+            return i0 + 1, spec_a[i0][0] - len(beta) + r, x - y
+
+
+def _row_terms(alpha, beta, used, pivots):
+    """{b2: k} for the terms k x^b2 of K_i x^beta, i in the increasing
+    used, that lie on a row b2 != beta with pivot i: only those the prefix
+    lemma (module docstring) lets reach such a row are made."""
+    n = len(alpha)
+    first, second = ([k for k, (x, y) in enumerate(zip(alpha, beta)) if x != y]
+                     + [n, n])[:2]
+    out = {}
+    for i in used:
+        i0 = i - 1
+        if i0 > second:
+            break
+        terms = {}
+        if i0 <= first:
+            _pair_difference_terms({beta: 1}, i0, 1, terms, range(i, n))
+        else:
+            a, b, want = beta[i0] + 1, beta[first], alpha[first]
+            u = a + b - 1 - want
+            e = list(beta)
+            if min(a, b) <= u < max(a, b):
+                e[i0], e[first] = u, want
+                terms[tuple(e)] = 1 if a > b else -1
+            if beta[i0] == want:
+                e[i0], e[first] = b, want
+                e = tuple(e)
+                terms[e] = terms.get(e, 0) - 1
+        for b2, k in terms.items():
+            if k and b2 != beta and pivots.get(b2, (0,))[0] == i:
+                out[b2] = k
+    return out
+
+
+def _unpack(acc, bits):
+    """The balanced base-2**bits digits of acc, low first: the int list
+    num with _pack(num, bits) = acc and every |digit| <= 2**(bits-1)."""
+    half, mask, num = 1 << (bits - 1), (1 << bits) - 1, []
+    while acc:
+        x = acc & mask
+        if x >= half:
+            x -= 1 << bits
+        num.append(x)
+        acc = (acc - x) >> bits
+    return num
+
+
+def _widened(pending, bits, bound):
+    """A width above bound's bits, every pending sum re-packed to it from
+    its exact digits at the width bits."""
+    wide = max(2 * bits, bound.bit_length() + 1)
+    for entry in pending.values():
+        entry[0] = _pack(_unpack(entry[0], bits), wide)
+    return wide
+
+
+# the initial width of the packed pending sums of zeta_x
+_PACK_BITS = 64
+
+
 def zeta_x(alpha, n):
     """The x-monic simultaneous eigenvector for composition alpha.
 
     Triangular solve over the down-set of alpha: the coefficient at a lower
     beta is kappa * sum_gamma c_gamma [x^beta] K_i x^gamma over
-    xi_i(alpha) - xi_i(beta), i the least index where the spectra differ.
-    It runs on the integer form N over d_alpha (module docstring), with
-    one Z[kappa] sum per pending beta; then the shape and every
-    eigen-equation are asserted on N.
+    xi_i(alpha) - xi_i(beta), i the pivot of beta, the least index where
+    the spectra differ.  It runs on the integer form N over d_alpha
+    (module docstring).  Each solved gamma adds its terms on later rows
+    of the same pivot (_row_terms, by the prefix lemma) to one packed
+    integer per row, with a bound on its digits that widens the packing
+    before they could overflow; then the shape and every eigen-equation
+    are asserted on N.
     """
     alpha = _ambient(alpha, n)
     key = (alpha, n, "x")
@@ -467,37 +576,32 @@ def zeta_x(alpha, n):
 
     dset = comb.down_set(alpha)
     spec_a = comb.spectral_vector(alpha)
-    pivots = {}
-    for beta in dset[1:]:
-        spec_b = comb.spectral_vector(beta)
-        # xi_i = (N - rank_i)kappa + beta_i + 1, so spectra differ somewhere
-        i = next(i for i in range(n) if spec_a[i] != spec_b[i])
-        pivots[beta] = (i + 1, spec_a[i][0] - spec_b[i][0],
-                        spec_a[i][1] - spec_b[i][1])
-    used = {p[0] for p in pivots.values()}
-    # pending[beta]: the sum S of the solved gammas' contributions.
-    # K_i x^gamma lies triangle-below gamma, so all of them arrive before
-    # beta is reached in down-set order.
+    pivots = {beta: _pivot(alpha, spec_a, beta) for beta in dset[1:]}
+    used = sorted({p[0] for p in pivots.values()})
+    # pending[beta]: [S(2**bits), the bound] for the sum S of the solved
+    # gammas' contributions.  K_i x^gamma lies triangle-below gamma, so
+    # all of them arrive before beta is reached in down-set order.
     den = _ks_denominator(alpha)
+    bits = _PACK_BITS
     pending = {}
     nums = {}
     for beta in dset:
         if beta == alpha:
             num = _den_expansion(den[1], den[0])
         else:
-            num = pending.pop(beta, None)
-            while num and not num[-1]:
-                num.pop()
-            if not num:
+            acc = pending.pop(beta, (0,))[0]
+            if not acc:
                 continue
-            num = _divided([0] + num, *pivots[beta][1:])
+            num = _divided([0] + _unpack(acc, bits), *pivots[beta][1:])
         nums[beta] = num
-        for i in used:
-            k_terms = {}
-            cherednik_k_terms(n, i, {beta: 1}, k_terms)
-            for b2, k in k_terms.items():
-                if b2 != beta and pivots.get(b2, (0,))[0] == i:
-                    _axpy(pending.setdefault(b2, []), num, k)
+        h, packed = max(map(abs, num)), _pack(num, bits)
+        for b2, k in _row_terms(alpha, beta, used, pivots).items():
+            entry = pending.setdefault(b2, [0, 0])
+            entry[1] += abs(k) * h
+            if entry[1] >= 1 << (bits - 1):
+                bits = _widened(pending, bits, entry[1])
+                packed = _pack(num, bits)
+            entry[0] += k * packed
 
     zp = JackPoly(alpha, n, "x", nums, den)
     _ZETA_CACHE[key] = zp

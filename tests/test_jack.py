@@ -1017,3 +1017,78 @@ def test_step_formula_denominators_match_the_search():
     for moved in (jack.movert_step(jack.zeta_p((2, 1, 1), 3), 1, 2),
                   jack.movelt_step(jack.zeta_p((2, 2, 1), 3), 1, 2)):
         assert moved.denominator_factors == _reference_profile(moved.poly)
+
+
+def _pivot_row_terms(alpha, beta):
+    """{b2: k} over every i < N: the terms k x^b2 of the full K_i x^beta
+    on a row b2 != beta whose pivot, read off comb.spectral_vector, is i."""
+    n, spec_a, out = len(alpha), comb.spectral_vector(alpha), {}
+    for i in range(1, n):
+        terms = {}
+        cherednik_k_terms(n, i, {beta: 1}, terms)
+        for b2, k in terms.items():
+            spec_b = comb.spectral_vector(b2)
+            if b2 != beta and b2 != alpha and next(
+                    j for j in range(n) if spec_a[j] != spec_b[j]) == i - 1:
+                out[b2] = k
+    return out
+
+
+def _assert_the_lemma(alpha):
+    # the solve's terms for each beta of the down-set are exactly those of
+    # the full K_i on a row of pivot i, and its pivots are the spectral ones
+    n, spec_a = len(alpha), comb.spectral_vector(alpha)
+    dset = comb.down_set(alpha)
+    pivots = {beta: jack._pivot(alpha, spec_a, beta) for beta in dset[1:]}
+    for beta, (i, a, b) in pivots.items():
+        spec_b = comb.spectral_vector(beta)
+        j = next(j for j in range(n) if spec_a[j] != spec_b[j])
+        assert (i, a, b) == (j + 1, spec_a[j][0] - spec_b[j][0],
+                             spec_a[j][1] - spec_b[j][1])
+    for beta in dset:
+        assert jack._row_terms(alpha, beta, range(1, n), pivots) == (
+            _pivot_row_terms(alpha, beta))
+
+
+@st.composite
+def _lemma_compositions(draw):
+    n, d = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    return draw(st.sampled_from(list(comb.compositions_of(d, n))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lemma_compositions())
+def test_the_solve_makes_exactly_the_pivot_row_terms(alpha):
+    _assert_the_lemma(alpha)
+
+
+def test_the_solve_makes_exactly_the_pivot_row_terms_up_to_n4_degree4():
+    count = 0
+    for n in range(1, 5):
+        for d in range(5):
+            for alpha in comb.compositions_of(d, n):
+                _assert_the_lemma(alpha)
+                count += 1
+    assert count == 125
+
+
+def test_packed_sums_widen_to_the_default_solve(monkeypatch):
+    # from a 2-bit packing every pending sum outgrows its width, and the
+    # widened solve gives the default's numerators and denominator
+    cases = list(_small_compositions()) + [((4, 3, 2, 1, 0), 5)]
+    jack.clear_caches()
+    want = {}
+    for alpha, n in cases:
+        z = jack.zeta_x(alpha, n)
+        want[alpha, n] = z.nums, z.den
+    jack.clear_caches()
+    widened = []
+    widen = jack._widened
+    monkeypatch.setattr(jack, "_PACK_BITS", 2)
+    monkeypatch.setattr(jack, "_widened",
+                        lambda *args: widened.append(args[1]) or widen(*args))
+    for alpha, n in cases:
+        z = jack.zeta_x(alpha, n)
+        assert (z.nums, z.den) == want[alpha, n]
+    assert widened
+    jack.clear_caches()
