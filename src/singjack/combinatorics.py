@@ -122,11 +122,6 @@ def spectral_vector(alpha):
     return tuple((n - rv[i], alpha[i] + 1) for i in range(n))
 
 
-def xi_poly(alpha, i):
-    n = len(alpha)
-    return kappa_linear(n - rank(alpha, i), alpha[i - 1] + 1)
-
-
 # -------------------------------------------------------------------- orders
 
 def _prefix_ge(alpha, beta):
@@ -462,32 +457,6 @@ def t0_tableau(tau):
         rows.append(tuple(range(v, v + k)))
         v += k
     return Tableau.from_rows(rows)
-
-
-def syt_enumerate(tau):
-    tau = tuple(x for x in tau if x)
-    if not tau or not is_partition(tau) or any(x < 1 for x in tau):
-        raise ShapeViolation("not a partition shape: %s" % (tau,))
-    n = sum(tau)
-    filled = [0] * len(tau)
-    out = []
-
-    def place(v):
-        if v > n:
-            rows = [tuple(assign[r]) for r in range(len(tau))]
-            out.append(Tableau.from_rows(rows))
-            return
-        for r in range(len(tau)):
-            if filled[r] < tau[r] and (r == 0 or filled[r] < filled[r - 1]):
-                assign[r].append(v)
-                filled[r] += 1
-                place(v + 1)
-                filled[r] -= 1
-                assign[r].pop()
-
-    assign = [[] for _ in tau]
-    place(1)
-    return out
 
 
 def rlp_enumerate(lam, gamma=None):

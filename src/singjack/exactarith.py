@@ -164,9 +164,6 @@ class KappaPoly:
             return self
         return self * (1 / lb)
 
-    def derivative(self):
-        return KappaPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
     def to_json(self):
         return [rat_to_str(c) for c in self.coeffs]
 

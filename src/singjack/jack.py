@@ -104,7 +104,7 @@ zeta' = zeta_{s_i alpha}:
 
 So zeta' = zeta_{s_i alpha} with no eigen-equation of its own and no K_i
 term.  The identity is checked Kronecker-packed, as the eigen check is.
-No memo is kept across calls apart from the zeta and p-basis memos that
+No memo is kept across calls apart from the zeta memo (_ZETA_CACHE) that
 clear_caches empties.
 """
 
@@ -112,12 +112,12 @@ from fractions import Fraction
 from math import factorial, gcd, prod
 
 from . import combinatorics as comb
-from .exactarith import (KP_ONE, KP_ZERO, KappaPoly, KappaRatio, KR_ZERO,
-                         PoleError, _at_root, _axpy, _divide_out, _times,
-                         kappa_linear, rat_to_str, ratio_str)
-from .multipoly import (MultiPoly, apply_perm, coeff, expand_in_basis,
-                        mp_zero, perm_terms, poly_add, poly_scale, poly_sub,
-                        support_order, word_apply)
+from .exactarith import (KP_ONE, KappaPoly, KappaRatio, PoleError, _at_root,
+                         _axpy, _divide_out, _times, kappa_linear, rat_to_str,
+                         ratio_str)
+from .multipoly import (MultiPoly, apply_perm, coeff, mp_zero, perm_terms,
+                        poly_add, poly_scale, poly_sub, support_order,
+                        word_apply)
 from .operators import (OperatorContext, _pair_difference_terms,
                         cherednik_k_terms, dunkl, swap_terms)
 
@@ -438,9 +438,6 @@ class JackPoly:
                             Fraction(v, at * q ** -s))
         return MultiPoly(self.n, terms, field=kappa0, _clean=True)
 
-    def degree(self):
-        return comb.comp_weight(self.alpha)
-
     def to_json(self):
         """The JSON of .poly with alpha, basis and denominator factors,
         written from coeffs: each distinct factor tuple is expanded once
@@ -475,7 +472,6 @@ _ZETA_CACHE = {}
 def clear_caches():
     """Empty every module-level memo: each call after this starts cold."""
     _ZETA_CACHE.clear()
-    _PBASIS_CACHE.clear()
 
 
 def _ambient(alpha, n):
@@ -673,36 +669,6 @@ def zeta_p(alpha, n):
                   zeta_den(alpha, "p"), check=False)
     _ZETA_CACHE[key] = zp
     return zp
-
-
-def p_basis(alpha, n):
-    """Coefficient of y^alpha in prod_i ((1-x_i y_i)^-1 prod_j (1-x_i y_j)^-kappa).
-
-    Truncated series: y_j is capped at alpha_j and processed one j at a time,
-    pinning the y_j-degree to alpha_j before moving on.  The x-degree always
-    equals the pinned y-weight, so no spurious terms are carried.
-    """
-    alpha = _ambient(alpha, n)
-    state = {(0,) * n: KP_ONE}
-    for j in range(1, n + 1):
-        cap = alpha[j - 1]
-        if cap == 0:
-            continue
-        layers = [state] + [{} for _ in range(cap)]
-        for i in range(1, n + 1):
-            base = kappa_linear(1, 1 if i == j else 0)
-            series = [comb.pochhammer(base, (t,)) * Fraction(1, factorial(t))
-                      for t in range(cap + 1)]
-            new = [{} for _ in range(cap + 1)]
-            for t_prev, src in enumerate(layers):
-                for t in range(cap + 1 - t_prev):
-                    dst = new[t_prev + t]
-                    for e, v in src.items():
-                        e2 = e[:i - 1] + (e[i - 1] + t,) + e[i:]
-                        dst[e2] = dst.get(e2, KP_ZERO) + v * series[t]
-            layers = new
-        state = layers[cap]
-    return MultiPoly(n, state)
 
 
 # ----------------------------------------------------------- step formulas
@@ -969,59 +935,3 @@ def ks_coefficient_check(lam, n):
     return coeff(z.poly, exp) == KappaRatio.from_factors(
         [(0, factorial(wt))] + [(1, 0)] * wt,
         [(leg + 1, arm + 1) for leg, arm in comb.hooks(lam)])
-
-
-# --------------------------------------------------------- p-basis expansion
-
-_PBASIS_CACHE = {}
-
-
-def _p_basis_cached(gamma, n):
-    if (gamma, n) not in _PBASIS_CACHE:
-        _PBASIS_CACHE[gamma, n] = p_basis(gamma, n)
-    return _PBASIS_CACHE[gamma, n]
-
-
-def p_expand(f, n):
-    """Expand a homogeneous polynomial in the p-basis of its degree.
-
-    Returns a dict composition -> KappaRatio.  Exact linear solve against
-    all p_gamma of the same degree.
-    """
-    if not f.is_homogeneous():
-        raise SolveFailure("p-expansion needs a homogeneous input")
-    d = f.degree()
-    if d < 0:
-        return {}
-    gammas = list(comb.compositions_of(d, n))
-    sol, = expand_in_basis([_p_basis_cached(g, n) for g in gammas], [f])
-    return {g: v for g, v in zip(gammas, sol) if v}
-
-
-def difp_support_check(alpha, n):
-    """Expand D_m p_alpha in the p-basis and check the support law:
-    the coefficient at alpha - eps(m) is (N+1-r(alpha,m))kappa + alpha_m,
-    and every other contributing index gamma has support in [1,m] with
-    alpha strictly below gamma + eps(m) in the triangle order."""
-    alpha = comb.pad(tuple(int(a) for a in alpha), n)
-    m = comb.comp_length(alpha)
-    if m == 0:
-        raise comb.ZeroComposition("zero composition not allowed")
-    ctx = OperatorContext(n)
-    dp = dunkl(ctx, m, _p_basis_cached(alpha, n))
-    expansion = p_expand(dp, n)
-    target = comb.comp_sub(alpha, comb.epsilon(m, n))
-    diag = expansion.get(target, KR_ZERO)
-    want = KR_ZERO + kappa_linear(n + 1 - comb.rank(alpha, m), alpha[m - 1])
-    if diag != want:
-        return False
-    for gamma, val in expansion.items():
-        if gamma == target:
-            continue
-        if comb.comp_length(gamma) > m:
-            return False
-        lifted = tuple(g + (1 if i == m - 1 else 0)
-                       for i, g in enumerate(gamma))
-        if not comb.triangle_greater(lifted, alpha):
-            return False
-    return True

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials with S_N actions and divided differences.
+"""Sparse multivariate polynomials with S_N actions.
 
 A MultiPoly lives in a fixed ambient dimension n.  Coefficients are either
 KappaRatio (generic parameter field, tag None) or Fraction (parameter
@@ -9,13 +9,7 @@ dense tuples of length n.
 from fractions import Fraction
 from math import lcm
 
-from .exactarith import (
-    KappaPoly,
-    KappaRatio,
-    KR_ZERO,
-    PoleError,
-    rat_to_str,
-)
+from .exactarith import KappaPoly, KappaRatio, KR_ZERO, rat_to_str
 
 
 class AmbientMismatch(ValueError):
@@ -27,14 +21,6 @@ class FieldMismatch(ValueError):
 
 
 class SizeMismatch(ValueError):
-    pass
-
-
-class InexactDivision(ArithmeticError):
-    pass
-
-
-class ExpansionFailure(Exception):
     pass
 
 
@@ -208,17 +194,6 @@ def monomial(n, exp, coeff=1, field=None):
     return MultiPoly(n, {tuple(exp): coeff}, field=field)
 
 
-def x_var(n, i, field=None):
-    """The variable x_i, 1-based."""
-    exp = [0] * n
-    exp[i - 1] = 1
-    return monomial(n, exp, 1, field=field)
-
-
-def mp_const(n, c, field=None):
-    return MultiPoly(n, {(0,) * n: c}, field=field)
-
-
 def _check_compat(f, g):
     if f.n != g.n:
         raise AmbientMismatch("ambient %d vs %d" % (f.n, g.n))
@@ -282,79 +257,6 @@ def apply_perm(w, f):
     return MultiPoly(n, perm_terms(w, f.terms), field=f.field, _clean=True)
 
 
-def divided_difference(i, j, f):
-    """(f - (i,j)f)/(x_i - x_j), always an exact quotient.
-
-    Division runs as synthetic univariate division in x_i with the other
-    variables absorbed into the coefficients.  A nonzero remainder cannot
-    happen for an antisymmetric numerator and signals an internal bug.
-    """
-    n = f.n
-    if not (1 <= i <= n and 1 <= j <= n) or i == j:
-        raise SizeMismatch("bad variable pair (%d,%d) in ambient %d" % (i, j, n))
-    tij = [k + 1 for k in range(n)]
-    tij[i - 1], tij[j - 1] = j, i
-    num = poly_sub(f, apply_perm(tuple(tij), f))
-    if num.is_zero():
-        return mp_zero(n, field=f.field)
-    i0, j0 = i - 1, j - 1
-    # slice into coefficients of powers of x_i
-    layers = {}
-    for e, c in num.terms.items():
-        t = e[i0]
-        base = list(e)
-        base[i0] = 0
-        layers.setdefault(t, {})[tuple(base)] = c
-    top = max(layers)
-    quot = {}
-    carry = {}  # running q_t as dict, multiplied by x_j each step
-    for t in range(top, -1, -1):
-        cur = dict(carry)
-        for e, c in layers.get(t, {}).items():
-            acc = cur.get(e)
-            if acc is None:
-                cur[e] = c
-            else:
-                acc = acc + c
-                if acc:
-                    cur[e] = acc
-                else:
-                    del cur[e]
-        if t == 0:
-            if cur:
-                raise InexactDivision(
-                    "nonzero remainder dividing by x%d - x%d" % (i, j)
-                )
-            break
-        for e, c in cur.items():
-            out = list(e)
-            out[i0] = t - 1
-            quot[tuple(out)] = c
-        carry = {}
-        for e, c in cur.items():
-            out = list(e)
-            out[j0] += 1
-            carry[tuple(out)] = c
-    return MultiPoly(n, quot, field=f.field, _clean=True)
-
-
-def partial(i, f):
-    """d/dx_i."""
-    n = f.n
-    if not 1 <= i <= n:
-        raise SizeMismatch("variable index %d outside [1,%d]" % (i, n))
-    i0 = i - 1
-    terms = {}
-    for e, c in f.terms.items():
-        p = e[i0]
-        if p == 0:
-            continue
-        out = list(e)
-        out[i0] = p - 1
-        terms[tuple(out)] = c * p
-    return MultiPoly(n, terms, field=f.field, _clean=True)
-
-
 def eval_ones(f, n=None):
     """f(1,1,...,1): the sum of all coefficients."""
     if n is not None and n != f.n:
@@ -372,26 +274,6 @@ def coeff(f, alpha):
             "exponent length %d, ambient %d" % (len(alpha), f.n)
         )
     return f.terms.get(alpha, f.zero_coeff())
-
-
-def specialize(f, kappa0):
-    """Evaluate every coefficient at kappa = kappa0; fails loudly on poles."""
-    if f.field is not None:
-        raise FieldMismatch("polynomial is already specialized at %s" % (f.field,))
-    kappa0 = Fraction(kappa0)
-    terms = {}
-    for e, c in f.terms.items():
-        try:
-            v = c.eval_at(kappa0)
-        except PoleError:
-            raise PoleError(
-                "coefficient of x^%r has a pole at kappa=%s" % (list(e), kappa0),
-                at=kappa0,
-                where=list(e),
-            )
-        if v:
-            terms[e] = v
-    return MultiPoly(f.n, terms, field=kappa0, _clean=True)
 
 
 def integer_terms(terms):
@@ -412,37 +294,3 @@ def word_apply(word, f):
             g = poly_scale(g, c)
         acc = poly_add(acc, g)
     return acc
-
-
-def expand_in_basis(basis, targets):
-    """Coefficients of each target in the basis, one list per target.
-
-    Gauss-Jordan elimination on the augmented matrix [basis | targets],
-    one row per monomial in graded-lex descending order.  Raises
-    ExpansionFailure when the basis is linearly dependent or a target lies
-    outside its span.
-    """
-    polys = list(basis) + list(targets)
-    k = len(basis)
-    zero = polys[0].zero_coeff()
-    exps = sorted({e for f in polys for e in f.terms},
-                  key=lambda e: (sum(e), e), reverse=True)
-    rows = [[f.terms.get(e, zero) for f in polys] for e in exps]
-    for c in range(k):
-        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
-        if p is None:
-            raise ExpansionFailure("basis is linearly dependent")
-        rows[c], rows[p] = rows[p], rows[c]
-        piv = rows[c]
-        inv = 1 / piv[c]
-        piv[c:] = [x * inv if x else x for x in piv[c:]]
-        for r, row in enumerate(rows):
-            t = row[c]
-            if r != c and t:
-                # entries that cancel share one zero, which keeps the
-                # matrix of many in-span targets small
-                row[c:] = [(a - t * b) or zero if b else a
-                           for a, b in zip(row[c:], piv[c:])]
-    if any(x for row in rows[k:] for x in row[k:]):
-        raise ExpansionFailure("target lies outside the basis span")
-    return [[rows[j][k + t] for j in range(k)] for t in range(len(targets))]

@@ -1,33 +1,26 @@
-"""Dunkl and Cherednik operators, the central element, and Murphy elements.
+"""Dunkl and Cherednik operators, and Murphy elements.
 
-All operators act on MultiPoly and are parametric in kappa: a context either
-keeps kappa formal (generic) or pins it to a rational value (specialized).
-The field tag of the input polynomial must match the context.
+The operators act on MultiPoly and are parametric in kappa: a context
+either keeps kappa formal (generic) or pins it to a rational value
+(specialized).  The field tag of the input polynomial must match the
+context.
 
-The Dunkl, Murphy and central-element operators are thin wrappers over
-term functions (dunkl_terms, murphy_terms, omega_terms) that take a terms
-dict with coefficients in any ring.  The kappa0 certificates of `singular`
-call them on integer terms: for the integer form F = L*f of a specialized
-polynomial, kappa0 = p/q in lowest terms, dunkl_terms(..., p, q) is
-q*L*D_i f, with no Fraction arithmetic.  The term functions, and the
-Cherednik K_i terms, apply each transposition by swap_terms, a swap of two
-exponent entries.
+The Dunkl operator is a thin wrapper over its term function dunkl_terms.
+It and murphy_terms, the term function of the Murphy elements, take a
+terms dict with coefficients in any ring.  The kappa0 certificates of
+`singular` call them on integer terms: for the integer form F = L*f of a
+specialized polynomial, kappa0 = p/q in lowest terms,
+dunkl_terms(..., p, q) is q*L*D_i f, with no Fraction arithmetic.  The
+term functions, and the Cherednik K_i terms, apply each transposition by
+swap_terms, a swap of two exponent entries.
 """
 
 from fractions import Fraction
 
 from .combinatorics import IndexOutOfRange
 from .exactarith import KAPPA
-from .multipoly import (
-    FieldMismatch,
-    MultiPoly,
-    _accumulate,
-    mp_zero,
-    partial,
-    poly_add,
-    poly_scale,
-    x_var,
-)
+from .multipoly import (FieldMismatch, MultiPoly, _accumulate, poly_add,
+                        poly_scale)
 
 
 class OperatorContext:
@@ -170,37 +163,6 @@ def cherednik(ctx, i, f):
     return result
 
 
-def omega_terms(n, terms):
-    """The terms of omega g = sum_{i<j} (1 - (i,j)) g; any coefficients."""
-    npairs = n * (n - 1) // 2
-    out = {e: npairs * c for e, c in terms.items()} if npairs else {}
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            swap_terms(terms, i, j, out, True)
-    return out
-
-
-def omega_central(ctx, f):
-    """omega f = sum_{i<j} (1 - (i,j)) f (see omega_terms)."""
-    ctx.check(f)
-    return MultiPoly(ctx.n, omega_terms(ctx.n, f.terms), field=f.field,
-                     _clean=True)
-
-
-def euler_identity_check(ctx, f):
-    """Check sum_i x_i D_i f == sum_i x_i partial_i f + kappa * omega f."""
-    ctx.check(f)
-    n = ctx.n
-    lhs = mp_zero(n, field=f.field)
-    euler = mp_zero(n, field=f.field)
-    for i in range(1, n + 1):
-        xi = x_var(n, i, field=f.field)
-        lhs = poly_add(lhs, xi * dunkl(ctx, i, f))
-        euler = poly_add(euler, xi * partial(i, f))
-    rhs = poly_add(euler, poly_scale(omega_central(ctx, f), ctx.kappa()))
-    return lhs == rhs
-
-
 def murphy_terms(n, i, terms):
     """The terms of omega_i g = sum_{j=N-i+2}^{N} (N+1-i, j) g, with
     omega_1 = 0; any coefficients."""
@@ -209,13 +171,3 @@ def murphy_terms(n, i, terms):
     for j in range(n - i + 2, n + 1):
         swap_terms(terms, a, j, out)
     return out
-
-
-def murphy(ctx, i, f):
-    """omega_i f (see murphy_terms)."""
-    ctx.check(f)
-    n = ctx.n
-    if not 1 <= i <= n:
-        raise IndexOutOfRange("Murphy index %d outside [1,%d]" % (i, n))
-    return MultiPoly(n, murphy_terms(n, i, f.terms), field=f.field,
-                     _clean=True)

@@ -60,10 +60,14 @@ from . import operators as ops
 from .combinatorics import ParameterViolation, UsageError
 from .exactarith import (PoleError, kappa_linear, rat_to_str,
                          root_multiplicity)
-from .multipoly import ExpansionFailure, _accumulate
+from .multipoly import _accumulate
 
 
 class GcdConditionViolated(UsageError):
+    pass
+
+
+class ExpansionFailure(Exception):
     pass
 
 
@@ -115,10 +119,6 @@ class SingularModule:
         self.n = label.N
         self.kappa0 = label.kappa0
         self.seminormal = None  # set by build_module once certified
-
-    @property
-    def certificates(self):
-        return {e.sigma: dict(e.certificates) for e in self.elements}
 
     def to_json(self, include_timestamp=True):
         """The module report, with its certified seminormal matrices."""
@@ -200,8 +200,9 @@ def build_module(m, n, N):
     (see the jack module docstring).  Then it specializes, dividing out only the factor
     of kappa0, checks annihilation by D_1 and Murphy eigenvalues element
     by element, over Z, and last the action of the adjacent
-    transpositions (_certify_action).  The jack memos serve one module:
-    they are emptied when this returns or raises.
+    transpositions (_certify_action).  The jack memo is emptied once
+    cancel_common has returned, so that no second copy of zeta_lambda
+    outlives it, and when this raises.
     """
     label = comb.resolve_label(m, n, N)
     if label.family == "two_part":
@@ -243,6 +244,9 @@ def build_module(m, n, N):
             else:
                 jp = jack.cancel_common(jack.zeta_x(sigma, N), [
                     (par, k) for k, par in steps if k])
+                # the memo would hold the uncancelled zeta_lambda through
+                # every step
+                jack.clear_caches()
             if children[sigma]:
                 zetas[sigma] = jp
             try:
@@ -310,15 +314,7 @@ def _certify_action(module, forms):
     return mats
 
 
-# ------------------------------------------------------------- linear algebra
-
-def basis_rank(module):
-    """The dimension of the module; ExpansionFailure if its basis is
-    linearly dependent."""
-    basis = [el.zeta for el in module.elements]
-    mp.expand_in_basis(basis, [])
-    return len(basis)
-
+# ---------------------------------------------------- seminormal representation
 
 def seminormal_matrices(module):
     """Row-convention matrices of the adjacent transpositions: row j
@@ -417,31 +413,6 @@ def isotype_check(module):
         module.seminormal[p][a][a] == 1
         for a, el in enumerate(module.elements)
         for p in range(1, module.n) if el.sigma[p - 1] == el.sigma[p])
-
-
-def cherednik_closure_check(module, p, g):
-    """Product rule D_i(p*g) = p*D_i(g) + g*d_i(p) + kappa0 * sum over
-    j != i of ((i,j)g) * (p - (i,j)p)/(x_i - x_j), both sides expanded
-    independently."""
-    n = module.n
-    kappa0 = module.kappa0
-    ctx = ops.OperatorContext(n, kappa0)
-    ctx.check(p)
-    ctx.check(g)
-    for i in range(1, n + 1):
-        lhs = ops.dunkl(ctx, i, mp.poly_mul(p, g))
-        rhs = mp.poly_add(mp.poly_mul(p, ops.dunkl(ctx, i, g)),
-                          mp.poly_mul(g, mp.partial(i, p)))
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            w = comb.transposition(n, i, j)
-            term = mp.poly_mul(mp.apply_perm(w, g),
-                               mp.divided_difference(i, j, p))
-            rhs = mp.poly_add(rhs, mp.poly_scale(term, kappa0))
-        if lhs != rhs:
-            return False
-    return True
 
 
 # --------------------------------------------------------------- pole reports

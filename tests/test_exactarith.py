@@ -56,10 +56,9 @@ def test_poly_divmod_exact():
     assert q2 * kappa_linear(1, 0) + r2 == a
 
 
-def test_poly_monic_and_derivative():
+def test_poly_monic():
     p = kappa_linear(2, 1)
     assert p.monic() == kappa_linear(1, Fraction(1, 2))
-    assert (p * p).derivative() == KappaPoly((4, 8))  # d/dk (4k^2+4k+1)
 
 
 def test_poly_gcd():

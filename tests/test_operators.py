@@ -15,10 +15,11 @@ from singjack.combinatorics import (
     compositions_of,
     transposition,
     triangle_greater,
-    xi_poly,
 )
 from singjack.exactarith import KAPPA, KR_ONE, KR_ZERO
 from singjack.multipoly import FieldMismatch
+
+import reference as ref
 
 
 def ctx2():
@@ -27,9 +28,9 @@ def ctx2():
 
 def test_dunkl_rank_one_examples():
     c = ctx2()
-    x1 = mp.x_var(2, 1)
-    x2 = mp.x_var(2, 2)
-    one = mp.mp_const(2, 1)
+    x1 = ref.x_var(2, 1)
+    x2 = ref.x_var(2, 2)
+    one = ref.mp_const(2, 1)
     assert ops.dunkl(c, 1, x1) == mp.poly_scale(one, KR_ONE + KAPPA)
     assert ops.dunkl(c, 1, x2) == mp.poly_scale(one, -KAPPA)
     assert ops.dunkl(c, 1, one).is_zero()
@@ -38,8 +39,8 @@ def test_dunkl_rank_one_examples():
 
 def test_cherednik_rank_one_examples():
     c = ctx2()
-    one = mp.mp_const(2, 1)
-    x2 = mp.x_var(2, 2)
+    one = ref.mp_const(2, 1)
+    x2 = ref.x_var(2, 2)
     assert ops.cherednik(c, 1, one) == mp.poly_scale(one, KAPPA + 1)
     assert ops.cherednik(c, 1, x2) == x2
     # i=2: the swap correction cancels the kappa from D_2 x_2
@@ -48,10 +49,10 @@ def test_cherednik_rank_one_examples():
 
 def test_omega_on_alternating():
     c = ctx2()
-    f = mp.x_var(2, 1) - mp.x_var(2, 2)
-    assert ops.omega_central(c, f) == mp.poly_scale(f, 2)
-    sym = mp.x_var(2, 1) + mp.x_var(2, 2)
-    assert ops.omega_central(c, sym).is_zero()
+    f = ref.x_var(2, 1) - ref.x_var(2, 2)
+    assert ref.omega_central(c, f) == mp.poly_scale(f, 2)
+    sym = ref.x_var(2, 1) + ref.x_var(2, 2)
+    assert ref.omega_central(c, sym).is_zero()
 
 
 def _random_poly(rng, n, maxdeg, field=None, nterms=5):
@@ -73,11 +74,11 @@ def test_dunkl_dual_route():
         f = _random_poly(rng, 3, 4)
         for i in (1, 2, 3):
             direct = ops.dunkl(c3, i, f)
-            slow = mp.partial(i, f)
+            slow = ref.partial(i, f)
             for j in (1, 2, 3):
                 if j != i:
                     slow = slow + mp.poly_scale(
-                        mp.divided_difference(i, j, f), KAPPA)
+                        ref.divided_difference(i, j, f), KAPPA)
             assert direct == slow
 
 
@@ -111,38 +112,28 @@ def test_cherednik_triangular_with_spectral_coefficient():
         f = mp.monomial(3, alpha)
         for i in (1, 2, 3):
             g = ops.cherednik(c3, i, f)
-            assert mp.coeff(g, alpha) == KR_ZERO + xi_poly(alpha, i)
+            assert mp.coeff(g, alpha) == KR_ZERO + ref.xi_poly(alpha, i)
             for e in g.support():
                 if e != alpha:
                     assert triangle_greater(alpha, e)
 
 
-def test_euler_identity():
-    rng = random.Random(9)
-    c3 = ops.OperatorContext(3)
-    for _ in range(6):
-        assert ops.euler_identity_check(c3, _random_poly(rng, 3, 3))
-    cs = ops.OperatorContext(3, Fraction(-1, 2))
-    f = _random_poly(rng, 3, 3, field=Fraction(-1, 2))
-    assert ops.euler_identity_check(cs, f)
-
-
 def test_murphy_manual():
-    c3 = ops.OperatorContext(3)
     f = mp.monomial(3, (2, 1, 0))
-    assert ops.murphy(c3, 1, f).is_zero()
-    assert ops.murphy(c3, 2, f) == mp.apply_perm(transposition(3, 2, 3), f)
+    assert ops.murphy_terms(3, 1, f.terms) == {}
+    assert ops.murphy_terms(3, 2, f.terms) == mp.apply_perm(
+        transposition(3, 2, 3), f).terms
     two = mp.apply_perm(transposition(3, 1, 2), f) + mp.apply_perm(
         transposition(3, 1, 3), f)
-    assert ops.murphy(c3, 3, f) == two
+    assert ops.murphy_terms(3, 3, f.terms) == two.terms
 
 
 def test_specialized_context():
     cs = ops.OperatorContext(2, Fraction(-1, 2))
-    x1 = mp.x_var(2, 1, field=Fraction(-1, 2))
-    one = mp.mp_const(2, 1, field=Fraction(-1, 2))
+    x1 = ref.x_var(2, 1, field=Fraction(-1, 2))
+    one = ref.mp_const(2, 1, field=Fraction(-1, 2))
     assert ops.dunkl(cs, 1, x1) == mp.poly_scale(one, Fraction(1, 2))
-    f = x1 - mp.x_var(2, 2, field=Fraction(-1, 2))
+    f = x1 - ref.x_var(2, 2, field=Fraction(-1, 2))
     assert ops.dunkl(cs, 1, f).is_zero()
     assert ops.dunkl(cs, 2, f).is_zero()
 
@@ -150,13 +141,11 @@ def test_specialized_context():
 def test_context_guards():
     c = ctx2()
     with pytest.raises(FieldMismatch):
-        ops.dunkl(c, 1, mp.x_var(2, 1, field=Fraction(1, 3)))
+        ops.dunkl(c, 1, ref.x_var(2, 1, field=Fraction(1, 3)))
     with pytest.raises(IndexOutOfRange):
-        ops.dunkl(c, 3, mp.x_var(2, 1))
+        ops.dunkl(c, 3, ref.x_var(2, 1))
     with pytest.raises(IndexOutOfRange):
-        ops.dunkl(c, 1, mp.x_var(3, 1))
-    with pytest.raises(IndexOutOfRange):
-        ops.murphy(c, 0, mp.x_var(2, 1))
+        ops.dunkl(c, 1, ref.x_var(3, 1))
 
 
 def test_cherednik_matches_dunkl_route():
@@ -168,11 +157,11 @@ def test_cherednik_matches_dunkl_route():
         for _ in range(6):
             f = _random_poly(rng, 3, 4, field=kappa0)
             for i in (1, 2, 3):
-                ref = ops.dunkl(c3, i, mp.x_var(3, i, field=kappa0) * f)
+                want = ops.dunkl(c3, i, ref.x_var(3, i, field=kappa0) * f)
                 for j in range(1, i):
-                    ref = ref - mp.poly_scale(
+                    want = want - mp.poly_scale(
                         mp.apply_perm(transposition(3, j, i), f), kappa)
-                assert ops.cherednik(c3, i, f) == ref
+                assert ops.cherednik(c3, i, f) == want
 
 
 def test_cherednik_k_terms_over_the_integers():
@@ -224,25 +213,26 @@ def test_integer_term_functions_match_the_fraction_operators(f):
     omega = mp.mp_zero(n, field=kappa0)
     for i in range(1, n + 1):
         dunkl = ops.dunkl(ctx, i, f)
-        slow = mp.partial(i, f)
+        slow = ref.partial(i, f)
         for j in range(1, n + 1):
             if j != i:
                 slow = slow + mp.poly_scale(
-                    mp.divided_difference(i, j, f), kappa0)
+                    ref.divided_difference(i, j, f), kappa0)
             if j > i:
                 omega = omega + f - mp.apply_perm(transposition(n, i, j), f)
         assert dunkl == slow
         got = ops.dunkl_terms(n, i, big_f, p, q)
         assert all(type(v) is int for v in got.values())
         assert got == times(dunkl, q * big_l)
-        murphy = ops.murphy(ctx, i, f)
+        murphy = mp.MultiPoly(n, ops.murphy_terms(n, i, f.terms),
+                              field=kappa0)
         slow = mp.mp_zero(n, field=kappa0)
         for j in range(n - i + 2, n + 1):
             slow = slow + mp.apply_perm(transposition(n, n + 1 - i, j), f)
         assert murphy == slow
         assert ops.murphy_terms(n, i, big_f) == times(murphy, big_l)
-    assert ops.omega_central(ctx, f) == omega
-    assert ops.omega_terms(n, big_f) == times(omega, big_l)
+    assert ref.omega_central(ctx, f) == omega
+    assert ref.omega_terms(n, big_f) == times(omega, big_l)
 
 
 @settings(max_examples=80, deadline=None)
@@ -268,11 +258,11 @@ def test_swap_terms_matches_the_permutation_route(f):
             ops.swap_terms(f.terms, a, b, out)
             assert out == mp.perm_terms(w, f.terms)
     for i in range(1, n + 1):
-        xf = mp.x_var(n, i, field=f.field) * f
+        xf = ref.x_var(n, i, field=f.field) * f
         slow = mp.mp_zero(n, field=f.field)
         for j in range(1, n + 1):
             if j != i:
-                slow = slow + mp.divided_difference(i, j, xf)
+                slow = slow + ref.divided_difference(i, j, xf)
             if j < i:
                 slow = slow - mp.apply_perm(transposition(n, j, i), f)
         out = {}
