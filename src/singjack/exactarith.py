@@ -28,8 +28,9 @@ class ZeroPolynomial(ValueError):
 
 
 def rat_to_str(q):
-    q = Fraction(q)
-    return ratio_str(q.numerator, q.denominator)
+    """"p" or "p/q" for a Fraction or int q, already in lowest terms."""
+    p, d = q.numerator, q.denominator
+    return str(p) if d == 1 else "%d/%d" % (p, d)
 
 
 def ratio_str(p, q):

@@ -109,6 +109,7 @@ clear_caches empties.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial, gcd, prod
 
 from . import combinatorics as comb
@@ -606,25 +607,28 @@ def zeta_x(alpha, n):
 
 def cancel_common(zeta, steps):
     """zeta with each factor f of den that divides every numerator divided
-    out of them and of den, one round at a time, unless f is a factor of
+    out of them and of den, as often as it does, unless f is a factor of
     the L or P of one of the steps (alpha, i); the integer part stays
-    (module docstring)."""
+    (module docstring).  Each f is divided out in place, last entry first,
+    by the power that every entry so far admits; a lower one multiplies
+    the earlier entries back.  So only one quotient is held at a time."""
     keep = {_split(*pair)[1] for alpha, i in steps
             for pair in _intertwiner(alpha, i, i + 1)[:2]}
-    nums, (d0, facs) = zeta.nums, zeta.den
+    nums, (d0, facs) = dict(zeta.nums), zeta.den
     left = []
     for f, m in facs:
-        while f not in keep and m:
-            quotients = {}
-            for e in reversed(nums):  # the last is the likeliest witness
-                quotients[e], one = _divide_out(nums[e], *f, 1)
-                if not one:
-                    break
-            if not one:
+        k = 0 if f in keep else m
+        for done, e in enumerate(reversed(nums)):
+            if not k:
                 break
-            nums, m = {e: quotients[e] for e in nums}, m - 1
-        if m:
-            left.append((f, m))
+            quo, j = _divide_out(nums[e], *f, k)
+            if j < k:
+                for e2 in islice(reversed(nums), done):
+                    nums[e2] = _times_all(nums[e2], [f] * (k - j))
+                k = j
+            nums[e] = quo
+        if m > k:
+            left.append((f, m - k))
     return JackPoly(zeta.alpha, zeta.n, zeta.basis, nums, (d0, tuple(left)),
                     check=False)
 

@@ -6,51 +6,56 @@ reverse lattice permutations of lam.  zeta^x_lam is solved once, on its
 Knop-Sahi integer form, and checked by its eigen-equations; each later
 sigma is jack.z2sz_step of its parent, sigma with its first ascent
 swapped back, which rlp_enumerate lists earlier, certified by its lead
-and the intertwiner identity (see the jack module docstring).
-Construction checks, for every element: absence of poles at kappa0,
-annihilation by D_1, and Murphy eigenvalues equal to the tableau
-contents; then, for the module, that each adjacent transposition acts by
-the seminormal matrix that murphy_rule_matrices predicts.
+and the intertwiner identity (see the jack module docstring).  Each
+element f_a is checked pole-free at kappa0, and the spectral values of
+its weight against its tableau contents (_weight_spectrum_ok).
 
-The kappa0 certificates run over Z.  Scaling a polynomial by a nonzero
-integer changes no kernel and no eigen-equation, so each check takes the
-integer form F = L*f of a specialized element f, with L > 0 the lcm of
-its coefficient denominators.  With kappa0 = p/q in lowest terms,
-annihilation asks q*D_1 F = 0, the Murphy check asks omega_j F = c_j F,
-and the action asks each row identity of _certify_action.  The matrices
-so certified are the seminormal matrices: the elements are nonzero with
-pairwise distinct Murphy content vectors, hence independent, so each row
-is the only expansion of its image.  The span is then S_N-invariant, and
-since w D_1 w^-1 = D_{w(1)}, D_i f = w D_1 (w^-1 f) = 0 for every element
-f and every i: D_1 on the whole span gives every D_i.
+The module is then certified over Z, on the integer forms F_a = L_a f_a
+with L_a > 0 the lcm of the coefficient denominators (scaling changes
+no kernel and no eigen-equation), and kappa0 = p/q in lowest terms:
 
-These certificates are the only ones; the report reads the other facts
-off them (isotype_check, seminormal_check), by these implications.
+1. _certify_action: the f_a are nonzero with distinct tableau content
+   vectors, and (p,p+1) f_a = sum_b M_p[a][b] f_b for the matrices M_p
+   of murphy_rule_matrices.
+2. _certify_spectra: tableau entry j sits at position N+1-j, so
+   M = M_{N-j} is the matrix of s_j = (j,j+1) in tableau labels, where
+   the omega_j of murphy_terms is the Jucys-Murphy element
+   sum_{i<j} (i,j): omega_1 = 0 and omega_{j+1} = s_j omega_j s_j + s_j.
+   By linearity alone the rows give omega_j f_a = sum_b X_j[a][b] f_b
+   with X_1 = 0 and X_{j+1} = M X_j M + M, and each X_j is checked to be
+   diagonal with entries eta_j(T_a).  Nonzero joint eigenvectors with
+   distinct spectra are independent, so the rows are the matrices of the
+   action on the span V.  Neither step assumed independence.
+3. Annihilation, in build_module: the joint Dunkl kernel K is
+   S_N-invariant (w D_i w^-1 = D_{w(i)}), so K meet V is a sum of joint
+   omega-eigenlines C f_a, closed along every edge a -> b with
+   M_p[a][b] != 0.  If every element is reachable from a0, q D_i F_a0 = 0
+   for every i puts V in K; otherwise q D_1 F_a = 0 for every a does, as
+   D_i = w D_1 w^-1 with w(1) = i.  _dunkl_route picks the way.
+
+The report reads the other facts off these certificates (isotype_check,
+seminormal_check):
 
 - The central element.  murphy_terms sums every transposition once over
-  j, so omega = sum_{i<j} (1 - (i,j)) = C(N,2) - sum_j omega_j.  An
-  element with omega_j F = c_j(T) F for every j therefore has
-  omega F = (C(N,2) - sum_j c_j(T)) F, and the contents of a tableau T of
-  shape tau sum to C(N,2) - tau(omega).
+  j, so omega = sum_{i<j} (1 - (i,j)) = C(N,2) - sum_j omega_j, which
+  acts on f_a by C(N,2) - sum_j c_j(T_a) = tau(omega).
 - Invariance under adjacent equal entries.  If sigma_p = sigma_{p+1},
-  the two positions have consecutive ranks, so _murphy_ok's spectral
-  identity gives c(N-p+1) = c(N-p) + 1.  In a standard tableau the only
+  the two positions have consecutive ranks, so the spectral identity of
+  the weight gives c(N-p+1) = c(N-p) + 1.  In a standard tableau the only
   cell of content c(N-p) + 1 that may receive N-p+1 lies directly right
-  of N-p, so the two entries share a row and the certified row of
-  (p,p+1) is the diagonal +1: (p,p+1) f = f.
-- Squares and braids.  The certified matrices are the action of the
-  permutations of the variables restricted to an invariant span with a
-  basis, so they form a representation of S_N: s_p^2 = 1 and
-  s_p s_{p+1} s_p = s_{p+1} s_p s_{p+1}.
+  of N-p, so the certified row of (p,p+1) is the diagonal +1.
+- Squares and braids.  Matrices of an action on a span with a basis
+  form a representation of S_N.
 
-verify_singular keeps the Fraction Dunkl operators as the reference
-path.
+verify_singular (the Fraction Dunkl operators) and murphy_spectrum_check
+(each omega_j F = c_j F on the polynomials) stay as independent paths.
 """
 
 import gc
 from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import product
 from math import factorial, lcm, prod
 
 from . import combinatorics as comb
@@ -164,28 +169,25 @@ def verify_singular(f):
     return all(ops.dunkl(ctx, i, f).is_zero() for i in range(1, f.n + 1))
 
 
-def _eigen_ok(image, terms, c):
-    """Whether image == c * terms, for terms free of zero coefficients."""
-    return image == ({e: c * v for e, v in terms.items()} if c else {})
+def _weight_spectrum_ok(element, kappa0):
+    """Whether n - r(sigma, i) + sigma_i/kappa0, the spectral value of the
+    weight sigma at each i, is the content of tableau entry n + 1 - i."""
+    sigma = element.sigma
+    n = len(sigma)
+    return all(n - comb.rank(sigma, i) + Fraction(sigma[i - 1]) / kappa0
+               == element.tableau.eta(n + 1 - i) for i in range(1, n + 1))
 
 
 def _murphy_ok(element, kappa0, big_f):
-    """Whether the integer form big_f of the element has, for every Murphy
-    element omega_j, the tableau content c_j as its eigenvalue, and the
-    spectral value of its weight agrees."""
+    """Whether omega_j big_f = c_j big_f for every j, c_j the tableau
+    contents, on the integer form big_f of the element, and the spectral
+    identity of its weight holds."""
     n = len(element.sigma)
-    t = element.tableau
-    sigma = element.sigma
-    for j in range(1, n + 1):
-        c = t.eta(j)
-        # tableau entry j sits at polynomial position i = n + 1 - j
-        i = n + 1 - j
-        spectral = n - comb.rank(sigma, i) + Fraction(sigma[i - 1]) / kappa0
-        if spectral != c:
-            return False
-        if not _eigen_ok(ops.murphy_terms(n, j, big_f), big_f, c):
-            return False
-    return True
+    contents = [element.tableau.eta(j) for j in range(1, n + 1)]
+    return _weight_spectrum_ok(element, kappa0) and all(
+        ops.murphy_terms(n, j, big_f) == {e: c * v for e, v in big_f.items()
+                                          if c}
+        for j, c in enumerate(contents, 1))
 
 
 def build_module(m, n, N):
@@ -197,10 +199,11 @@ def build_module(m, n, N):
     (jack.cancel_common).  Each later sigma is N' = (L s_i N - kappa N) / P
     over d Q / L, one division per term, exact by the Knop-Sahi theorem
     and Gauss's lemma, certified by P N' = L s_i N - kappa N and its lead
-    (see the jack module docstring).  Then it specializes, dividing out only the factor
-    of kappa0, checks annihilation by D_1 and Murphy eigenvalues element
-    by element, over Z, and last the action of the adjacent
-    transpositions (_certify_action).  The jack memo is emptied once
+    (see the jack module docstring).  Then it specializes each element,
+    dividing out only the factor of kappa0, and certifies the module over
+    Z in the order of the module docstring: the action rows, the Murphy
+    spectra read off them, and the Dunkl operators, all of them on one
+    element or D_1 on each (_dunkl_route).  The jack memo is emptied once
     cancel_common has returned, so that no second copy of zeta_lambda
     outlives it, and when this raises.
     """
@@ -216,7 +219,6 @@ def build_module(m, n, N):
         raise RuntimeError(
             "internal: %d rearrangements vs %d standard tableaux"
             % (len(sigmas), _syt_count(label.tau)))
-    p, q = kappa0.numerator, kappa0.denominator
     # sigma's parent is sigma with its first ascent i swapped back; moving
     # a larger entry left keeps the lattice condition.  A parent is kept
     # only until its last child is stepped.
@@ -256,35 +258,39 @@ def build_module(m, n, N):
                                           jp.denominator_factors)
             el = BasisElement(w, sigma, tab, f, jp.denominator_factors)
             el.certificates["pole_free"] = True
-            big_f = mp.integer_terms(f.terms)
-            # D_1 alone: the invariance certified below gives every D_i
-            if ops.dunkl_terms(N, 1, big_f, p, q):
-                raise NotAnnihilated(1, w)
-            el.certificates["annihilated"] = True
-            if not _murphy_ok(el, kappa0, big_f):
+            if not _weight_spectrum_ok(el, kappa0):
                 raise jack.FormulaMismatch(
                     "Murphy spectrum of w=%s disagrees with tableau contents"
                     % (w,))
-            el.certificates["murphy_spectrum_ok"] = True
             elements.append(el)
-            forms.append(big_f)
+            forms.append(mp.integer_terms(f.terms))
     finally:
         jack.clear_caches()
         if collecting:
             gc.enable()
     module = SingularModule(label, elements)
     module.seminormal = _certify_action(module, forms)
+    _certify_spectra(module)
+    p, q = kappa0.numerator, kappa0.denominator
+    route = _dunkl_route(module.seminormal, list(map(len, forms)), N)
+    for a, i in product(*route):
+        if ops.dunkl_terms(N, i, forms[a], p, q):
+            raise NotAnnihilated(i, elements[a].w)
+    for el in elements:
+        el.certificates["annihilated"] = True
+        el.certificates["murphy_spectrum_ok"] = True
     return module
 
 
 def _certify_action(module, forms):
-    """murphy_rule_matrices(module), certified as the matrices of the
-    adjacent transpositions on the elements f_a, with integer forms
-    F_a = L_a f_a in forms; ExpansionFailure otherwise.
+    """murphy_rule_matrices(module), each row certified on the elements
+    f_a, with integer forms F_a = L_a f_a in forms; ExpansionFailure
+    otherwise.
 
-    Row a of M_p holds at most two nonzero entries.  It is certified by
-    the identity over Z, c_b = M_p[a][b] L_a / L_b and d the lcm of their
-    denominators,
+    Row a of M_p holds at most two nonzero entries.  A lone +-1 on the
+    diagonal is certified by one lookup per term (_swap_is), any other
+    row by the identity over Z, c_b = M_p[a][b] L_a / L_b and d the lcm
+    of their denominators,
 
         d (p,p+1) F_a = sum_b (d c_b) F_b,
 
@@ -299,19 +305,69 @@ def _certify_action(module, forms):
     for p, mat in mats.items():
         for a, row in enumerate(mat):
             coef = {b: v * scale[a] / scale[b] for b, v in enumerate(row) if v}
-            d = lcm(*(c.denominator for c in coef.values()))
-            out = {}
-            ops.swap_terms({e: d * x for e, x in forms[a].items()},
-                           p, p + 1, out, True)
-            for b, c in coef.items():
-                c = c.numerator * (d // c.denominator)
-                for e, x in forms[b].items():
-                    _accumulate(out, e, c * x)
-            if out:
+            if list(coef) == [a] and abs(coef[a]) == 1:
+                residual = not _swap_is(forms[a], p, int(coef[a]))
+            else:
+                d = lcm(*(c.denominator for c in coef.values()))
+                residual = {}
+                ops.swap_terms({e: d * x for e, x in forms[a].items()},
+                               p, p + 1, residual, True)
+                for b, c in coef.items():
+                    c = c.numerator * (d // c.denominator)
+                    for e, x in forms[b].items():
+                        _accumulate(residual, e, c * x)
+            if residual:
                 raise ExpansionFailure(
                     "(%d,%d) does not act on the element of w=%s by the "
                     "predicted row" % (p, p + 1, module.elements[a].w))
     return mats
+
+
+def _swap_is(terms, p, sign):
+    """Whether (p,p+1) F = sign F: F at each e with entries p, p+1
+    swapped is sign times F at e."""
+    get, i = terms.get, p - 1
+    return all(get(e[:i] + (e[i + 1], e[i]) + e[i + 2:]) == sign * x
+               for e, x in terms.items())
+
+
+def _certify_spectra(module):
+    """FormulaMismatch unless each X_j of the recursion is diagonal with
+    entries eta_j(T_a) (module docstring, step 2).  X_j is diagonal once
+    checked, so each row of X_{j+1} takes at most four products."""
+    n, tabs = module.n, [el.tableau for el in module.elements]
+    x = [{} for _ in tabs]  # omega_1 = 0
+    for j in range(1, n + 1):
+        diag = [t.eta(j) for t in tabs]
+        if x != [{a: c} if c else {} for a, c in enumerate(diag)]:
+            raise jack.FormulaMismatch(
+                "omega_%d does not act on the certified matrices by the "
+                "tableau contents" % j)
+        mat, x = module.seminormal.get(n - j, ()), []
+        for row in mat:
+            x.append({})
+            for b, v in enumerate(row):
+                if v:
+                    _accumulate(x[-1], b, v)
+                    for c, u in enumerate(mat[b] if diag[b] else ()):
+                        if u:
+                            _accumulate(x[-1], c, v * diag[b] * u)
+
+
+def _dunkl_route(mats, sizes, n):
+    """(elements, operators) for the checks q D_i F_a = 0: a0, the element
+    with the fewest terms, under D_1..D_n when the nonzero entries of the
+    matrices reach every element from a0 and n |F_a0| < sum_a |F_a|;
+    otherwise every element under D_1 (module docstring, step 3)."""
+    a0 = min(range(len(sizes)), key=sizes.__getitem__)
+    reached, size = {a0}, 0
+    while len(reached) > size:
+        size = len(reached)
+        reached |= {b for mat in mats.values() for a in reached
+                    for b, v in enumerate(mat[a]) if v}
+    if len(reached) == len(sizes) and n * sizes[a0] < sum(sizes):
+        return [a0], range(1, n + 1)
+    return range(len(sizes)), [1]
 
 
 # ---------------------------------------------------- seminormal representation
@@ -368,13 +424,10 @@ def murphy_rule_matrices(module):
 
 
 def seminormal_check(module, real=None):
-    """Whether real, by default module.seminormal, is the action of the
-    adjacent transpositions that _certify_action certified, so that it
-    follows the tableau prediction, squares to the identity and satisfies
-    the braid relations (see the module docstring)."""
-    if real is None:
-        real = module.seminormal
-    return real is not None and real == module.seminormal
+    """Whether real, by default module.seminormal, is the certified action,
+    which squares to 1 and satisfies the braids (module docstring)."""
+    return module.seminormal is not None and (real is None
+                                              or real == module.seminormal)
 
 
 def _tableau_contents(module):

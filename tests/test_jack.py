@@ -1,6 +1,7 @@
 """Eigenvector construction, basis changes, and step/differentiation laws."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 from collections import Counter
 from functools import lru_cache
@@ -716,6 +717,53 @@ def test_clear_caches_empties_every_memo():
     assert all(memos.values())
     jack.clear_caches()
     assert not any(memos.values())
+
+
+
+def test_cancel_common_holds_one_copy_of_the_numerators():
+    # five factor powers divide every numerator of zeta_(9,6,3,0); they
+    # are divided out in place, so the traced peak inside the call stays
+    # near what the result keeps, where a new dict per round held up to
+    # three copies (2.5 times)
+    zeta = jack.zeta_x((9, 6, 3, 0), 4)
+    jack.clear_caches()
+    nums = {e: list(num) for e, num in zeta.nums.items()}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = jack.cancel_common(zeta, [])
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.3 * (kept - before)
+    removed = Counter(dict(zeta.den[1]))
+    removed.subtract(dict(got.den[1]))
+    assert sum(removed.values()) == 5
+    assert zeta.nums == nums  # the input is untouched
+    assert {e: jack._times_all(num, list(removed.elements()))
+            for e, num in got.nums.items()} == nums
+
+
+@pytest.mark.parametrize("powers, cancelled", [((1, 3), 1), ((0, 2, 3), 0),
+                                               ((2, 0, 2), 0),
+                                               ((3, 2, 2), 2)])
+def test_cancel_common_multiplies_back_what_a_later_entry_refuses(powers,
+                                                                   cancelled):
+    # the last numerator goes first; an earlier one that admits a lower
+    # power of k + 2 makes the entries already divided take the rest back
+    f = (1, 2)
+    cofactors = [[3, 1], [5], [-1, 0, 7]]
+    nums = {(d, 2 - d): jack._times_all(cofactors[d], [f] * m)
+            for d, m in enumerate(powers)}
+    zeta = jack.JackPoly((len(powers) - 1, 0), 2, "x", dict(nums),
+                         (1, ((f, 3),)), check=False)
+    got = jack.cancel_common(zeta, [])
+    assert got.den == (1, ((f, 3 - cancelled),))
+    assert got.nums == {e: jack._times_all(cofactors[e[0]],
+                                           [f] * (m - cancelled))
+                        for e, m in zip(nums, powers)}
+    assert zeta.nums == nums
 
 
 # ------------------------------------ the fraction-free solve vs Q(kappa)

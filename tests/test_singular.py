@@ -211,7 +211,7 @@ def test_build_module_restores_the_cycle_collector(monkeypatch):
     # back on after a failure too; a caller that paused it keeps it paused
     singular.build_module(1, 2, 4)
     assert gc.isenabled()
-    monkeypatch.setattr(singular, "_murphy_ok", lambda *args: False)
+    monkeypatch.setattr(singular, "_weight_spectrum_ok", lambda *args: False)
     with pytest.raises(jack.FormulaMismatch):
         singular.build_module(1, 2, 4)
     assert gc.isenabled()
@@ -236,6 +236,10 @@ def test_kappa0_certificates_run_on_integer_forms(monkeypatch):
         monkeypatch.setattr(ops, name, spy)
     mod = singular.build_module(2, 3, 4)
     assert singular.isotype_check(mod)
+    # the build reads the Murphy spectra off the certified matrices; only
+    # the independent recheck applies the Murphy elements to polynomials
+    assert seen == {"dunkl_terms": {int}}
+    assert singular.murphy_spectrum_check(mod)["ok"]
     # omega is read off the Murphy certificates: the runtime has no omega
     assert not hasattr(ops, "omega_terms")
     assert seen == {"dunkl_terms": {int}, "murphy_terms": {int}}
@@ -253,13 +257,30 @@ def test_symmetric_term_added_is_not_annihilated(monkeypatch, capsys):
         return g
 
     monkeypatch.setattr(jack.JackPoly, "specialize", with_power_sum)
+    # the power sum is fixed by every transposition, so the action rows,
+    # certified first, refuse the elements
     for m, n, N in ((1, 3, 3), (2, 3, 4)):
-        with pytest.raises(singular.NotAnnihilated):
+        with pytest.raises(singular.ExpansionFailure):
             singular.build_module(m, n, N)
     capsys.readouterr()
     assert cli.main(["verify", "--m", "2", "--n", "3", "--N", "4"]) == 4
     out, err = capsys.readouterr()
     assert out == "" and "falsified:" in err
+    # with the predicted matrices taken on trust, the Dunkl check alone
+    # refuses them
+    _trust_the_predicted_matrices(monkeypatch)
+    for m, n, N in ((1, 3, 3), (2, 3, 4)):
+        with pytest.raises(singular.NotAnnihilated):
+            singular.build_module(m, n, N)
+
+
+def _trust_the_predicted_matrices(monkeypatch):
+    """Take murphy_rule_matrices as the action, with no row checked and no
+    Murphy recursion run, so that only the Dunkl check can refuse."""
+    monkeypatch.setattr(singular, "_certify_action",
+                        lambda module, forms:
+                        singular.murphy_rule_matrices(module))
+    monkeypatch.setattr(singular, "_certify_spectra", lambda module: None)
 
 
 def test_swapped_elements_fail_the_murphy_check(monkeypatch):
@@ -268,9 +289,11 @@ def test_swapped_elements_fail_the_murphy_check(monkeypatch):
     a, b = mod.elements
     a.zeta, b.zeta = b.zeta, a.zeta
     assert not singular.murphy_spectrum_check(mod)["ok"]
-    # both are singular, so only the Murphy comparison can refuse them
+    # both are singular and each weight keeps its tableau, so in the build
+    # the action rows refuse them: (2,3) fixes the first tableau's element
+    # and negates the second's
     _swap_the_elements_of_133(monkeypatch)
-    with pytest.raises(jack.FormulaMismatch):
+    with pytest.raises(singular.ExpansionFailure):
         singular.build_module(1, 3, 3)
 
 
@@ -314,12 +337,22 @@ def test_weight_off_its_tableau_fails_the_spectral_identity(monkeypatch):
                                             ((1, 3, 3), [0, 1, -1])])
 def test_element_off_its_last_content_fails_the_murphy_check(monkeypatch,
                                                              mnN, contents):
-    # with D_1 switched off, x_1 + ... + x_N stands in for the first
-    # element; being symmetric it has contents (0, 1, ..., N-1), which
-    # differ from the element's in the last entry only, so only the
+    # x_1 + ... + x_N stands in for the first element; being symmetric it
+    # has contents (0, 1, ..., N-1), which differ from the element's in
+    # the last entry only, so in the polynomial recheck only the
     # eigen-equation of omega_N refuses it
-    first = singular.build_module(*mnN).elements[0]
-    assert [first.tableau.eta(j) for j in range(1, mnN[2] + 1)] == contents
+    mod = singular.build_module(*mnN)
+    first = mod.elements[0]
+    n = mnN[2]
+    assert [first.tableau.eta(j) for j in range(1, n + 1)] == contents
+    e1 = mp.integer_terms(_power_of_e1(n, 1, mod.kappa0).terms)
+    assert [ops.murphy_terms(n, j, e1) == {e: c * v for e, v in e1.items()
+                                           if c}
+            for j, c in enumerate(contents, 1)] == [True] * (n - 1) + [False]
+    first.zeta = _power_of_e1(n, 1, mod.kappa0)
+    assert not singular.murphy_spectrum_check(mod)["ok"]
+    # in the build, with D switched off, the action rows refuse it first:
+    # the first tableau's row of (1,2) is not the +1 that e1 satisfies
     specialize = jack.JackPoly.specialize
 
     def e1(jp, kappa0):
@@ -329,27 +362,84 @@ def test_element_off_its_last_content_fails_the_murphy_check(monkeypatch,
 
     monkeypatch.setattr(jack.JackPoly, "specialize", e1)
     monkeypatch.setattr(ops, "dunkl_terms", lambda *args: {})
-    with pytest.raises(jack.FormulaMismatch):
+    with pytest.raises(singular.ExpansionFailure):
         singular.build_module(*mnN)
 
 
 def test_element_off_a_unit_row_fails_the_action_rows(monkeypatch):
     # the staircase (1,2,3) has dimension 1, so every predicted row is a
-    # single +-1; with D_1 and the Murphy check switched off, only those
-    # rows refuse x_1^3 in place of its element
+    # single +-1, checked by the lookup pass; with D switched off, only
+    # that pass refuses x_1^3 in place of its element
     monkeypatch.setattr(jack.JackPoly, "specialize", lambda jp, kappa0:
                         mp.monomial(3, (3, 0, 0), field=kappa0))
     monkeypatch.setattr(ops, "dunkl_terms", lambda *args: {})
-    monkeypatch.setattr(singular, "_murphy_ok", lambda *args: True)
+    looked_up = []
+    swap_is = singular._swap_is
+    monkeypatch.setattr(singular, "_swap_is", lambda *args: looked_up.append(
+        swap_is(*args)) or looked_up[-1])
     with pytest.raises(singular.ExpansionFailure):
         singular.build_module(1, 2, 3)
+    assert looked_up[-1] is False
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_altered_matrix_fails_the_murphy_recursion(monkeypatch, p):
+    # the rows hold, then one entry of a certified matrix changes before
+    # the Murphy spectra are read off the matrices
+    certify = singular._certify_action
+
+    def altered(module, forms):
+        mats = certify(module, forms)
+        mats[p][0][0] += 1
+        return mats
+
+    monkeypatch.setattr(singular, "_certify_action", altered)
+    with pytest.raises(jack.FormulaMismatch):
+        singular.build_module(2, 3, 4)
+
+
+def test_one_element_route_applies_every_dunkl_operator(monkeypatch, capsys):
+    # (1,3,5) is certified by D_1..D_5 on its smallest element alone; an
+    # element killed by D_1 but not by D_5 is refused there
+    mod = _module((1, 3, 5))
+    sizes = [len(el.zeta.terms) for el in mod.elements]
+    a0 = sizes.index(min(sizes))
+    elements, operators = singular._dunkl_route(mod.seminormal, sizes, 5)
+    assert (list(elements), list(operators)) == ([a0], [1, 2, 3, 4, 5])
+    dunkl_terms = ops.dunkl_terms
+    monkeypatch.setattr(ops, "dunkl_terms", lambda n, i, terms, p, q:
+                        {(0,) * n: 1} if i == n
+                        else dunkl_terms(n, i, terms, p, q))
+    with pytest.raises(singular.NotAnnihilated) as refused:
+        singular.build_module(1, 3, 5)
+    assert (refused.value.i, refused.value.w) == (5, mod.elements[a0].w)
+    capsys.readouterr()
+    assert cli.main(["verify", "--m", "1", "--n", "3", "--N", "5"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "falsified:" in err
+
+
+def test_dunkl_route_needs_a_connected_graph_and_fewer_terms():
+    half = Fraction(1, 2)
+    block = {1: [[half, 1 - half * half], [Fraction(1), -half]]}
+    # connected, and 2 * 3 < 3 + 10: every D_i on the smaller element
+    elements, operators = singular._dunkl_route(block, [10, 3], 2)
+    assert (list(elements), list(operators)) == ([1], [1, 2])
+    # no edge joins the two elements: D_1 on every element
+    apart = {1: [[Fraction(1), 0], [0, Fraction(-1)]]}
+    elements, operators = singular._dunkl_route(apart, [10, 3], 2)
+    assert (list(elements), list(operators)) == ([0, 1], [1])
+    # connected, but 3 * 5 >= 5 + 8 terms: D_1 on every element
+    block3 = {1: block[1], 2: apart[1]}
+    elements, operators = singular._dunkl_route(block3, [8, 5], 3)
+    assert (list(elements), list(operators)) == ([0, 1], [1])
 
 
 @pytest.mark.parametrize("mnN", [(1, 3, 3), (2, 3, 4)])
 def test_symmetric_element_fails_the_isotype_check(monkeypatch, capsys, mnN):
     # (x_1 + ... + x_N)^d has the module's degree and is fixed by every
     # transposition; put in at build time for one sigma, it is refused there,
-    # by D_1, before any report reads the certificates
+    # by the action rows, before any report reads the certificates
     specialize = jack.JackPoly.specialize
     last = comb.rlp_enumerate(comb.resolve_label(*mnN).lam)[-1]
 
@@ -358,7 +448,7 @@ def test_symmetric_element_fails_the_isotype_check(monkeypatch, capsys, mnN):
         return g if jp.alpha != last else _power_of_e1(g.n, g.degree(), kappa0)
 
     monkeypatch.setattr(jack.JackPoly, "specialize", symmetric)
-    with pytest.raises(singular.NotAnnihilated):
+    with pytest.raises(singular.ExpansionFailure):
         singular.build_module(*mnN)
     capsys.readouterr()
     argv = ["verify", "--m", str(mnN[0]), "--n", str(mnN[1]),
