@@ -217,13 +217,6 @@ def _int_primitive(v):
 # Z[k] as int lists, low degree first.  A linear factor a*k + b is the
 # int pair (a, b); it is primitive when gcd(a, b) = 1 and a > 0.
 
-def _axpy(acc, num, k):
-    """acc += k * num, in place."""
-    acc.extend([0] * (len(num) - len(acc)))
-    for j, x in enumerate(num):
-        acc[j] += k * x
-
-
 def _times(num, a, b):
     """num * (a*k + b)."""
     if not b:

@@ -73,7 +73,6 @@ eigen-equations (JackPoly._assert_eigen).  The adjacent step in basis x,
 the one build_module takes, derives zeta' = N' / d' from a certified
 zeta = N / d = zeta_alpha with alpha_i > alpha_{i+1}.  It is certified by
 its lead N'_{s_i alpha} = d' and the intertwiner identity
-(_assert_intertwined)
 
     P N' = L s_i N - kappa N,
 
@@ -103,7 +102,27 @@ zeta' = zeta_{s_i alpha}:
   its support is not scanned.
 
 So zeta' = zeta_{s_i alpha} with no eigen-equation of its own and no K_i
-term.  The identity is checked Kronecker-packed, as the eigen check is.
+term.  The identity is not checked by a second pass: the step's own
+division proves it (_step), by Kronecker substitution (Schonhage,
+EUROCAM 1982, LNCS 144).  With |.| the 1-norm and f the largest |N_e|,
+V_e = L N_{s_i e} - kappa N_e has |V_e| <= g = (|L| + 1) f.
+The step packs each N_e once at X = 2**B with 2**(B-1) > (|P| + 1) g,
+divides V_e(X) by P(X) with an integer divmod, refuses a remainder, and
+refuses a balanced base-X digit of the quotient above g; the digits are
+N'_e.
+
+- The residual R = P N'_e - V_e has every coefficient at most |P| g + g,
+  below X/2, and R(X) = 0.  If r_j were its lowest nonzero coefficient,
+  R(X) would be r_j X^j modulo X^(j+1) with 0 < |r_j| < X, so not 0.
+  Hence R = 0: the identity holds over Z[kappa], as in
+  JackPoly._assert_eigen.
+- An exact quotient by P = a kappa + b has coefficients at most
+  |V_e| / max(|a|, |b|) <= g: synthetic division from the end where |a|
+  or |b| is the larger bounds each coefficient by the sum of the |v_k|
+  so far over that larger one.  So a correct step never fails the digit
+  test, and a failed test or a remainder is a refusal, never a wrong
+  zeta.
+
 No memo is kept across calls apart from the zeta memo (_ZETA_CACHE) that
 clear_caches empties.
 """
@@ -114,11 +133,11 @@ from math import factorial, gcd, prod
 
 from . import combinatorics as comb
 from .exactarith import (KP_ONE, KappaPoly, KappaRatio, PoleError, _at_root,
-                         _axpy, _divide_out, _times, kappa_linear, rat_to_str,
+                         _divide_out, _times, kappa_linear, rat_to_str,
                          ratio_str)
-from .multipoly import (MultiPoly, apply_perm, coeff, mp_zero, perm_terms,
-                        poly_add, poly_scale, poly_sub, support_order,
-                        word_apply)
+from .multipoly import (MultiPoly, _accumulate, apply_perm, coeff, mp_zero,
+                        perm_terms, poly_add, poly_scale, poly_sub,
+                        support_order, word_apply)
 from .operators import (OperatorContext, _pair_difference_terms,
                         cherednik_k_terms, dunkl, swap_terms)
 
@@ -701,59 +720,41 @@ def _intertwiner(alpha, i, j):
 def _step(zeta, i, j, swaps):
     """zeta_{t alpha} = (t - a (1 + sum of the swaps)) zeta, t = (i,j), over
     1 - a^2 in basis x, or over 1 in basis p: the Knop-Sahi intertwiner,
-    a = kappa / L.  With S = L tN - kappa (N + sum_w wN), the step in basis
-    p is S over d L, certified by its shape and eigen-equations.  In basis
-    x it is adjacent with no swaps: N' = S / P exactly, over d Q / L,
-    certified by _assert_intertwined (module docstring)."""
+    a = kappa / L.  With V = L tN - kappa (N + sum_w wN), the step in basis
+    p is V over d L, certified by its shape and eigen-equations.  In basis
+    x it is adjacent with no swaps: N' = V / P over d Q / L, certified by
+    that division and its lead (module docstring).  Both are one pass on
+    the N_e packed at X = 2**B, 2**(B-1) > (|P| + 1) g: g = (|L| + 1 +
+    #swaps) f, f the largest 1-norm of the N_e, bounds each coefficient of
+    V, and a remainder or a digit of V_e(X) / P(X) above g refuses it."""
     alpha, n = zeta.alpha, zeta.n
     ell, p, q = _intertwiner(alpha, i, j)
-    intertwined = zeta.basis == "x"
-    nums = zeta.nums
-    t = comb.transposition(n, i, j)
-    acc = {e: _times(num, *ell) for e, num in perm_terms(t, nums).items()}
-    for terms in [nums] + [perm_terms(comb.transposition(n, u, v), nums)
-                           for u, v in swaps]:
-        for e, num in terms.items():
-            _axpy(acc.setdefault(e, []), [0] + num, -1)
-    out = {}
-    for e, s in acc.items():
-        while s and not s[-1]:
-            s.pop()
-        if s:
-            out[e] = _divided(s, *p) if intertwined else s
-    jp = JackPoly(comb.perm_on_comp(t, alpha), n, zeta.basis, out,
-                  _rescaled(zeta.den, [q], [ell]) if intertwined
-                  else _rescaled(zeta.den, [ell], []),
-                  check=not intertwined)
-    if intertwined:
-        _assert_intertwined(zeta, jp, i)
-    return jp
-
-
-def _assert_intertwined(zeta, child, i):
-    """Assert that child has coefficient 1 at x^{s_i alpha} and that
-    P N' = L s_i N - kappa N for the integer forms N of zeta and N' of
-    child, which certifies child = zeta_{s_i alpha} (module docstring).
-
-    A coefficient of a product is at most the product of the factors'
-    1-norms, so each coefficient of the residual P N'_e - L N_{s_i e} +
-    kappa N_e is at most |P| g + (|L| + 1) f, f and g the largest 1-norms
-    of the N_e and of the N'_e.  It lies below X = 2**B for B the bit
-    length of that bound, so the residual is 0 iff it is 0 at X, as in
-    JackPoly._assert_eigen."""
-    child._assert_lead()
-    ell, p, _ = _intertwiner(zeta.alpha, i, i + 1)
-    f = max(map(_norm, zeta.nums.values()))
-    g = max(map(_norm, child.nums.values()))
-    bits = (_norm(p) * g + (_norm(ell) + 1) * f).bit_length()
+    g = (_norm(ell) + 1 + len(swaps)) * max(map(_norm, zeta.nums.values()))
+    bits = ((_norm(p) + 1) * g).bit_length() + 1
     packed = {e: _pack(num, bits) for e, num in zeta.nums.items()}
-    ell, p = (ell[0] << bits) + ell[1], (p[0] << bits) + p[1]
-    rhs = {e: -(v << bits) for e, v in packed.items()}
-    swap_terms({e: ell * v for e, v in packed.items()}, i, i + 1, rhs)
-    if any(p * _pack(num, bits) != rhs.pop(e, 0)
-           for e, num in child.nums.items()) or rhs:
-        raise SolveFailure("zeta_%s is not the intertwiner image of zeta_%s"
-                           % (child.alpha, zeta.alpha))
+    big_l, acc = (ell[0] << bits) + ell[1], {}
+    swap_terms({e: big_l * v for e, v in packed.items()}, i, j, acc)
+    packed = {e: v << bits for e, v in packed.items()}
+    for e, v in packed.items():
+        _accumulate(acc, e, v, True)
+    for u, w in swaps:
+        swap_terms(packed, u, w, acc, True)
+    beta = comb.perm_on_comp(comb.transposition(n, i, j), alpha)
+    if zeta.basis == "p":
+        return JackPoly(beta, n, "p", {e: _unpack(v, bits)
+                                       for e, v in acc.items()},
+                        _rescaled(zeta.den, [ell], []))
+    big_p, out = (p[0] << bits) + p[1], {}
+    for e, v in acc.items():
+        quo, rest = divmod(v, big_p)
+        out[e] = num = _unpack(quo, bits)
+        if rest or max(map(abs, num)) > g:
+            raise SolveFailure("zeta_%s is not the intertwiner image of "
+                               "zeta_%s" % (beta, alpha))
+    jp = JackPoly(beta, n, "x", out, _rescaled(zeta.den, [q], [ell]),
+                  check=False)
+    jp._assert_lead()
+    return jp
 
 
 def _check_window(zeta, i, s, name):

@@ -277,10 +277,11 @@ def coeff(f, alpha):
 
 
 def integer_terms(terms):
-    """The terms of L*g as ints, for g given by its Fraction terms and
+    """(L, the terms of L*g as ints), for g given by its Fraction terms and
     L > 0 the lcm of their denominators."""
     den = lcm(*(c.denominator for c in terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    return den, {e: c.numerator * (den // c.denominator)
+                 for e, c in terms.items()}
 
 
 def word_apply(word, f):

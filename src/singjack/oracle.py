@@ -381,7 +381,7 @@ def _candidate_span(candidates, N, kappa0, cols):
 def _annihilated(terms, N, kappa0):
     """Exact check that every D_i kills the polynomial with rational
     `terms`, done over Z after clearing its denominators."""
-    iterms = integer_terms(terms)
+    iterms = integer_terms(terms)[1]
     return not any(_dunkl_terms(N, i0, iterms, kappa0) for i0 in range(N))
 
 

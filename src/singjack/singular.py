@@ -6,9 +6,10 @@ reverse lattice permutations of lam.  zeta^x_lam is solved once, on its
 Knop-Sahi integer form, and checked by its eigen-equations; each later
 sigma is jack.z2sz_step of its parent, sigma with its first ascent
 swapped back, which rlp_enumerate lists earlier, certified by its lead
-and the intertwiner identity (see the jack module docstring).  Each
-element f_a is checked pole-free at kappa0, and the spectral values of
-its weight against its tableau contents (_weight_spectrum_ok).
+and the intertwiner identity that its exact division proves (see the
+jack module docstring).  Each element f_a is checked pole-free at
+kappa0, and the spectral values of its weight against its tableau
+contents (_weight_spectrum_ok).
 
 The module is then certified over Z, on the integer forms F_a = L_a f_a
 with L_a > 0 the lcm of the coefficient denominators (scaling changes
@@ -198,8 +199,9 @@ def build_module(m, n, N):
     d_lam that divides all of N and is no step's L or P
     (jack.cancel_common).  Each later sigma is N' = (L s_i N - kappa N) / P
     over d Q / L, one division per term, exact by the Knop-Sahi theorem
-    and Gauss's lemma, certified by P N' = L s_i N - kappa N and its lead
-    (see the jack module docstring).  Then it specializes each element,
+    and Gauss's lemma, which with its digits bounded proves the identity
+    P N' = L s_i N - kappa N that certifies N' with its lead (see the jack
+    module docstring).  Then it specializes each element,
     dividing out only the factor of kappa0, and certifies the module over
     Z in the order of the module docstring: the action rows, the Murphy
     spectra read off them, and the Dunkl operators, all of them on one
@@ -269,7 +271,8 @@ def build_module(m, n, N):
         if collecting:
             gc.enable()
     module = SingularModule(label, elements)
-    module.seminormal = _certify_action(module, forms)
+    scale, forms = zip(*forms)
+    module.seminormal = _certify_action(module, forms, scale)
     _certify_spectra(module)
     p, q = kappa0.numerator, kappa0.denominator
     route = _dunkl_route(module.seminormal, list(map(len, forms)), N)
@@ -282,10 +285,10 @@ def build_module(m, n, N):
     return module
 
 
-def _certify_action(module, forms):
+def _certify_action(module, forms, scale):
     """murphy_rule_matrices(module), each row certified on the elements
-    f_a, with integer forms F_a = L_a f_a in forms; ExpansionFailure
-    otherwise.
+    f_a, with integer forms F_a = L_a f_a in forms and L_a in scale;
+    ExpansionFailure otherwise.
 
     Row a of M_p holds at most two nonzero entries.  A lone +-1 on the
     diagonal is certified by one lookup per term (_swap_is), any other
@@ -299,8 +302,6 @@ def _certify_action(module, forms):
             set(map(tuple, _tableau_contents(module)))) < len(forms):
         raise ExpansionFailure("module elements are zero or share a "
                                "content vector")
-    scale = [lcm(*(c.denominator for c in el.zeta.terms.values()))
-             for el in module.elements]
     mats = murphy_rule_matrices(module)
     for p, mat in mats.items():
         for a, row in enumerate(mat):
@@ -439,7 +440,7 @@ def murphy_spectrum_check(module):
     """Eigenvalues of every Murphy element on every basis element equal
     the contents of its tableau, recomputed here."""
     return {"ok": all(_murphy_ok(el, module.kappa0,
-                                mp.integer_terms(el.zeta.terms))
+                                mp.integer_terms(el.zeta.terms)[1])
                       for el in module.elements),
             "spectra": _tableau_contents(module)}
 

@@ -210,10 +210,11 @@ def _with_numerator(jp, e, num):
 def test_the_intertwiner_check_kills_each_mutation(monkeypatch, alpha, n, i):
     zeta = jack.zeta_x(alpha, n)
     child = jack.z2sz_step(zeta, i)
-    jack._assert_intertwined(zeta, child, i)
-    # the identity with delta +- 1, or with L -> -L, which flips the sign
-    # of a = kappa/L: L is read off the spectral vector, so editing it
-    # edits the identity alone
+    assert child.coeffs == jack.zeta_x(child.alpha, n).coeffs
+    # the step with delta +- 1, or with L -> -L, which flips the sign of
+    # a = kappa/L: L is read off the spectral vector, so editing it edits
+    # the step alone.  (3,1,0) at i = 2 with delta - 1 has P = 0, which
+    # the division refuses by ZeroDivisionError
     spectral_vector = comb.spectral_vector
 
     def edited(edit):
@@ -232,21 +233,31 @@ def test_the_intertwiner_check_kills_each_mutation(monkeypatch, alpha, n, i):
 
     for edit in (shift(1), shift(-1), flip):
         monkeypatch.setattr(comb, "spectral_vector", edited(edit))
-        with pytest.raises(jack.SolveFailure, match="intertwiner"):
-            jack._assert_intertwined(zeta, child, i)
+        with pytest.raises(ArithmeticError):
+            jack.z2sz_step(zeta, i)
     monkeypatch.undo()
-    # one numerator below the lead off by kappa^k: the shape check passes
-    # it, so the identity alone refuses it and skipping it would not
-    e = next(e for e in mp.support_order(child.nums) if e != child.alpha)
-    off = _with_numerator(child, e, child.nums[e] + [1])
+    # one parent numerator that s_i moves off by kappa^k: the parent's
+    # shape check passes it, and unless P = 1 (as for (3,1,0) at i = 2)
+    # L s_i N - kappa N is then not divisible by P: the remainder refuses
+    # it, or for a constant P, whose X-value is even, the digit test
+    e = next(e for e in mp.support_order(zeta.nums)
+             if e[i - 1] != e[i] and e != zeta.alpha)
+    off = _with_numerator(zeta, e, zeta.nums[e] + [1])
     off.assert_shape()
-    with pytest.raises(jack.SolveFailure, match="intertwiner"):
-        jack._assert_intertwined(zeta, off, i)
-    # a leading coefficient of 2 is refused before the identity is read
-    two = _with_numerator(child, child.alpha,
-                          [2 * x for x in child.nums[child.alpha]])
+    if jack._intertwiner(alpha, i, i + 1)[1] != (0, 1):
+        with pytest.raises(jack.SolveFailure):
+            jack.z2sz_step(off, i)
+    # the parent doubled steps exactly to a child with leading coefficient
+    # 2, which the lead check refuses
     with pytest.raises(jack.SolveFailure, match="not 1"):
-        jack._assert_intertwined(zeta, two, i)
+        jack.z2sz_step(_scaled(zeta, 2), i)
+
+
+def _scaled(jp, k):
+    """jp with every numerator times k over the same den."""
+    return jack.JackPoly(jp.alpha, jp.n, jp.basis, {
+        e: [k * x for x in num] for e, num in jp.nums.items()}, jp.den,
+        check=False)
 
 
 def test_only_the_adjacent_x_step_skips_the_eigen_check(monkeypatch):
@@ -625,7 +636,10 @@ def _list_residual_max(jp):
             k_terms = {}
             cherednik_k_terms(n, i, {e: 1}, k_terms)
             for e2, k in k_terms.items():
-                exactarith._axpy(out.setdefault(e2, []), [0] + num, k)
+                acc = out.setdefault(e2, [])
+                acc.extend([0] * (len(num) + 1 - len(acc)))
+                for j, x in enumerate(num, 1):
+                    acc[j] += k * x
         worst = max([worst] + [abs(x) for v in out.values() for x in v])
     return worst
 
@@ -1006,44 +1020,57 @@ def test_divided_is_exact_or_refused():
 
 
 def test_each_step_mutation_is_refused(monkeypatch):
-    # delta +- 1 in P turns the division inexact; a child numerator
-    # corrupted after the division, or the child doubled with the lead
-    # check skipped, fails the identity
-    intertwiner, divided = jack._intertwiner, jack._divided
+    # delta +- 1 in L and P turns the division inexact or its digits too
+    # large; a parent numerator that s_i moves, off by 1, leaves a
+    # remainder wherever P is not 1; the parent doubled doubles the lead
+    intertwiner = jack._intertwiner
     count = 0
     for alpha, n, i in _adjacent_steps():
         zeta = jack.zeta_x(alpha, n)
-        child = jack.z2sz_step(zeta, i)
+        unit = intertwiner(alpha, i, i + 1)[1] == (0, 1)
         for db in (1, -1):
             def edited(beta, u, v, _db=db):
                 ell, (a, b), q = intertwiner(beta, u, v)
                 return ell, (a, b + _db), q
-            if intertwiner(alpha, i, i + 1)[1] != (0, 1) or db > 0:
+            if not unit or db > 0:
                 monkeypatch.setattr(jack, "_intertwiner", edited)
                 with pytest.raises(jack.SolveFailure):
                     jack.z2sz_step(zeta, i)
                 monkeypatch.undo()
-        if len(child.nums) > 1:
-            # the first division gives the lead, which _assert_lead reads
-            calls = []
-
-            def corrupted(num, a, b):
-                calls.append(a)
-                out = divided(num, a, b)
-                return out + [1] if len(calls) == 2 else out
-            monkeypatch.setattr(jack, "_divided", corrupted)
-            with pytest.raises(jack.SolveFailure, match="intertwiner"):
-                jack.z2sz_step(zeta, i)
-            monkeypatch.undo()
-        doubled = jack.JackPoly(child.alpha, n, "x", {
-            e: [2 * x for x in num] for e, num in child.nums.items()},
-            child.den, check=False)
-        monkeypatch.setattr(jack.JackPoly, "_assert_lead", lambda jp: None)
-        with pytest.raises(jack.SolveFailure, match="intertwiner"):
-            jack._assert_intertwined(zeta, doubled, i)
-        monkeypatch.undo()
+        e = next(e for e in zeta.nums if e[i - 1] != e[i] and e != alpha)
+        if not unit:
+            with pytest.raises(jack.SolveFailure):
+                jack.z2sz_step(_with_numerator(
+                    zeta, e, [zeta.nums[e][0] + 1] + zeta.nums[e][1:]), i)
+        with pytest.raises(jack.SolveFailure, match="not 1"):
+            jack.z2sz_step(_scaled(zeta, 2), i)
         count += 1
     assert count == 111
+    jack.clear_caches()
+
+
+def test_a_step_forced_to_too_narrow_a_width_is_refused(monkeypatch):
+    # the parent's 1-norms read as c narrow the width X and the digit
+    # bound g alike, outside the hypothesis of the proof: the true digits
+    # then exceed g, or carry and are no longer the coefficients.  Each
+    # step is refused, or still exact where X happens to hold every
+    # coefficient; never a wrong zeta, which without the digit test some
+    # steps give, e.g. (3,1,0) at i = 1 with c = 2
+    refused = 0
+    for alpha, n, i in _adjacent_steps():
+        zeta = jack.zeta_x(alpha, n)
+        child = jack.z2sz_step(zeta, i)
+        for c in (1, 2):
+            monkeypatch.setattr(jack, "_norm", lambda num, _c=c: _c)
+            try:
+                got = jack.z2sz_step(zeta, i)
+            except jack.SolveFailure as exc:
+                assert "intertwiner" in str(exc)
+                refused += 1
+            else:
+                assert got.nums == child.nums
+            monkeypatch.undo()
+    assert refused == 202
     jack.clear_caches()
 
 

@@ -202,7 +202,8 @@ def test_integer_term_functions_match_the_fraction_operators(f):
     n, kappa0 = f.n, f.field
     p, q = kappa0.numerator, kappa0.denominator
     big_l = lcm(*(c.denominator for c in f.terms.values()))
-    big_f = mp.integer_terms(f.terms)
+    got_l, big_f = mp.integer_terms(f.terms)
+    assert got_l == big_l
     assert all(type(v) is int for v in big_f.values())
     assert big_f == {e: big_l * c for e, c in f.terms.items()}
     ctx = ops.OperatorContext(n, kappa0)
@@ -287,7 +288,7 @@ def _generic_polys(draw):
 def test_adjacent_transpositions_intertwine_the_cherednik_operators(f):
     # s_i U_i - U_{i+1} s_i = kappa and s_i U_j = U_j s_i for j not in
     # {i, i+1}, over Q(kappa): the identities behind the certificate of a
-    # stepped zeta (jack._assert_intertwined)
+    # stepped zeta, its exact division by P in jack._step
     n = f.n
     ctx = ops.OperatorContext(n)
     for i in range(1, n):

@@ -278,7 +278,7 @@ def _trust_the_predicted_matrices(monkeypatch):
     """Take murphy_rule_matrices as the action, with no row checked and no
     Murphy recursion run, so that only the Dunkl check can refuse."""
     monkeypatch.setattr(singular, "_certify_action",
-                        lambda module, forms:
+                        lambda module, forms, scale:
                         singular.murphy_rule_matrices(module))
     monkeypatch.setattr(singular, "_certify_spectra", lambda module: None)
 
@@ -345,7 +345,7 @@ def test_element_off_its_last_content_fails_the_murphy_check(monkeypatch,
     first = mod.elements[0]
     n = mnN[2]
     assert [first.tableau.eta(j) for j in range(1, n + 1)] == contents
-    e1 = mp.integer_terms(_power_of_e1(n, 1, mod.kappa0).terms)
+    e1 = mp.integer_terms(_power_of_e1(n, 1, mod.kappa0).terms)[1]
     assert [ops.murphy_terms(n, j, e1) == {e: c * v for e, v in e1.items()
                                            if c}
             for j, c in enumerate(contents, 1)] == [True] * (n - 1) + [False]
@@ -388,8 +388,8 @@ def test_altered_matrix_fails_the_murphy_recursion(monkeypatch, p):
     # the Murphy spectra are read off the matrices
     certify = singular._certify_action
 
-    def altered(module, forms):
-        mats = certify(module, forms)
+    def altered(module, forms, scale):
+        mats = certify(module, forms, scale)
         mats[p][0][0] += 1
         return mats
 
@@ -515,7 +515,7 @@ def _assert_action_and_annihilation(mod):
         {p: rows[(p - 1) * k:p * k] for p in range(1, n)}
     p, q = mod.kappa0.numerator, mod.kappa0.denominator
     for f in basis:
-        big_f = mp.integer_terms(f.terms)
+        big_f = mp.integer_terms(f.terms)[1]
         for i in range(1, n + 1):
             assert not ops.dunkl_terms(n, i, big_f, p, q)
 
