@@ -133,12 +133,6 @@ def _prefix_ge(alpha, beta):
     return True
 
 
-def dominates(alpha, beta):
-    """Weak dominance: every prefix sum of alpha >= that of beta."""
-    n = max(len(alpha), len(beta))
-    return _prefix_ge(pad(alpha, n), pad(beta, n))
-
-
 def triangle_greater(alpha, beta):
     """Strict triangle order: alpha |> beta."""
     n = max(len(alpha), len(beta))
@@ -803,24 +797,4 @@ def rearrangements(parts, n):
                 mult[v] += 1
 
     rec(0)
-    return out
-
-
-def down_set(alpha):
-    """alpha and everything strictly triangle-below it, in an order compatible
-    with descending triangle order (alpha first)."""
-    alpha = tuple(alpha)
-    n = len(alpha)
-    d = comp_weight(alpha)
-    ap = sort_desc(alpha)
-    ap_strip = tuple(x for x in ap if x)
-    out = []
-    for part in partitions_of(d, max_len=n):
-        if part == ap_strip:
-            for beta in rearrangements(part, n):
-                if beta == alpha or (dominates(alpha, beta) and beta != alpha):
-                    out.append(beta)
-        elif dominates(ap_strip, part):
-            out.extend(rearrangements(part, n))
-    out.sort(key=lambda b: (sort_desc(b), b), reverse=True)
     return out

@@ -1,8 +1,9 @@
 """Nonsymmetric Jack polynomials over the generic parameter field.
 
-zeta_x is a triangular joint-eigenvector solve against the Cherednik
-operators; the step formulas derive zeta_{t alpha} from zeta_alpha by the
-Knop-Sahi intertwiner.  All arithmetic is exact.
+zeta_x builds zeta_alpha from zeta_0 = 1 by the Knop-Sahi raising
+operator and reverse intertwiner steps; the step formulas derive
+zeta_{t alpha} from zeta_alpha by the intertwiner.  All arithmetic is
+exact.
 
 The integer form.  A JackPoly holds N over d: nums maps each exponent e
 to N_e in Z[kappa] (an int list, low degree first), den = (d0, facs) is
@@ -13,64 +14,27 @@ of (a(s) + 1) alpha + l(s) + 1 with their leg for compositions.  With
 alpha = 1/kappa a box gives (l(s) + 1) kappa + a(s) + 1 (_ks_denominator)
 and N = d_alpha zeta_alpha is in Z[kappa][x]; with L, P and Q as below,
 d_{s_i alpha} = d_alpha Q / L (tests/test_jack.py checks both on every
-small composition).  So the solve divides each kappa S by its pivot
-factor exactly, and the x-basis step is N' = (L s_i N - kappa N) / P over
-d_alpha Q / L.  Each division is by _divide_out or an integer divmod, and
-a remainder raises SolveFailure.  build_module divides out of
-zeta_lambda, once (cancel_common), each factor C of d_lambda that
-divides all of N and is no step's L or P.  A step from N = N_alpha / C
-then still divides exactly: P N'_alpha = C (L s_i N - kappa N) for the
-integral N'_alpha = d_{s_i alpha} zeta_{s_i alpha}, and C is primitive
-and prime to P, so C | N'_alpha by Gauss's lemma.  So every x-basis
-JackPoly is over d_alpha or over d_alpha / C, and zeta_den gives the den
-of zeta_alpha in either basis from alpha alone: a cache entry stores
-only N.  The reduced factored form of each coefficient (JackPoly.coeffs)
-is built only where it is printed or compared; denominator_factors is
-read off N by a witness scan, and specialize divides out only the factor
-with root kappa0.
+small composition).  So each link of zeta_x and the x-basis step
+N' = (L s_i N - kappa N) / P over d_alpha Q / L divide exactly.  Each
+division is by _divide_out or an integer divmod, and a remainder raises
+SolveFailure.  build_module divides out of zeta_lambda, once
+(cancel_common), each factor C of d_lambda that divides all of N and is
+no step's L or P.  A step from N = N_alpha / C then still divides
+exactly: P N'_alpha = C (L s_i N - kappa N) for the integral N'_alpha =
+d_{s_i alpha} zeta_{s_i alpha}, and C is primitive and prime to P, so
+C | N'_alpha by Gauss's lemma.  So every x-basis JackPoly is over d_alpha
+or over d_alpha / C, and zeta_den gives the den of zeta_alpha in either
+basis from alpha alone: a cache entry stores only N.  The reduced
+factored form of each coefficient (JackPoly.coeffs) is built only where
+it is printed or compared; denominator_factors is read off N by a
+witness scan, and specialize divides out only the factor with root
+kappa0.
 
-The solve.  zeta_x finds N_beta row by row in down-set order.  With i
-the pivot of beta, the least index at which xi(beta) differs from
-xi(alpha), the U_i eigen-equation at x^beta is (xi_i(alpha) - xi_i(beta))
-N_beta = kappa S_beta, S_beta the sum over the solved gamma of
-[x^beta] K_i x^gamma N_gamma.  So a solved beta sends K_i x^beta only to
-later rows of pivot i, and the prefix lemma says which terms can reach
-one (_row_terms):
-
-- A row b2 has pivot i only if b2_k = alpha_k for every k < i, because
-  the constant term of xi_k(b2) is b2_k + 1.
-- A term of K_i x^beta differs from beta in position i and in at most one
-  other position j: it comes from a pair difference of x_i x^beta in
-  positions i and j, or from the swap (j, i) with j < i.  Let
-  D = {k < i : beta_k != alpha_k}.
-- If |D| >= 2, some k in D is not j, and b2_k = beta_k != alpha_k: no
-  term reaches a pivot-i row.  D only grows with i, so the same holds for
-  every larger i, and the loop over the increasing i stops.
-- If D = {k}, then j = k.  The pair difference with a = beta_i + 1 and
-  b = beta_k puts a + b - 1 - u at k for u from min(a, b) to max(a, b) - 1,
-  so it reaches b2_k = alpha_k at the one u = a + b - 1 - alpha_k, if that
-  lies in the range.  The swap (k, i) puts beta_i at k, so it reaches one
-  only when beta_i = alpha_k.  The two may land on the same b2 and merge.
-- If D is empty, a term with j < i moves beta_j = alpha_j, unless it is
-  x^beta itself (u = beta_i, or the swap with beta_j = beta_i), which is
-  never a target.  So only the pair differences with j > i are made, by
-  the one kernel over that range of j.
-- The ranks must agree too, so each term made still passes the pivot test.
-
-Each pending S_beta is held as one integer S_beta(X), X = 2**B, with a
-bound M on its coefficients: a contribution k N_gamma adds |k| max
-|N_gamma| to M.  While M < X / 2 every coefficient lies strictly between
--X/2 and X/2, so S_beta's coefficients are the balanced base-X digits of
-S_beta(X) (_unpack), by induction from the lowest: each is the residue
-of the rest modulo X in [-X/2, X/2).  Before an update would take a
-bound to X / 2, B is widened and every pending sum re-packed from its
-exact digits (_widened).  A wrong digit could only make a pivot division
-inexact or fail the eigen check: a refusal, never a wrong zeta.
-
-Certificates.  A solved zeta, a cache load (cli._load_entry), movert_step,
-movelt_step and every step in basis p are certified by their N - 1
-eigen-equations (JackPoly._assert_eigen).  The adjacent step in basis x,
-the one build_module takes, derives zeta' = N' / d' from a certified
+Certificates.  A cache load (cli._load_entry), movert_step, movelt_step
+and every step in basis p are certified by their N - 1 eigen-equations
+(JackPoly._assert_eigen).  zeta_x and the adjacent step in basis x, the
+ones build_module takes, are certified by intertwiner identities and
+their lead.  The step derives zeta' = N' / d' from a certified
 zeta = N / d = zeta_alpha with alpha_i > alpha_{i+1}.  It is certified by
 its lead N'_{s_i alpha} = d' and the intertwiner identity
 
@@ -91,7 +55,7 @@ zeta' = zeta_{s_i alpha}:
       U_i g     = s_i U_{i+1} zeta + kappa zeta - a xi_i zeta
                 = xi_{i+1} s_i zeta - a xi_{i+1} zeta = xi_{i+1} g,
 
-  and U_j g = xi_j g for every other j.  Swapping alpha_i > alpha_{i+1}
+  and U_j g = xi_j g for every other j.  Swapping alpha_i != alpha_{i+1}
   swaps their ranks, so g has the spectrum of s_i alpha.
 - At generic kappa distinct compositions have distinct spectra, and the
   zeta_beta of degree |alpha| are a basis of eigenvectors, so that joint
@@ -123,6 +87,62 @@ N'_e.
   test, and a failed test or a remainder is a refusal, never a wrong
   zeta.
 
+The route.  zeta_x builds N_alpha = d_alpha zeta_alpha from N_0 = 1 by
+links planned top-down from alpha (_route), on which |alpha| falls or its
+last nonzero entry moves right:
+
+- If alpha_N > 0, zeta_alpha = Phi zeta_beta with beta = (alpha_N - 1,
+  alpha_1, ..., alpha_{N-1}) and (Phi f)(x) = x_N f(x_N, x_1, ...,
+  x_{N-1}), the Knop-Sahi raising operator, which relabels each exponent
+  e as (e_2, ..., e_N, e_1 + 1).  U_i Phi = Phi U_{i+1} for i < N and
+  U_N Phi = Phi (U_1 + 1) (tests/test_operators.py checks both over
+  Q(kappa)), so Phi zeta_beta has the spectrum (xi_2, ..., xi_N, xi_1 +
+  1)(beta) = xi(alpha) and its coefficient at x^alpha is 1.  Phi gives
+  beta one more box, the first of its last row, with arm alpha_N - 1 and
+  leg l = #{k < N : alpha_k < alpha_N}, and keeps the arm and leg of
+  every other box, so N_alpha = ((l + 1) kappa + alpha_N) Phi N_beta.
+- If alpha_N = 0, take i = max{k : alpha_k > alpha_{k+1}} and beta =
+  s_i alpha.  With L, P and Q of alpha, the step from alpha gives
+  P N_beta = L s_i N_alpha - kappa N_alpha; eliminating s_i N_alpha
+  with its image under s_i gives
+
+      Q N_alpha = L s_i N_beta + kappa N_beta.
+
+  Conversely, L s_i N_beta + kappa N_beta = d_beta L g for g = s_i
+  zeta_beta - (kappa / -L) zeta_beta, the g of the proof above for beta,
+  whose L is -L.  So an N_alpha with this identity is a multiple of
+  zeta_alpha, and d_alpha = d_beta L / Q.
+
+So each link takes a multiple of zeta_beta to a multiple of the zeta of
+its target, and the end is d_alpha zeta_alpha once its lead is d_alpha
+(_assert_lead): no eigen-equation, no scan of the support.  The den is
+carried along the links and must end equal to zeta_den(alpha, "x").
+
+The chain is held packed, one int N_e(X) per monomial at X = 2**B, and
+unpacked once at the end.  Its invariant: every coefficient of every N_e
+is at least 0, and f, the largest |N_e|, is below X/2.  Phi multiplies
+each N_e(X) by ((l + 1) X + alpha_N), so f grows by the factor l + 1 + alpha_N.  A
+reverse step forms V_e(X) = L(X) N_{s_i e}(X) + X N_e(X) for V_e =
+L N_{s_i e} + kappa N_e, whose coefficients are at most
+g = (|L| + 1) f < 2**t, with K = |alpha| + 1 and 2**(B-1) at least
+(|Q| + 1) 2**t and K 2**t.  It divides V_e(X) by Q(X) with one divmod
+and refuses the step unless the remainder is 0, the quotient q lies in
+[0, X^K), and q AND a mask finds no bit at or above t in any base-X
+digit (_lowered).  Then:
+
+- the digits of q lie in [0, 2**t): they are the coefficients of a
+  polynomial N'_e with N'_e(X) = q.  The residual Q N'_e - V_e has every
+  coefficient below (|Q| + 1) 2**t <= X/2 and vanishes at X, so it is 0
+  as in the step above: Q N'_e = V_e over Z[kappa].
+- N'_e(X) = N'_e(1) = |N'_e| modulo X - 1, and |N'_e| < K 2**t <= X/2,
+  so the new f is the largest q mod (X - 1), exactly.
+
+Before a link whose bound needs it, B is widened and every N_e repacked
+from its digits.  Knop and Sahi prove d_alpha E_alpha positive, and L,
+Q and the factor of Phi have no negative coefficient, so a correct step
+is never refused; that is all positivity is needed for.  Soundness rests
+on the digit test alone.
+
 No memo is kept across calls apart from the zeta memo (_ZETA_CACHE) that
 clear_caches empties.
 """
@@ -138,8 +158,7 @@ from .exactarith import (KP_ONE, KappaPoly, KappaRatio, PoleError, _at_root,
 from .multipoly import (MultiPoly, _accumulate, apply_perm, coeff, mp_zero,
                         perm_terms, poly_add, poly_scale, poly_sub,
                         support_order, word_apply)
-from .operators import (OperatorContext, _pair_difference_terms,
-                        cherednik_k_terms, dunkl, swap_terms)
+from .operators import OperatorContext, cherednik_k_terms, dunkl, swap_terms
 
 
 class NotDecreasingAt(ValueError):
@@ -219,21 +238,6 @@ def _den_expansion(facs, d0=1):
     return _times_all([d0], [f for f, m in facs for _ in range(m)])
 
 
-def _divided(num, a, b):
-    """num / (a*kappa + b) in Z[kappa], by an integer divmod and
-    _divide_out; SolveFailure when it does not divide."""
-    g, f = _split(a, b)
-    exact = True
-    if g != 1:
-        num, rest = zip(*(divmod(x, g) for x in num))
-        num, exact = list(num), not any(rest)
-    if exact and f:
-        num, exact = _divide_out(num, *f, 1)
-    if not exact:
-        raise SolveFailure("%d*k + %d does not divide a numerator" % (a, b))
-    return num
-
-
 def _reduced(num, d0, top):
     """The factored form of num / (d0 * prod f^m over top), num nonzero
     and d0 a nonzero int: each factor is divided out of num as often as
@@ -274,6 +278,20 @@ def _pack(num, bits):
     for x in reversed(num):
         acc = (acc << bits) + x
     return acc
+
+
+def _unpack(acc, bits):
+    """The balanced base-2**bits digits of acc, low first: the int list
+    num with _pack(num, bits) = acc and every |digit| <= 2**(bits-1)."""
+    half, mask, num = 1 << (bits - 1), (1 << bits) - 1, []
+    while acc:
+        x = acc & mask
+        if x >= half:
+            x -= 1 << bits
+        num.append(x)
+        acc = (acc - x) >> bits
+    return num
+
 
 
 # ------------------------------------------------------------------ JackPoly
@@ -503,86 +521,52 @@ def _ambient(alpha, n):
     return comb.pad(alpha, n)
 
 
-def _pivot(alpha, spec_a, beta):
-    """(i, a, b): i the pivot of the row beta != alpha, found by comparing
-    rank and value index by index, and xi_i(alpha) - xi_i(beta) =
-    a*kappa + b, xi(alpha) = spec_a."""
-    for i0, (x, y) in enumerate(zip(alpha, beta)):
-        r = sum(z > y for z in beta) + sum(z == y for z in beta[:i0 + 1])
-        if x != y or spec_a[i0][0] != len(beta) - r:
-            return i0 + 1, spec_a[i0][0] - len(beta) + r, x - y
-
-
-def _row_terms(alpha, beta, used, pivots):
-    """{b2: k} for the terms k x^b2 of K_i x^beta, i in the increasing
-    used, that lie on a row b2 != beta with pivot i: only those the prefix
-    lemma (module docstring) lets reach such a row are made."""
-    n = len(alpha)
-    first, second = ([k for k, (x, y) in enumerate(zip(alpha, beta)) if x != y]
-                     + [n, n])[:2]
-    out = {}
-    for i in used:
-        i0 = i - 1
-        if i0 > second:
-            break
-        terms = {}
-        if i0 <= first:
-            _pair_difference_terms({beta: 1}, i0, 1, terms, range(i, n))
+def _route(alpha):
+    """The links from zeta_0 = 1 to zeta_alpha, first link first: (beta, 0)
+    raises to beta by Phi, (beta, i) steps back to beta from s_i beta
+    (module docstring)."""
+    n, links = len(alpha), []
+    while any(alpha):
+        if alpha[-1]:
+            links.append((alpha, 0))
+            alpha = (alpha[-1] - 1,) + alpha[:-1]
         else:
-            a, b, want = beta[i0] + 1, beta[first], alpha[first]
-            u = a + b - 1 - want
-            e = list(beta)
-            if min(a, b) <= u < max(a, b):
-                e[i0], e[first] = u, want
-                terms[tuple(e)] = 1 if a > b else -1
-            if beta[i0] == want:
-                e[i0], e[first] = b, want
-                e = tuple(e)
-                terms[e] = terms.get(e, 0) - 1
-        for b2, k in terms.items():
-            if k and b2 != beta and pivots.get(b2, (0,))[0] == i:
-                out[b2] = k
-    return out
+            i = max(k for k in range(1, n) if alpha[k - 1] > alpha[k])
+            links.append((alpha, i))
+            alpha = comb.perm_on_comp(comb.transposition(n, i, i + 1), alpha)
+    return links[::-1]
 
 
-def _unpack(acc, bits):
-    """The balanced base-2**bits digits of acc, low first: the int list
-    num with _pack(num, bits) = acc and every |digit| <= 2**(bits-1)."""
-    half, mask, num = 1 << (bits - 1), (1 << bits) - 1, []
-    while acc:
-        x = acc & mask
-        if x >= half:
-            x -= 1 << bits
-        num.append(x)
-        acc = (acc - x) >> bits
-    return num
-
-
-def _widened(pending, bits, bound):
-    """A width above bound's bits, every pending sum re-packed to it from
-    its exact digits at the width bits."""
-    wide = max(2 * bits, bound.bit_length() + 1)
-    for entry in pending.values():
-        entry[0] = _pack(_unpack(entry[0], bits), wide)
-    return wide
-
-
-# the initial width of the packed pending sums of zeta_x
-_PACK_BITS = 64
+def _lowered(acc, q, bits, t, digits):
+    """Divide each packed V_e(X) in acc by Q(X) in place, X = 2**bits and
+    Q = q, and return the largest 1-norm of the quotients: SolveFailure
+    unless each division leaves no remainder and its quotient lies in
+    [0, X^digits), the one range a shift by digits * bits takes to 0, with
+    every base-X digit below 2**t (module docstring)."""
+    big_q, f = (q[0] << bits) + q[1], 0
+    ones = ((1 << bits * digits) - 1) // ((1 << bits) - 1)
+    mask, top = ((1 << bits) - (1 << t)) * ones, (1 << bits) - 1
+    for e, v in acc.items():
+        quo, rest = divmod(v, big_q)
+        if rest or quo >> bits * digits or quo & mask:
+            raise SolveFailure("the reverse intertwiner step at %s is not "
+                               "exact" % (e,))
+        acc[e] = quo
+        f = max(f, quo % top)
+    return f
 
 
 def zeta_x(alpha, n):
     """The x-monic simultaneous eigenvector for composition alpha.
 
-    Triangular solve over the down-set of alpha: the coefficient at a lower
-    beta is kappa * sum_gamma c_gamma [x^beta] K_i x^gamma over
-    xi_i(alpha) - xi_i(beta), i the pivot of beta, the least index where
-    the spectra differ.  It runs on the integer form N over d_alpha
-    (module docstring).  Each solved gamma adds its terms on later rows
-    of the same pivot (_row_terms, by the prefix lemma) to one packed
-    integer per row, with a bound on its digits that widens the packing
-    before they could overflow; then the shape and every eigen-equation
-    are asserted on N.
+    N_alpha = d_alpha zeta_alpha is built from N_0 = 1 along _route: a
+    raise by Phi times (l + 1) kappa + alpha_N, or a reverse step
+    N_alpha = (L s_i N_beta + kappa N_beta) / Q, one divmod per term.  The
+    numerators stay packed, one int per monomial at a width widened only
+    when a link's bound needs it, and are unpacked once at the end: x^alpha
+    first, then the rest in the reverse of the order the last link made
+    them.  Each link is certified by its identity, the end by its lead and
+    its den, d_alpha (module docstring).
     """
     alpha = _ambient(alpha, n)
     key = (alpha, n, "x")
@@ -590,36 +574,52 @@ def zeta_x(alpha, n):
     if got is not None:
         return got
 
-    dset = comb.down_set(alpha)
-    spec_a = comb.spectral_vector(alpha)
-    pivots = {beta: _pivot(alpha, spec_a, beta) for beta in dset[1:]}
-    used = sorted({p[0] for p in pivots.values()})
-    # pending[beta]: [S(2**bits), the bound] for the sum S of the solved
-    # gammas' contributions.  K_i x^gamma lies triangle-below gamma, so
-    # all of them arrive before beta is reached in down-set order.
-    den = _ks_denominator(alpha)
-    bits = _PACK_BITS
-    pending = {}
-    nums = {}
-    for beta in dset:
-        if beta == alpha:
-            num = _den_expansion(den[1], den[0])
+    # packed[e] = N_e(2**bits), every coefficient of N_e at least 0 and f
+    # the largest 1-norm, below 2**(bits-1)
+    digits = comb.comp_weight(alpha) + 1
+    packed, bits, f, den = {(0,) * n: 1}, 2, 1, (1, ())
+    for beta, i in _route(alpha):
+        if i:
+            ell, _, q = _intertwiner(beta, i, i + 1)
+            t = ((_norm(ell) + 1) * f).bit_length()
+            need = t + max(_norm(q) + 1, digits).bit_length() + 1
         else:
-            acc = pending.pop(beta, (0,))[0]
-            if not acc:
-                continue
-            num = _divided([0] + _unpack(acc, bits), *pivots[beta][1:])
-        nums[beta] = num
-        h, packed = max(map(abs, num)), _pack(num, bits)
-        for b2, k in _row_terms(alpha, beta, used, pivots).items():
-            entry = pending.setdefault(b2, [0, 0])
-            entry[1] += abs(k) * h
-            if entry[1] >= 1 << (bits - 1):
-                bits = _widened(pending, bits, entry[1])
-                packed = _pack(num, bits)
-            entry[0] += k * packed
+            ell = (sum(x < beta[-1] for x in beta) + 1, beta[-1])
+            need = (_norm(ell) * f).bit_length() + 1
+        if need > bits:
+            wide = need + need // 4
+            for e, v in packed.items():
+                packed[e] = _pack(_unpack(v, bits), wide)
+            bits = wide
+        big_l = (ell[0] << bits) + ell[1]
+        if not i:
+            packed = {e[1:] + (e[0] + 1,): big_l * v
+                      for e, v in packed.items()}
+            f *= _norm(ell)
+            den = _rescaled(den, [ell], [])
+            continue
+        # at most two copies of the numerators at once: the parent's and
+        # V, which is then divided in place
+        acc = {}
+        swap_terms(packed, i, i + 1, acc)
+        for e, v in acc.items():
+            acc[e] = big_l * v
+        for e, v in packed.items():
+            _accumulate(acc, e, v << bits)
+        packed = acc
+        f = _lowered(packed, q, bits, t, digits)
+        den = _rescaled(den, [ell], [q])
 
-    zp = JackPoly(alpha, n, "x", nums, den)
+    # popitem takes the last term first, and frees each packed int
+    nums = {alpha: _unpack(packed.pop(alpha, 0), bits)}
+    while packed:
+        e, v = packed.popitem()
+        nums[e] = _unpack(v, bits)
+    zp = JackPoly(alpha, n, "x", nums, den, check=False)
+    zp._assert_lead()
+    if den != zeta_den(alpha, "x"):
+        raise SolveFailure("the route to zeta_%s does not end over d_alpha"
+                           % (alpha,))
     _ZETA_CACHE[key] = zp
     return zp
 
@@ -678,8 +678,8 @@ def zeta_den(alpha, basis):
 def zeta_p(alpha, n):
     """The p-monic eigenvector: zeta_x times the hook/E factor, its
     numerators times the factor's numerators over zeta_den(alpha, "p").
-    The scalar is nonzero, so the eigen-equations certified on zeta_x hold
-    here too and are not checked again."""
+    The scalar is nonzero, so the certificate of zeta_x (module
+    docstring) holds here too, and no eigen-equation is checked."""
     alpha = _ambient(alpha, n)
     key = (alpha, n, "p")
     got = _ZETA_CACHE.get(key)

@@ -53,19 +53,16 @@ class OperatorContext:
         return "OperatorContext(n=%d, kappa0=%r)" % (self.n, self.kappa0)
 
 
-def _pair_difference_terms(terms, i0, lift, out, js=None):
+def _pair_difference_terms(terms, i0, lift, out):
     """Accumulate sum_{j != i} (h - (ij)h)/(x_i - x_j) into out, for
     h = x_i^lift g and g given by its terms, term by term:
 
-        (x^a y^b - x^b y^a)/(x-y) = sign * sum_{u=lo}^{hi-1} x^u y^{a+b-1-u}.
-
-    js, a range of 0-based positions, restricts the sum to the j with
-    j - 1 in js; by default j runs over every position."""
+        (x^a y^b - x^b y^a)/(x-y) = sign * sum_{u=lo}^{hi-1} x^u y^{a+b-1-u}."""
     get = out.get
     for e, c in terms.items():
         a = e[i0] + lift
         base = list(e)
-        for j0 in range(len(e)) if js is None else js:
+        for j0 in range(len(e)):
             b = e[j0]
             if j0 == i0 or a == b:
                 continue

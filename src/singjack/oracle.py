@@ -11,11 +11,12 @@ kernel is read off the reduced rows (`_nullspace`).
 A caller may offer candidate polynomials, such as the module's, as vectors
 that might span the kernel K in degree d.  They are never trusted: their
 span C is taken as K only when it is proven to be.  First, exact checks
-over Q: every vector of the reduced span is killed by every D_i, and the
-span is closed under every adjacent transposition, so C is an
-S_N-submodule of K.  Then the first of three methods that succeeds gives
-the report's `method`: the spectral bound, the spectral vectors, the
-elimination.
+over Q: the span is closed under every adjacent transposition, so under
+S_N, and D_1 kills every vector of the reduced span.  Then every D_i kills
+C: D_i = (1 i) D_1 (1 i), and for v in C, (1 i) v lies in C, which D_1
+kills.  So C is an S_N-submodule of K.  Then the first of three methods
+that succeeds gives the report's `method`: the spectral bound, the
+spectral vectors, the elimination.
 
 The spectral bound ("spectral bound"), with no linear algebra:
 1. U_i = D_i x_i - kappa sum_{j<i} (ij) are the Cherednik operators.  As
@@ -378,11 +379,13 @@ def _candidate_span(candidates, N, kappa0, cols):
                     for f in candidates)
 
 
-def _annihilated(terms, N, kappa0):
-    """Exact check that every D_i kills the polynomial with rational
-    `terms`, done over Z after clearing its denominators."""
+def _annihilated(terms, N, kappa0, upto=None):
+    """Exact check that D_1, ..., D_upto kill the polynomial with rational
+    `terms`, every D_i by default, done over Z after clearing its
+    denominators."""
     iterms = integer_terms(terms)[1]
-    return not any(_dunkl_terms(N, i0, iterms, kappa0) for i0 in range(N))
+    return not any(_dunkl_terms(N, i0, iterms, kappa0)
+                   for i0 in range(upto or N))
 
 
 def _stable(span, cols, N):
@@ -405,15 +408,16 @@ def _certified_span(candidates, N, kappa0, cols):
     """(method, span) when the reduced span of the candidates is proven to
     be the whole joint kernel on the monomial columns `cols`, else None.
 
-    The span must be killed by every D_i and closed under S_N, both checked
-    exactly; then its dimension must meet _spectral_bound, or else the sum
-    of f_nu times the multiplicity bounds of _decided."""
+    The span must be closed under S_N and killed by D_1, both checked
+    exactly, which puts it in the kernel of every D_i (module docstring);
+    then its dimension must meet _spectral_bound, or else the sum of f_nu
+    times the multiplicity bounds of _decided."""
     span = _candidate_span(candidates, N, kappa0, cols)
     if span is None:
         return None
     vecs = [{cols[j]: x for j, x in v.items()} for v in span.values()]
-    if not (kappa0 and all(_annihilated(v, N, kappa0) for v in vecs)
-            and _stable(span, cols, N)):
+    if not (kappa0 and _stable(span, cols, N)
+            and all(_annihilated(v, N, kappa0, 1) for v in vecs)):
         return None
     degree = sum(cols[0])
     if _spectral_bound(N, degree, kappa0) == len(span):

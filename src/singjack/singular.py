@@ -2,8 +2,9 @@
 
 For a resolved label (m, n, N) with kappa0 = -m/n the module is spanned
 by the specializations of zeta^x_{w.lam} where w.lam runs over the
-reverse lattice permutations of lam.  zeta^x_lam is solved once, on its
-Knop-Sahi integer form, and checked by its eigen-equations; each later
+reverse lattice permutations of lam.  zeta^x_lam is built once, on its
+Knop-Sahi integer form, by the raising route of jack.zeta_x, certified
+link by link by intertwiner identities and its lead; each later
 sigma is jack.z2sz_step of its parent, sigma with its first ascent
 swapped back, which rlp_enumerate lists earlier, certified by its lead
 and the intertwiner identity that its exact division proves (see the
@@ -194,10 +195,10 @@ def _murphy_ok(element, kappa0, big_f):
 def build_module(m, n, N):
     """Construct and certify the span of the zeta^x_{w.lam} at kappa0.
 
-    Solves zeta^x_lam as N = d_lam zeta over the Knop-Sahi denominator,
-    certified by its eigen-equations, and divides out once each factor of
-    d_lam that divides all of N and is no step's L or P
-    (jack.cancel_common).  Each later sigma is N' = (L s_i N - kappa N) / P
+    Builds zeta^x_lam as N = d_lam zeta over the Knop-Sahi denominator by
+    the raising route (jack.zeta_x), certified link by link, and divides
+    out once each factor of d_lam that divides all of N and is no step's
+    L or P (jack.cancel_common).  Each later sigma is N' = (L s_i N - kappa N) / P
     over d Q / L, one division per term, exact by the Knop-Sahi theorem
     and Gauss's lemma, which with its digits bounded proves the identity
     P N' = L s_i N - kappa N that certifies N' with its lead (see the jack
@@ -231,7 +232,7 @@ def build_module(m, n, N):
                                            sigma) if i else None))
     children = Counter(parent for _, parent in steps)
     elements, forms, zetas = [], [], {}
-    # The solve and the steps allocate millions of small lists, tuples and
+    # The route and the steps allocate millions of small lists, tuples and
     # dicts that form no reference cycles, so reference counting frees
     # them all; the cyclic collector's full passes over them took a
     # quarter of build_module (2,4,7).  It is paused for the loop.

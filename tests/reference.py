@@ -14,8 +14,9 @@ constructor that only tests need.
 - operators: the central element omega, which build_module reads off
   the Murphy certificates and never applies.
 - combinatorics: standard Young tableaux by enumeration, against the hook
-  length formula and the reverse lattice permutations, and the spectral
-  value xi_i(alpha) as a KappaPoly.
+  length formula and the reverse lattice permutations, the spectral
+  value xi_i(alpha) as a KappaPoly, and the down-set of alpha, the rows
+  of the Q(kappa) triangular solve that zeta_x is tested against.
 """
 
 from fractions import Fraction
@@ -243,6 +244,16 @@ def omega_central(ctx, f):
 
 
 # -------------------------------------------------------------- combinatorics
+
+def down_set(alpha):
+    """alpha and everything strictly triangle-below it, in an order
+    compatible with descending triangle order (alpha first)."""
+    alpha = tuple(alpha)
+    out = [beta for beta in comb.compositions_of(sum(alpha), len(alpha))
+           if beta == alpha or comb.triangle_greater(alpha, beta)]
+    out.sort(key=lambda b: (comb.sort_desc(b), b), reverse=True)
+    return out
+
 
 def xi_poly(alpha, i):
     n = len(alpha)

@@ -261,8 +261,8 @@ def _scaled(jp, k):
 
 
 def test_only_the_adjacent_x_step_skips_the_eigen_check(monkeypatch):
-    # solved zeta, cache loads, movert_step, movelt_step and every step in
-    # basis p keep the eigen-equations; the adjacent x step has none
+    # cache loads, movert_step, movelt_step and every step in basis p keep
+    # the eigen-equations; the route and the adjacent x step have none
     zx, zp = jack.zeta_x((2, 1, 0), 3), jack.zeta_p((2, 1, 1), 3)
     zl = jack.zeta_p((2, 2, 1), 3)
     checked = []
@@ -793,7 +793,7 @@ def _reference_zeta_x(alpha, n):
     alpha = comb.pad(alpha, n)
     spec_a = comb.spectral_vector(alpha)
     coeffs = {alpha: KR_ONE}
-    for beta in comb.down_set(alpha)[1:]:
+    for beta in ref.down_set(alpha)[1:]:
         spec_b = comb.spectral_vector(beta)
         piv = next(i for i in range(n) if spec_a[i] != spec_b[i])
         (sa, ta), (sb, tb) = spec_a[piv], spec_b[piv]
@@ -926,7 +926,7 @@ def _expanded(den):
 
 
 def test_zeta_x_matches_the_q_kappa_solve():
-    # zeta_x is the reference solve, over the denominator d_alpha, and
+    # the route gives the reference solve, over the denominator d_alpha, and
     # d_alpha times each reference coefficient lies in Z[kappa]
     for alpha, n in _small_compositions():
         z = jack.zeta_x(alpha, n)
@@ -966,7 +966,7 @@ def test_each_step_multiplies_d_alpha_by_q_over_l():
 
 
 def test_a_loaded_zeta_steps_to_the_solved_one(tmp_path, monkeypatch):
-    # a cache load is over d_alpha, computed from alpha, as the solve is
+    # a cache load is over d_alpha, computed from alpha, as the route is
     monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
     for alpha, n, i in _adjacent_steps():
         cli.cached_zeta(alpha, n)
@@ -980,8 +980,8 @@ def test_a_loaded_zeta_steps_to_the_solved_one(tmp_path, monkeypatch):
 
 
 def test_a_factor_dropped_from_d_alpha_is_refused(monkeypatch):
-    # drop one factor that no numerator can spare: a pivot division turns
-    # inexact
+    # drop one factor that no numerator can spare from d_alpha: the route
+    # still ends over the den it carried, which is then not zeta_den
     ks = jack._ks_denominator
     count = 0
     for alpha, n in _small_compositions():
@@ -999,24 +999,12 @@ def test_a_factor_dropped_from_d_alpha_is_refused(monkeypatch):
         monkeypatch.setattr(jack, "_ks_denominator",
                             lambda beta, _a=z.alpha, _c=cut:
                             _c if beta == _a else ks(beta))
-        with pytest.raises(jack.SolveFailure, match="does not divide"):
+        with pytest.raises(jack.SolveFailure, match="not end over d_alpha"):
             jack.zeta_x(alpha, n)
         monkeypatch.undo()
         count += 1
     assert count == 89
     jack.clear_caches()
-
-
-def test_divided_is_exact_or_refused():
-    # exact: (2k^2 + 4k + 2) / (2k + 2), (1 + 2k) / (2k + 1) and
-    # (6 - 3k) / -3; refused: a content or a root that does not divide
-    assert jack._divided([2, 4, 2], 2, 2) == [1, 1]
-    assert jack._divided([1, 2], 2, 1) == [1]
-    assert jack._divided([6, -3], 0, -3) == [-2, 1]
-    for num, a, b in (([3, 2], 2, 2), ([2, 3], 2, 2), ([1, 2], 1, 1),
-                      ([3], 0, 2), ([1, 1], 2, 0)):
-        with pytest.raises(jack.SolveFailure, match="does not divide"):
-            jack._divided(num, a, b)
 
 
 def test_each_step_mutation_is_refused(monkeypatch):
@@ -1088,76 +1076,147 @@ def test_step_formula_denominators_match_the_search():
         assert moved.denominator_factors == _reference_profile(moved.poly)
 
 
-def _pivot_row_terms(alpha, beta):
-    """{b2: k} over every i < N: the terms k x^b2 of the full K_i x^beta
-    on a row b2 != beta whose pivot, read off comb.spectral_vector, is i."""
-    n, spec_a, out = len(alpha), comb.spectral_vector(alpha), {}
-    for i in range(1, n):
-        terms = {}
-        cherednik_k_terms(n, i, {beta: 1}, terms)
-        for b2, k in terms.items():
-            spec_b = comb.spectral_vector(b2)
-            if b2 != beta and b2 != alpha and next(
-                    j for j in range(n) if spec_a[j] != spec_b[j]) == i - 1:
-                out[b2] = k
-    return out
+# -------------------------------------------------------- the raising route
 
-
-def _assert_the_lemma(alpha):
-    # the solve's terms for each beta of the down-set are exactly those of
-    # the full K_i on a row of pivot i, and its pivots are the spectral ones
-    n, spec_a = len(alpha), comb.spectral_vector(alpha)
-    dset = comb.down_set(alpha)
-    pivots = {beta: jack._pivot(alpha, spec_a, beta) for beta in dset[1:]}
-    for beta, (i, a, b) in pivots.items():
-        spec_b = comb.spectral_vector(beta)
-        j = next(j for j in range(n) if spec_a[j] != spec_b[j])
-        assert (i, a, b) == (j + 1, spec_a[j][0] - spec_b[j][0],
-                             spec_a[j][1] - spec_b[j][1])
-    for beta in dset:
-        assert jack._row_terms(alpha, beta, range(1, n), pivots) == (
-            _pivot_row_terms(alpha, beta))
-
-
-@st.composite
-def _lemma_compositions(draw):
-    n, d = draw(st.integers(1, 6)), draw(st.integers(0, 6))
-    return draw(st.sampled_from(list(comb.compositions_of(d, n))))
-
-
-@settings(max_examples=100, deadline=None)
-@given(_lemma_compositions())
-def test_the_solve_makes_exactly_the_pivot_row_terms(alpha):
-    _assert_the_lemma(alpha)
-
-
-def test_the_solve_makes_exactly_the_pivot_row_terms_up_to_n4_degree4():
-    count = 0
-    for n in range(1, 5):
-        for d in range(5):
+def _every_small_composition():
+    # N <= 4 with |alpha| <= 6, and N = 5 with |alpha| <= 4
+    for n in range(1, 6):
+        for d in range(7 if n < 5 else 5):
             for alpha in comb.compositions_of(d, n):
-                _assert_the_lemma(alpha)
+                yield alpha, n
+
+
+def test_every_small_route_is_a_certified_eigenvector():
+    # the route's end passes the eigen-equations and the shape check that
+    # it does not run itself, with x^alpha first and no negative
+    # coefficient (Knop and Sahi)
+    count = 0
+    for alpha, n in _every_small_composition():
+        z = jack.zeta_x(alpha, n)
+        z.assert_shape()
+        z._assert_eigen()
+        assert next(iter(z.nums)) == z.alpha
+        assert all(x >= 0 for num in z.nums.values() for x in num)
+        count += 1
+    assert count == 455
+    jack.clear_caches()
+
+
+def test_a_raise_shifts_the_spectrum_and_adds_one_box():
+    # xi(Phi beta) = (xi_2, ..., xi_N, xi_1 + 1)(beta), and d_{Phi beta} =
+    # d_beta ((l + 1) kappa + alpha_N) with l = #{k < N : alpha_k <
+    # alpha_N}, alpha = Phi beta
+    count = 0
+    for n in range(1, 6):
+        for d in range(6):
+            for beta in comb.compositions_of(d, n):
+                alpha = beta[1:] + (beta[0] + 1,)
+                (a1, b1), *rest = comb.spectral_vector(beta)
+                assert comb.spectral_vector(alpha) == tuple(rest) + (
+                    (a1, b1 + 1),)
+                ell = sum(x < alpha[-1] for x in alpha) + 1
+                assert _ks_d(alpha) == _ks_d(beta) * kappa_linear(
+                    ell, alpha[-1])
                 count += 1
-    assert count == 125
+    assert count == 461
 
 
-def test_packed_sums_widen_to_the_default_solve(monkeypatch):
-    # from a 2-bit packing every pending sum outgrows its width, and the
-    # widened solve gives the default's numerators and denominator
-    cases = list(_small_compositions()) + [((4, 3, 2, 1, 0), 5)]
+def test_each_link_lowers_the_weight_or_moves_the_last_entry():
+    # read from the end, each link's source is Phi^-1 or s_i of its
+    # target, i the last descent of a target ending in 0; the first
+    # source is 0 and the last target alpha
+    for alpha, n in _every_small_composition():
+        alpha = comb.pad(alpha, n)
+        source = (0,) * n
+        for beta, i in jack._route(alpha):
+            if i:
+                assert beta[i - 1] and not any(beta[i:])
+                assert comb.perm_on_comp(comb.transposition(n, i, i + 1),
+                                         beta) == source
+            else:
+                assert beta[-1] and (beta[-1] - 1,) + beta[:-1] == source
+            source = beta
+        assert source == alpha
+
+
+def test_a_route_dividing_by_p_is_refused(monkeypatch):
+    # Q swapped for P in every reverse step
+    intertwiner = jack._intertwiner
+
+    def swapped(*args):
+        ell, p, _ = intertwiner(*args)
+        return ell, p, p
+
+    monkeypatch.setattr(jack, "_intertwiner", swapped)
+    count = 0
+    for alpha, n in _small_compositions():
+        if any(i for _, i in jack._route(comb.pad(alpha, n))):
+            jack.clear_caches()
+            with pytest.raises(jack.SolveFailure):
+                jack.zeta_x(alpha, n)
+            count += 1
+    assert count == 109
     jack.clear_caches()
-    want = {}
-    for alpha, n in cases:
-        z = jack.zeta_x(alpha, n)
-        want[alpha, n] = z.nums, z.den
+
+
+def test_a_route_forced_to_too_narrow_a_width_is_refused(monkeypatch):
+    # every 1-norm of L, Q and the raise's factor read as 1 narrows the
+    # width X and the digit bound 2**t alike, outside the hypothesis of
+    # the proof: the route is refused, or still exact where X happens to
+    # hold every coefficient; never a wrong zeta
     jack.clear_caches()
-    widened = []
-    widen = jack._widened
-    monkeypatch.setattr(jack, "_PACK_BITS", 2)
-    monkeypatch.setattr(jack, "_widened",
-                        lambda *args: widened.append(args[1]) or widen(*args))
-    for alpha, n in cases:
-        z = jack.zeta_x(alpha, n)
-        assert (z.nums, z.den) == want[alpha, n]
-    assert widened
+    want = {key: jack.zeta_x(*key).nums for key in _small_compositions()}
+    refused = 0
+    monkeypatch.setattr(jack, "_norm", lambda num: 1)
+    for key, nums in want.items():
+        jack.clear_caches()
+        try:
+            got = jack.zeta_x(*key)
+        except jack.SolveFailure:
+            refused += 1
+        else:
+            assert got.nums == nums
+    assert refused == 122
+    jack.clear_caches()
+
+
+def test_the_reverse_division_refuses_what_its_proof_excludes():
+    # X = 2**8, Q = 2 kappa + 1, digits below 2**4 and at most 3 of them
+    bits, q, t, digits = 8, (2, 1), 4, 3
+    big_q, ok = jack._pack([1, 2], bits), jack._pack([3, 15, 1], bits)
+    acc = {(1,): big_q * ok}
+    assert jack._lowered(acc, q, bits, t, digits) == 19
+    assert acc == {(1,): ok}
+    for v in (big_q * ok + 1,                            # a remainder
+              big_q * jack._pack([3, 16, 1], bits),      # a digit at 2**t
+              -big_q * ok,                               # below 0
+              big_q << 3 * bits,                         # at X^3
+              big_q * jack._pack([3, 15, 1, 1], bits)):  # a fourth digit
+        with pytest.raises(jack.SolveFailure, match="not exact"):
+            jack._lowered({(1,): v}, q, bits, t, digits)
+
+
+def test_the_route_widens_from_a_small_start_width(monkeypatch):
+    # the route starts at 2 bits, for N_0 = 1, and repacks whenever a
+    # link's bound outgrows the width; the widened route still gives the
+    # certified zeta
+    widths, steps = [], []
+    pack, lowered = jack._pack, jack._lowered
+    monkeypatch.setattr(jack, "_pack",
+                        lambda num, bits: widths.append(bits)
+                        or pack(num, bits))
+    monkeypatch.setattr(jack, "_lowered",
+                        lambda *args: steps.append(args[1:])
+                        or lowered(*args))
+    jack.clear_caches()
+    z = jack.zeta_x((4, 3, 2, 1, 0), 5)
+    assert len(set(widths)) >= 4 and widths == sorted(widths)
+    # each reverse step ran inside the hypothesis of its proof:
+    # 2**(B-1) >= (|Q| + 1) 2**t and K 2**t, K = |alpha| + 1 = 11
+    assert len(steps) == 20
+    for q, bits, t, digits in steps:
+        assert digits == 11
+        assert 1 << bits - 1 >= max(jack._norm(q) + 1, digits) << t
+    z.assert_shape()
+    z._assert_eigen()
     jack.clear_caches()

@@ -300,3 +300,24 @@ def test_adjacent_transpositions_intertwine_the_cherednik_operators(f):
             if j not in (i, i + 1):
                 assert (mp.apply_perm(s, ops.cherednik(ctx, j, f))
                         == ops.cherednik(ctx, j, mp.apply_perm(s, f)))
+
+
+def _raised(f):
+    """Phi f = x_N f(x_N, x_1, ..., x_{N-1}): each exponent e becomes
+    (e_2, ..., e_N, e_1 + 1)."""
+    return mp.MultiPoly(f.n, {e[1:] + (e[0] + 1,): c
+                              for e, c in f.terms.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generic_polys())
+def test_the_raising_operator_shifts_the_cherednik_operators(f):
+    # U_i Phi = Phi U_{i+1} for i < N and U_N Phi = Phi (U_1 + 1), over
+    # Q(kappa): the identities behind each raise of jack.zeta_x
+    n = f.n
+    ctx = ops.OperatorContext(n)
+    for i in range(1, n):
+        assert (ops.cherednik(ctx, i, _raised(f))
+                == _raised(ops.cherednik(ctx, i + 1, f)))
+    assert (ops.cherednik(ctx, n, _raised(f))
+            == _raised(ops.cherednik(ctx, 1, f) + f))

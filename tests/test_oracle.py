@@ -352,6 +352,33 @@ def test_unstable_candidates_fall_back(monkeypatch):
     assert _json(got) == want
 
 
+def test_a_span_killed_by_d1_alone_is_not_certified(monkeypatch):
+    # the module less one element, plus a vector that D_1 kills and some
+    # other D_i does not: the kernel's dimension, killed by D_1, but not
+    # S_N-stable.  The span falls back to the elimination; without the
+    # stability check, D_1 alone would certify it as the kernel
+    mod, degree, zetas = _module_kernel(1, 3, 5)
+    kappa0, cols = mod.kappa0, oracle.monomial_basis(5, degree)
+    block = {}
+    for c, e in enumerate(cols):
+        for b, v in oracle._dunkl_terms(5, 0, {e: 1}, kappa0).items():
+            block.setdefault(b, {})[c] = v
+    stray = next(
+        f for x in oracle._nullspace(list(block.values()), len(cols)).values()
+        for f in [{cols[j]: v for j, v in x.items()}]
+        if not oracle._annihilated(f, 5, kappa0))
+    assert oracle._annihilated(stray, 5, kappa0, 1)
+    cands = zetas[:-1] + [mp.MultiPoly(5, stray, field=kappa0)]
+    want = _json(oracle.joint_kernel(5, degree, kappa0))
+    calls = _spy_bareiss(monkeypatch)
+    got = oracle.joint_kernel(5, degree, kappa0, cands)
+    assert len(calls) == 1
+    assert _json(got) == want
+    monkeypatch.setattr(oracle, "_stable", lambda *args: True)
+    assert oracle._certified_span(cands, 5, kappa0, cols)[0] == (
+        "spectral bound")
+
+
 def _drop_last_row(monkeypatch):
     # an echelon form that lost its last pivot row: that pivot column turns
     # free and the vector read off there is not in the kernel

@@ -207,7 +207,7 @@ def test_build_module_steps_with_no_memo_copy_of_zeta_lambda(monkeypatch):
 
 
 def test_build_module_restores_the_cycle_collector(monkeypatch):
-    # the collector is paused for the solve and the steps only, and comes
+    # the collector is paused for the route and the steps only, and comes
     # back on after a failure too; a caller that paused it keeps it paused
     singular.build_module(1, 2, 4)
     assert gc.isenabled()
@@ -298,7 +298,7 @@ def test_swapped_elements_fail_the_murphy_check(monkeypatch):
 
 
 def _swap_the_elements_of_133(monkeypatch):
-    """Build each element of (1,3,3) as the other: the solve of lambda
+    """Build each element of (1,3,3) as the other: the route to lambda
     gives zeta_(0,1,0), and the step from it, which the walk takes to
     reach (0,1,0), gives zeta_(1,0,0)."""
     swap = {(1, 0, 0): (0, 1, 0), (0, 1, 0): (1, 0, 0)}
@@ -586,7 +586,7 @@ def test_equal_entries_share_a_row_and_a_certified_unit_row():
     assert pairs
 
 
-# ------------------------------------------------ one solve, then the steps
+# ---------------------------------------- one raising route, then the steps
 
 def _first_ascent_parent(sigma):
     """(i, s_i sigma) for the first ascent sigma_i < sigma_{i+1}."""
@@ -595,11 +595,11 @@ def _first_ascent_parent(sigma):
                                 sigma)
 
 
-def _assert_steps_reproduce_the_solve(mnN):
+def _assert_steps_meet_the_raising_route(mnN):
     """Every element after the first, stepped from its first-ascent
     parent, has the factored coefficients and the denominator factors of
-    its own solve; the forms are canonical, so equal values compare
-    equal."""
+    its own raising route (jack.zeta_x), so two independent chains meet;
+    the forms are canonical, so equal values compare equal."""
     N = mnN[2]
     try:
         for sigma in comb.rlp_enumerate(comb.resolve_label(*mnN).lam)[1:]:
@@ -615,7 +615,7 @@ def _assert_steps_reproduce_the_solve(mnN):
 
 @pytest.mark.parametrize("mnN", _FAST)
 def test_the_step_reproduces_the_solve(mnN):
-    _assert_steps_reproduce_the_solve(mnN)
+    _assert_steps_meet_the_raising_route(mnN)
 
 
 def test_every_rlp_after_lambda_steps_from_an_earlier_one():
@@ -643,7 +643,7 @@ def test_steps_from_the_cancelled_lambda_reproduce_the_solve(
         monkeypatch, mnN, ks_degree, degree):
     # d_lambda is not tight here, so build_module steps from a zeta_lambda
     # over a smaller denominator (jack.cancel_common); each stepped element
-    # is still the solved one, with the reference denominator profile
+    # is still the routed one, with the reference denominator profile
     from test_jack import _reference_profile
     N = mnN[2]
     lam = jack.zeta_x(comb.resolve_label(*mnN).lam, N)
