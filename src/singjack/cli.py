@@ -4,24 +4,16 @@ Machine-readable JSON goes to stdout, human-readable summaries to
 stderr.  Exit codes: 0 success, 2 usage or parameter problems, 3 pole at
 the requested value, 4 a falsified certificate, 5 search budget
 exhausted, 6 an internal fault: any other exception, noted on stderr as
-"internal error:".  Set SINGJACK_CACHE_DIR to reuse constructed
-polynomials across runs; an entry holds only the integer numerators of a
-zeta, its denominator is computed from alpha, and every load checks the
-entry's key, that its terms are canonical, the shape and normalization
-over that denominator, and the eigen-equations.
+"internal error:".  The command line is the only input: nothing is
+read from or written to disk apart from --report.
 """
 
 import argparse
 import functools
-import hashlib
-import json
-import os
 import sys
-import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import __version__
 from . import combinatorics as comb
 from . import jack
 from . import oracle
@@ -127,87 +119,6 @@ def _parse_kappa(text):
         raise ParameterViolation("--kappa expects p/q, got %r" % (text,))
 
 
-# ------------------------------------------------------------------- caching
-
-CACHE_TAG = "singjack-%s-nums" % __version__
-
-
-def _cache_key(alpha, n, basis):
-    payload = json.dumps(
-        {"alpha": list(alpha), "N": n, "basis": basis, "version": CACHE_TAG},
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _load_entry(path, alpha, n, basis):
-    """The cache entry at path, certified for the request.
-
-    An entry is its key (alpha, N, basis) and the numerators of
-    JackPoly.nums as [exponent, numerator] pairs; its den is
-    jack.zeta_den(alpha, basis), never stored.  Checked in order: the key,
-    as JSON; every term canonical: an exponent of N ints of at least 0
-    that no earlier term has, and a numerator of ints whose last entry is
-    not 0; then the shape over that den and the eigen-equations (the
-    JackPoly constructor).  A failed check raises SolveFailure; an entry
-    that cannot be read or parsed, or lacks a key, is None, a miss."""
-    alpha = comb.pad(alpha, n)
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-        if json.dumps([obj["alpha"], obj["N"], obj["basis"]]) != json.dumps(
-                [list(alpha), n, basis]):
-            raise jack.SolveFailure("cache entry %s is not zeta_%s of %s, "
-                                    "N=%d" % (path, basis, alpha, n))
-        nums = {}
-        for e, num in obj["nums"]:
-            e = tuple(e)
-            if (any(type(x) is not int for x in e + tuple(num))
-                    or len(e) != n or min(e) < 0 or e in nums
-                    or not num or not num[-1]):
-                raise jack.SolveFailure("cache entry %s: term %s %s is not "
-                                        "canonical" % (path, list(e), num))
-            nums[e] = num
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        _note("cache: unreadable entry %s (%s: %s), recomputing"
-              % (path, type(e).__name__, e))
-        return None
-    return jack.JackPoly(alpha, n, basis, nums, jack.zeta_den(alpha, basis))
-
-
-def cached_zeta(alpha, n, basis="x"):
-    """zeta in the requested basis, via SINGJACK_CACHE_DIR when set.  The
-    jack memos serve this one call: they are emptied when it returns or
-    raises.  A failed cache write leaves no temporary file behind."""
-    cdir = os.environ.get("SINGJACK_CACHE_DIR")
-    path = cdir and os.path.join(cdir, _cache_key(alpha, n, basis) + ".json")
-    try:
-        if path and os.path.exists(path):
-            jp = _load_entry(path, alpha, n, basis)
-            if jp is not None:
-                return jp
-        jp = jack.zeta_x(alpha, n) if basis == "x" else jack.zeta_p(alpha, n)
-    finally:
-        jack.clear_caches()
-    if path:
-        try:
-            os.makedirs(cdir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(json.dumps(
-                        {"alpha": list(jp.alpha), "N": n, "basis": basis,
-                         "nums": [[list(e), num]
-                                  for e, num in jp.nums.items()]},
-                        separators=(",", ":")))
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
-        except OSError as e:
-            raise ParameterViolation("cannot use SINGJACK_CACHE_DIR: %s" % e)
-    return jp
-
-
 # ------------------------------------------------------------------ commands
 
 def cmd_label(args):
@@ -224,7 +135,12 @@ def cmd_zeta(args):
     if len(alpha) > args.N:
         raise ParameterViolation("len(alpha)=%d exceeds N=%d"
                                  % (len(alpha), args.N))
-    jp = cached_zeta(alpha, args.N, args.basis)
+    build = jack.zeta_x if args.basis == "x" else jack.zeta_p
+    try:
+        jp = build(alpha, args.N)
+    finally:
+        # the memo serves this one request
+        jack.clear_caches()
     if args.kappa is None:
         _note("zeta_%s at alpha=%s N=%d: %d terms, generic kappa"
               % (args.basis, alpha, args.N, len(jp.coeffs)))

@@ -24,19 +24,19 @@ exactly: P N'_alpha = C (L s_i N - kappa N) for the integral N'_alpha =
 d_{s_i alpha} zeta_{s_i alpha}, and C is primitive and prime to P, so
 C | N'_alpha by Gauss's lemma.  So every x-basis JackPoly is over d_alpha
 or over d_alpha / C, and zeta_den gives the den of zeta_alpha in either
-basis from alpha alone: a cache entry stores only N.  The reduced
-factored form of each coefficient (JackPoly.coeffs) is built only where
-it is printed or compared; denominator_factors is read off N by a
-witness scan, and specialize divides out only the factor with root
-kappa0.
+basis from alpha alone.  The reduced factored form of each coefficient
+(JackPoly.coeffs) is built only where it is printed or compared;
+denominator_factors is read off N by a witness scan, and specialize
+divides out only the factor with root kappa0.
 
-Certificates.  A cache load (cli._load_entry), movert_step, movelt_step
-and every step in basis p are certified by their N - 1 eigen-equations
-(JackPoly._assert_eigen).  zeta_x and the adjacent step in basis x, the
-ones build_module takes, are certified by intertwiner identities and
-their lead.  The step derives zeta' = N' / d' from a certified
-zeta = N / d = zeta_alpha with alpha_i > alpha_{i+1}.  It is certified by
-its lead N'_{s_i alpha} = d' and the intertwiner identity
+Certificates.  Only movert_step, movelt_step and every step in basis p
+are certified by their N - 1 eigen-equations (JackPoly._assert_eigen),
+with their shape (JackPoly.assert_shape).  zeta_x and the adjacent step
+in basis x, the ones build_module takes, are certified by intertwiner
+identities and their lead; zeta_p by that of zeta_x.  The step derives
+zeta' = N' / d' from a certified zeta = N / d = zeta_alpha with
+alpha_i > alpha_{i+1}.  It is certified by its lead N'_{s_i alpha} = d'
+and the intertwiner identity
 
     P N' = L s_i N - kappa N,
 
@@ -115,8 +115,9 @@ last nonzero entry moves right:
 
 So each link takes a multiple of zeta_beta to a multiple of the zeta of
 its target, and the end is d_alpha zeta_alpha once its lead is d_alpha
-(_assert_lead): no eigen-equation, no scan of the support.  The den is
-carried along the links and must end equal to zeta_den(alpha, "x").
+(_assert_lead): no eigen-equation, no scan of the support.  The links
+make N_end a Q(kappa)-multiple of zeta_alpha, so its lead at x^alpha,
+checked against zeta_den(alpha, "x"), fixes that multiple as d_alpha.
 
 The chain is held packed, one int N_e(X) per monomial at X = 2**B, and
 unpacked once at the end.  Its invariant: every coefficient of every N_e
@@ -314,7 +315,7 @@ class JackPoly:
     __slots__ = ("alpha", "n", "basis", "nums", "den", "_coeffs",
                  "_factors", "_poly")
 
-    def __init__(self, alpha, n, basis, nums, den, check=True):
+    def __init__(self, alpha, n, basis, nums, den):
         if basis not in ("x", "p"):
             raise ValueError("basis must be 'x' or 'p', got %r" % (basis,))
         self.alpha = comb.pad(alpha, n)
@@ -323,9 +324,6 @@ class JackPoly:
         self.nums = nums
         self.den = den
         self._coeffs = self._factors = self._poly = None
-        if check:
-            self.assert_shape()
-            self._assert_eigen()
 
     @property
     def coeffs(self):
@@ -565,8 +563,8 @@ def zeta_x(alpha, n):
     numerators stay packed, one int per monomial at a width widened only
     when a link's bound needs it, and are unpacked once at the end: x^alpha
     first, then the rest in the reverse of the order the last link made
-    them.  Each link is certified by its identity, the end by its lead and
-    its den, d_alpha (module docstring).
+    them.  Each link is certified by its identity, the end by its lead
+    over d_alpha (module docstring).
     """
     alpha = _ambient(alpha, n)
     key = (alpha, n, "x")
@@ -577,7 +575,7 @@ def zeta_x(alpha, n):
     # packed[e] = N_e(2**bits), every coefficient of N_e at least 0 and f
     # the largest 1-norm, below 2**(bits-1)
     digits = comb.comp_weight(alpha) + 1
-    packed, bits, f, den = {(0,) * n: 1}, 2, 1, (1, ())
+    packed, bits, f = {(0,) * n: 1}, 2, 1
     for beta, i in _route(alpha):
         if i:
             ell, _, q = _intertwiner(beta, i, i + 1)
@@ -596,7 +594,6 @@ def zeta_x(alpha, n):
             packed = {e[1:] + (e[0] + 1,): big_l * v
                       for e, v in packed.items()}
             f *= _norm(ell)
-            den = _rescaled(den, [ell], [])
             continue
         # at most two copies of the numerators at once: the parent's and
         # V, which is then divided in place
@@ -608,18 +605,14 @@ def zeta_x(alpha, n):
             _accumulate(acc, e, v << bits)
         packed = acc
         f = _lowered(packed, q, bits, t, digits)
-        den = _rescaled(den, [ell], [q])
 
     # popitem takes the last term first, and frees each packed int
     nums = {alpha: _unpack(packed.pop(alpha, 0), bits)}
     while packed:
         e, v = packed.popitem()
         nums[e] = _unpack(v, bits)
-    zp = JackPoly(alpha, n, "x", nums, den, check=False)
+    zp = JackPoly(alpha, n, "x", nums, zeta_den(alpha, "x"))
     zp._assert_lead()
-    if den != zeta_den(alpha, "x"):
-        raise SolveFailure("the route to zeta_%s does not end over d_alpha"
-                           % (alpha,))
     _ZETA_CACHE[key] = zp
     return zp
 
@@ -648,8 +641,7 @@ def cancel_common(zeta, steps):
             nums[e] = quo
         if m > k:
             left.append((f, m - k))
-    return JackPoly(zeta.alpha, zeta.n, zeta.basis, nums, (d0, tuple(left)),
-                    check=False)
+    return JackPoly(zeta.alpha, zeta.n, zeta.basis, nums, (d0, tuple(left)))
 
 
 def p_to_x_factors(alpha):
@@ -677,19 +669,28 @@ def zeta_den(alpha, basis):
 
 def zeta_p(alpha, n):
     """The p-monic eigenvector: zeta_x times the hook/E factor, its
-    numerators times the factor's numerators over zeta_den(alpha, "p").
-    The scalar is nonzero, so the certificate of zeta_x (module
-    docstring) holds here too, and no eigen-equation is checked."""
+    numerators N_e times T, the product of the factor's numerators, over
+    zeta_den(alpha, "p").  The scalar is nonzero, so the certificate of
+    zeta_x (module docstring) holds here too, and no eigen-equation is
+    checked.
+
+    T is expanded once, and each product is one multiplication of N_e(X)
+    by T(X) at X = 2**B, 2**(B-1) > max_e |N_e| |T| with |.| the 1-norm.
+    Every coefficient of N_e T is at most |N_e| |T| < X/2 in absolute
+    value, so the balanced base-X digits of the product are exactly its
+    coefficients."""
     alpha = _ambient(alpha, n)
     key = (alpha, n, "p")
     got = _ZETA_CACHE.get(key)
     if got is not None:
         return got
-    tops = p_to_x_factors(alpha)[0]
+    top = _times_all([1], p_to_x_factors(alpha)[0])
     zx = zeta_x(alpha, n)
-    zp = JackPoly(alpha, n, "p", {e: _times_all(num, tops)
+    bits = (max(map(_norm, zx.nums.values())) * _norm(top)).bit_length() + 1
+    big_t = _pack(top, bits)
+    zp = JackPoly(alpha, n, "p", {e: _unpack(_pack(num, bits) * big_t, bits)
                                   for e, num in zx.nums.items()},
-                  zeta_den(alpha, "p"), check=False)
+                  zeta_den(alpha, "p"))
     _ZETA_CACHE[key] = zp
     return zp
 
@@ -741,9 +742,12 @@ def _step(zeta, i, j, swaps):
         swap_terms(packed, u, w, acc, True)
     beta = comb.perm_on_comp(comb.transposition(n, i, j), alpha)
     if zeta.basis == "p":
-        return JackPoly(beta, n, "p", {e: _unpack(v, bits)
-                                       for e, v in acc.items()},
-                        _rescaled(zeta.den, [ell], []))
+        jp = JackPoly(beta, n, "p", {e: _unpack(v, bits)
+                                     for e, v in acc.items()},
+                      _rescaled(zeta.den, [ell], []))
+        jp.assert_shape()
+        jp._assert_eigen()
+        return jp
     big_p, out = (p[0] << bits) + p[1], {}
     for e, v in acc.items():
         quo, rest = divmod(v, big_p)
@@ -751,8 +755,7 @@ def _step(zeta, i, j, swaps):
         if rest or max(map(abs, num)) > g:
             raise SolveFailure("zeta_%s is not the intertwiner image of "
                                "zeta_%s" % (beta, alpha))
-    jp = JackPoly(beta, n, "x", out, _rescaled(zeta.den, [q], [ell]),
-                  check=False)
+    jp = JackPoly(beta, n, "x", out, _rescaled(zeta.den, [q], [ell]))
     jp._assert_lead()
     return jp
 
@@ -814,7 +817,7 @@ def dm_formula(zeta):
     at = comb.tilde(alpha)
     zt = zeta_p(at, n)
     out = JackPoly(at, n, "p", perm_terms(comb.invert(comb.theta_perm(n, m)),
-                                          zt.nums), zt.den, check=False)
+                                          zt.nums), zt.den)
     ctx = OperatorContext(n)
     lhs = dunkl(ctx, m, zeta.poly)
     rhs = poly_scale(out.poly, scalar)

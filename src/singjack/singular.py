@@ -64,14 +64,10 @@ from . import combinatorics as comb
 from . import jack
 from . import multipoly as mp
 from . import operators as ops
-from .combinatorics import ParameterViolation, UsageError
+from .combinatorics import ParameterViolation
 from .exactarith import (PoleError, kappa_linear, rat_to_str,
                          root_multiplicity)
 from .multipoly import _accumulate
-
-
-class GcdConditionViolated(UsageError):
-    pass
 
 
 class ExpansionFailure(Exception):
@@ -211,11 +207,6 @@ def build_module(m, n, N):
     outlives it, and when this raises.
     """
     label = comb.resolve_label(m, n, N)
-    if label.family == "two_part":
-        rem = N + 1 - n
-        if label.d * rem >= n:
-            raise GcdConditionViolated(
-                "gcd(%d,%d)=%d >= %d/%d" % (m, n, label.d, n, rem))
     kappa0 = label.kappa0
     sigmas = comb.rlp_enumerate(label.lam)
     if len(sigmas) != _syt_count(label.tau):

@@ -1,7 +1,6 @@
 """End-to-end runs of the command line, in process."""
 
 import json
-import os
 from fractions import Fraction
 
 import pytest
@@ -292,45 +291,27 @@ def test_repn_134(capsys):
     assert len(obj["murphy_spectra"]) == 2
 
 
-def test_cache_round_trip(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
-    _, out1, _ = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
-    files = list(tmp_path.glob("*.json"))
-    assert len(files) == 1
-    code, out2, _ = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
-    assert code == 0 and out1 == out2
-
-
-def test_unusable_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch):
+def test_zeta_reads_and_writes_no_cache_dir(capsys, tmp_path, monkeypatch):
+    # zeta keeps nothing on disk: SINGJACK_CACHE_DIR naming a regular file
+    # changes neither the printed bytes nor the file
+    argv = ("zeta", "--alpha", "2,0,1", "--N", "3", "--basis", "p")
+    monkeypatch.delenv("SINGJACK_CACHE_DIR", raising=False)
+    want = run(capsys, *argv)
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
     monkeypatch.setenv("SINGJACK_CACHE_DIR", str(not_a_dir))
-    code, out, err = run(capsys, "zeta", "--alpha", "1,0", "--N", "2")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: cannot use SINGJACK_CACHE_DIR: ")
+    assert want[0] == 0 and run(capsys, *argv) == want
+    assert list(tmp_path.iterdir()) == [not_a_dir]
+    assert not_a_dir.read_text() == ""
 
 
-def test_failed_cache_write_leaves_no_temp_file(capsys, tmp_path,
-                                                monkeypatch):
-    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
-    (tmp_path / (cli._cache_key((1, 0), 2, "x") + ".json")).mkdir()
-    code, out, err = run(capsys, "zeta", "--alpha", "1,0", "--N", "2")
-    assert (code, out) == (2, "")
-    assert "error: cannot use SINGJACK_CACHE_DIR: " in err
-    assert not list(tmp_path.glob("*.tmp"))
-
-
-def test_zeta_empties_the_jack_memos(capsys, tmp_path, monkeypatch):
+def test_zeta_empties_the_jack_memos(capsys, monkeypatch):
     memos = [val for name, val in vars(jack).items() if name.endswith("_CACHE")]
     jack.zeta_p((2, 0, 1), 3)
-    # a miss without a cache, then a miss and a hit with one
-    for cdir in (None, tmp_path, tmp_path):
-        if cdir:
-            monkeypatch.setenv("SINGJACK_CACHE_DIR", str(cdir))
-        code, _, _ = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3",
-                         "--basis", "p")
-        assert code == 0
-        assert not any(memos)
+    code, _, _ = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3",
+                     "--basis", "p")
+    assert code == 0
+    assert not any(memos)
     filled = []
     zeta_x = jack.zeta_x
 
@@ -352,219 +333,8 @@ def test_usage_errors_share_one_base():
 
     assert subclasses(comb.UsageError) == {
         comb.ParameterViolation, comb.DegreeMismatch, comb.ShapeViolation,
-        comb.IndexOutOfRange, comb.ZeroComposition,
-        singular.GcdConditionViolated, jack.AmbientTooSmall,
+        comb.IndexOutOfRange, comb.ZeroComposition, jack.AmbientTooSmall,
         jack.PreconditionViolation}
-
-
-def test_cache_write_does_not_collide_on_a_shared_temp_name(
-        capsys, tmp_path, monkeypatch):
-    # a stale or concurrent writer holding path + ".tmp" must not block
-    # another writer of the same entry
-    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
-    path = tmp_path / (cli._cache_key((2, 0, 1), 3, "x") + ".json")
-    (tmp_path / (path.name + ".tmp")).mkdir()
-    code, _, _ = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
-    assert code == 0
-    assert json.loads(path.read_text())["nums"] == [
-        [list(e), num] for e, num in jack.zeta_x((2, 0, 1), 3).nums.items()]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [path.name, path.name + ".tmp"])
-
-
-def _cached_entry(capsys, tmp_path, monkeypatch, alpha, n, basis="x"):
-    # a fresh entry, written over any edited one
-    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
-    path = tmp_path / (cli._cache_key(alpha, n, basis) + ".json")
-    path.unlink(missing_ok=True)
-    code, out, _ = run(capsys, "zeta", "--alpha",
-                       ",".join(map(str, alpha)), "--N", str(n),
-                       "--basis", basis)
-    assert code == 0
-    return path, out
-
-
-def _refused(capsys, alpha, basis, *kappa, why=""):
-    code, out, err = run(capsys, "zeta", "--alpha", ",".join(map(str, alpha)),
-                         "--N", str(len(alpha)), "--basis", basis, *kappa)
-    return code == 4 and out == "" and "falsified:" in err and why in err
-
-
-def _edit_refused(capsys, tmp_path, monkeypatch, alpha, basis, edit, *kappa,
-                  why=""):
-    """Whether zeta exits 4 with empty stdout, and why on stderr, on this
-    key's cache entry once edit(pairs) has changed its [exponent,
-    numerator] pairs."""
-    path, _ = _cached_entry(capsys, tmp_path, monkeypatch, alpha, len(alpha),
-                            basis)
-    obj = json.loads(path.read_text())
-    edit(obj["nums"])
-    path.write_text(json.dumps(obj))
-    return _refused(capsys, alpha, basis, *kappa, why=why)
-
-
-def _at(exp, change):
-    """The edit that applies change to the numerator at exp."""
-    def edit(pairs):
-        pair = next(p for p in pairs if p[0] == exp)
-        pair[1] = change(pair[1])
-    return edit
-
-
-def _plus_one(num):
-    return [num[0] + 1] + num[1:]
-
-
-def _replaced(change):
-    """The edit that replaces the pairs by change(pairs)."""
-    def edit(pairs):
-        pairs[:] = change(pairs)
-    return edit
-
-
-def test_cache_tampered_coefficient_is_refused(capsys, tmp_path,
-                                               monkeypatch):
-    for basis in "xp":
-        assert _edit_refused(capsys, tmp_path, monkeypatch, (1, 0), basis,
-                             _at([0, 1], _plus_one))
-
-
-def test_cache_tampered_denominator_is_refused(capsys, tmp_path,
-                                               monkeypatch):
-    # the den is computed from alpha, so an entry written over another
-    # den has every numerator rescaled: by 2 or by k + 1, a factor of d
-    def rescaled(pairs, by):
-        for pair in pairs:
-            pair[1] = exactarith._times(pair[1], *by)
-    for basis in "xp":
-        for by in ((0, 2), (1, 1)):
-            assert _edit_refused(capsys, tmp_path, monkeypatch, (2, 0, 1),
-                                 basis, lambda p, _by=by: rescaled(p, _by))
-
-
-def test_cache_edited_leading_coefficient_is_refused(capsys, tmp_path,
-                                                     monkeypatch):
-    # once served as "coeff": "5" with exit 0
-    for basis in "xp":
-        for change in (lambda num: [5], _plus_one):
-            assert _edit_refused(capsys, tmp_path, monkeypatch, (2, 0, 1),
-                                 basis, _at([2, 0, 1], change),
-                                 "--kappa", "-1/3")
-
-
-def test_cache_load_checks_the_key_and_the_support(capsys, tmp_path,
-                                                   monkeypatch):
-    # exponents above alpha or of another degree fail the shape; negative
-    # or of the wrong length, they are not canonical; another key's entry
-    # stored under this key's name
-    for basis in "xp":
-        for exp, why in (([3, 0, 0], "not below"), ([0, 0, 1], "not below"),
-                         ([4, -1, 0], "canonical"),
-                         ([2, 0, 1, 0], "canonical"), ([3, 0], "canonical")):
-            assert _edit_refused(capsys, tmp_path, monkeypatch, (2, 0, 1),
-                                 basis, lambda p, _e=exp: p.append([_e, [1]]),
-                                 why=why)
-        path, _ = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3,
-                                basis)
-        other, _ = _cached_entry(capsys, tmp_path, monkeypatch, (1, 0, 2), 3,
-                                 basis)
-        path.write_text(other.read_text())
-        assert _refused(capsys, (2, 0, 1), basis)
-
-
-def test_cache_unreadable_entry_is_recomputed(capsys, tmp_path,
-                                              monkeypatch):
-    path, fresh = _cached_entry(capsys, tmp_path, monkeypatch, (2, 0, 1), 3)
-    text = path.read_text()
-    missing = json.loads(text)
-    del missing["nums"]
-    for broken in (text[:len(text) // 2], "", json.dumps(missing)):
-        path.write_text(broken)
-        code, out, err = run(capsys, "zeta", "--alpha", "2,0,1", "--N", "3")
-        assert code == 0
-        assert out == fresh
-        assert "recomputing" in err
-        assert path.read_text() == text
-
-
-def test_cache_edited_coefficient_below_the_lead_is_refused(capsys, tmp_path,
-                                                            monkeypatch):
-    # once served with exit 0: of the load checks, only the eigen check
-    # sees this edit
-    for basis in "xp":
-        assert _edit_refused(capsys, tmp_path, monkeypatch, (2, 0, 1), basis,
-                             _at([1, 1, 1], _plus_one))
-
-
-@pytest.mark.parametrize("basis", ["x", "p"])
-def test_cache_unreduced_coefficient_is_refused(capsys, tmp_path,
-                                                monkeypatch, basis):
-    # the same value written with a trailing zero: not canonical
-    assert _edit_refused(capsys, tmp_path, monkeypatch, (2, 0, 1), basis,
-                         _at([1, 1, 1], lambda num: num + [0]))
-
-
-@pytest.mark.parametrize("basis", ["x", "p"])
-def test_cache_float_or_bool_entry_is_refused(capsys, tmp_path, monkeypatch,
-                                              basis):
-    # json reads 1.0 as a float and true as a bool, and both compare equal
-    # to 1; neither is an entry the writer makes
-    for change in (lambda e, num: [e, [float(x) for x in num]],
-                   lambda e, num: [[float(x) for x in e], num],
-                   lambda e, num: [e, num[:-1] + [True]],
-                   lambda e, num: [[bool(x) for x in e], num]):
-        assert _edit_refused(capsys, tmp_path, monkeypatch, (1, 0, 1), basis,
-                             _replaced(lambda p, _c=change: [_c(*p[0])]
-                                       + p[1:]))
-
-
-def test_cache_rescaled_p_entry_is_refused(capsys, tmp_path, monkeypatch):
-    # once served with every coefficient doubled, with exit 0: the eigen
-    # check cannot see a constant scalar, the lead check does
-    def doubled(pairs):
-        for pair in pairs:
-            pair[1] = [2 * x for x in pair[1]]
-    assert _edit_refused(capsys, tmp_path, monkeypatch, (2, 0, 1), "p",
-                         doubled)
-
-
-@pytest.mark.parametrize("basis", ["x", "p"])
-def test_cache_swapped_alpha_or_basis_is_refused(capsys, tmp_path,
-                                                 monkeypatch, basis):
-    alpha = (2, 0, 1)
-    keys = [(a, b) for a in comb.rearrangements(alpha, 3) for b in "xp"]
-    entries = {(a, b): _cached_entry(capsys, tmp_path, monkeypatch, a, 3,
-                                     b)[0].read_text()
-               for a, b in keys}
-    path = tmp_path / (cli._cache_key(alpha, 3, basis) + ".json")
-    for key in keys:
-        if key == (alpha, basis):
-            continue
-        # another key's entry, as stored and with its key edited to match
-        other = json.loads(entries[key])
-        for bad in (other, dict(other, alpha=list(alpha), basis=basis)):
-            path.write_text(json.dumps(bad))
-            assert _refused(capsys, alpha, basis), (key, bad["basis"])
-        # this key's entry with the stored alpha and basis of the other
-        path.write_text(json.dumps(dict(json.loads(entries[(alpha, basis)]),
-                                        alpha=list(key[0]), basis=key[1])))
-        assert _refused(capsys, alpha, basis), key
-
-
-@pytest.mark.parametrize("basis", ["x", "p"])
-def test_cache_zero_term_or_repeated_exponent_is_refused(capsys, tmp_path,
-                                                         monkeypatch, basis):
-    # a reader into a dict would drop the zero term and all but the last
-    # copy of an exponent before any load check saw them
-    zero = [[0, 0, 3], []]
-    for change in (lambda p: [[p[-1][0], [5]]] + p + [zero],
-                   lambda p: [[p[-1][0], [5]]] + p,
-                   lambda p: p + p[-1:],
-                   lambda p: p + [zero],
-                   lambda p: p + [[[0, 0, 3], [0]]],
-                   lambda p: p[:-1] + [[p[-1][0], p[-1][1] + [0]]]):
-        assert _edit_refused(capsys, tmp_path, monkeypatch, (2, 0, 1), basis,
-                             _replaced(change))
 
 
 def _spy(calls, name, real):
@@ -574,66 +344,38 @@ def _spy(calls, name, real):
     return wrapped
 
 
-def test_a_cache_hit_stays_off_q_kappa(capsys, tmp_path, monkeypatch):
-    # a hit reads and prints the entry on the integer form: no .poly and
-    # no poly_gcd
-    calls = []
-    for alpha, basis in (((2, 0, 1), "x"), ((2, 0, 1), "p"),
-                         ((3, 0, 1, 1), "x"), ((0, 3, 0), "p")):
-        _, fresh = _cached_entry(capsys, tmp_path, monkeypatch, alpha,
-                                 len(alpha), basis)
-        with monkeypatch.context() as m:
-            m.setattr(jack.JackPoly, "poly", property(
-                _spy(calls, "poly", jack.JackPoly.poly.fget)))
-            m.setattr(exactarith, "poly_gcd",
-                      _spy(calls, "poly_gcd", exactarith.poly_gcd))
-            for kappa in ([], ["--kappa", "-1/2"]):
-                code, out, err = run(
-                    capsys, "zeta", "--alpha", ",".join(map(str, alpha)),
-                    "--N", str(len(alpha)), "--basis", basis, *kappa)
-                assert code == 0 and "recomputing" not in err
-                if not kappa:
-                    assert out == fresh
-        assert calls == []
+_ZETA_KEYS = (((2, 0, 1), "x"), ((2, 0, 1), "p"), ((3, 0, 1, 1), "x"),
+              ((0, 3, 0), "p"))
 
 
-def test_a_kappa_request_reduces_no_coefficient(capsys, tmp_path,
-                                                monkeypatch):
-    # the entry is written and read as numerators, and specialize works on
-    # them: a --kappa miss and hit reduce no coefficient
-    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
+def _zeta(capsys, alpha, basis, *kappa):
+    return run(capsys, "zeta", "--alpha", ",".join(map(str, alpha)),
+               "--N", str(len(alpha)), "--basis", basis, *kappa)
+
+
+def test_a_zeta_request_stays_off_q_kappa(capsys, monkeypatch):
+    # zeta builds, prints and specializes on the integer form: no .poly
+    # and no poly_gcd, in either basis, generic or at a kappa
     calls = []
-    monkeypatch.setattr(jack, "_reduced", _spy(calls, "_reduced",
-                                               jack._reduced))
-    for alpha, basis in (((2, 0, 1), "x"), ((2, 0, 1), "p"),
-                         ((0, 3, 0), "p")):
-        argv = ["zeta", "--alpha", ",".join(map(str, alpha)), "--N",
-                str(len(alpha)), "--basis", basis, "--kappa", "-1/2"]
-        miss = run(capsys, *argv)
-        hit = run(capsys, *argv)
-        assert miss[0] == 0 and miss[:2] == hit[:2]
-        assert "recomputing" not in hit[2]
-    assert len(list(tmp_path.glob("*.json"))) == 3
+    monkeypatch.setattr(jack.JackPoly, "poly", property(
+        _spy(calls, "poly", jack.JackPoly.poly.fget)))
+    monkeypatch.setattr(exactarith, "poly_gcd",
+                        _spy(calls, "poly_gcd", exactarith.poly_gcd))
+    for alpha, basis in _ZETA_KEYS:
+        for kappa in ([], ["--kappa", "-1/2"]):
+            assert _zeta(capsys, alpha, basis, *kappa)[0] == 0
     assert calls == []
 
 
-def test_every_small_entry_reloads_as_solved(tmp_path, monkeypatch):
-    # the 209 compositions with N <= 4 and weight <= 5, both bases: the
-    # reloaded entry has the solved nums and den and prints the same bytes
-    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
-    keys = [(alpha, n) for n in range(1, 5) for d in range(6)
-            for alpha in comb.compositions_of(d, n)]
-    assert len(keys) == 209
-    for alpha, n in keys:
-        for basis, build in (("x", jack.zeta_x), ("p", jack.zeta_p)):
-            cli.cached_zeta(alpha, n, basis)
-            path = tmp_path / (cli._cache_key(alpha, n, basis) + ".json")
-            loaded = cli._load_entry(str(path), alpha, n, basis)
-            solved = build(alpha, n)
-            assert loaded.nums == solved.nums and loaded.den == solved.den
-            assert cli._dumps(loaded.to_json()) == cli._dumps(
-                solved.to_json())
-            jack.clear_caches()
+def test_a_kappa_request_reduces_no_coefficient(capsys, monkeypatch):
+    # specialize works on the numerators: a --kappa request reduces no
+    # coefficient
+    calls = []
+    monkeypatch.setattr(jack, "_reduced", _spy(calls, "_reduced",
+                                               jack._reduced))
+    for alpha, basis in _ZETA_KEYS:
+        assert _zeta(capsys, alpha, basis, "--kappa", "-1/2")[0] == 0
+    assert calls == []
 
 
 # --------------------------------------------------- the indent-1 writer

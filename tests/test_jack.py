@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singjack import cli
 from singjack import combinatorics as comb
 from singjack import exactarith
 from singjack import jack
@@ -51,7 +50,7 @@ def _over(jp, poly, facs):
     d0 = lcm(*(d for _, d in ints.values()))
     return jack.JackPoly(jp.alpha, jp.n, jp.basis, {
         e: [x * (d0 // d) for x in num] for e, (num, d) in ints.items()},
-        (d0, tuple(sorted(Counter(facs).items()))), check=False)
+        (d0, tuple(sorted(Counter(facs).items()))))
 
 
 def _facs(jp):
@@ -203,7 +202,7 @@ _STEPS = [((2, 0, 1), 3, 1), ((3, 1, 0), 3, 2), ((1, 3, 2, 0), 4, 2),
 def _with_numerator(jp, e, num):
     nums = dict(jp.nums)
     nums[e] = num
-    return jack.JackPoly(jp.alpha, jp.n, jp.basis, nums, jp.den, check=False)
+    return jack.JackPoly(jp.alpha, jp.n, jp.basis, nums, jp.den)
 
 
 @pytest.mark.parametrize("alpha, n, i", _STEPS)
@@ -256,32 +255,45 @@ def test_the_intertwiner_check_kills_each_mutation(monkeypatch, alpha, n, i):
 def _scaled(jp, k):
     """jp with every numerator times k over the same den."""
     return jack.JackPoly(jp.alpha, jp.n, jp.basis, {
-        e: [k * x for x in num] for e, num in jp.nums.items()}, jp.den,
-        check=False)
+        e: [k * x for x in num] for e, num in jp.nums.items()}, jp.den)
+
+
+def test_the_shape_check_refuses_a_support_or_lead_edit():
+    # the shape check that the basis-p steps run: an exponent above alpha
+    # or of another degree, and a lead off the basis's normalization
+    for z in (jack.zeta_x((2, 0, 1), 3), jack.zeta_p((2, 0, 1), 3)):
+        z.assert_shape()
+        for e in ((3, 0, 0), (0, 0, 1)):
+            with pytest.raises(jack.SolveFailure, match="not below"):
+                _with_numerator(z, e, [1]).assert_shape()
+        with pytest.raises(jack.SolveFailure, match="at its own x"):
+            _scaled(z, 2).assert_shape()
+    jack.clear_caches()
 
 
 def test_only_the_adjacent_x_step_skips_the_eigen_check(monkeypatch):
-    # cache loads, movert_step, movelt_step and every step in basis p keep
-    # the eigen-equations; the route and the adjacent x step have none
+    # movert_step, movelt_step and every step in basis p check their shape
+    # and eigen-equations; the route, zeta_p and the adjacent x step check
+    # neither
+    checked = []
+
+    def counted(name):
+        real = getattr(jack.JackPoly, name)
+        return lambda jp: checked.append((name, jp.alpha)) or real(jp)
+
+    for name in ("assert_shape", "_assert_eigen"):
+        monkeypatch.setattr(jack.JackPoly, name, counted(name))
     zx, zp = jack.zeta_x((2, 1, 0), 3), jack.zeta_p((2, 1, 1), 3)
     zl = jack.zeta_p((2, 2, 1), 3)
-    checked = []
-    eigen = jack.JackPoly._assert_eigen
-
-    def counted(jp):
-        checked.append((jp.basis, jp.alpha))
-        eigen(jp)
-
-    monkeypatch.setattr(jack.JackPoly, "_assert_eigen", counted)
     jack.z2sz_step(zx, 1)
     assert checked == []
     jack.z2sz_step(zp, 1)
     jack.movert_step(zp, 1, 2)
     jack.movelt_step(zl, 2, 1)
-    # what a cache load builds
-    jack.JackPoly(zx.alpha, 3, "x", zx.nums, jack.zeta_den(zx.alpha, "x"))
-    assert checked == [("p", (1, 2, 1)), ("p", (1, 1, 2)), ("p", (2, 1, 2)),
-                       ("x", (2, 1, 0))]
+    assert checked == [(name, alpha)
+                       for alpha in ((1, 2, 1), (1, 1, 2), (2, 1, 2))
+                       for name in ("assert_shape", "_assert_eigen")]
+    jack.clear_caches()
 
 
 def test_swap_replay_reaches_every_rearrangement():
@@ -409,19 +421,6 @@ def test_ks_coefficient_small():
         jack.ks_coefficient_check((2, 1), 4)
     with pytest.raises(comb.ShapeViolation):
         jack.ks_coefficient_check((1, 2), 5)
-
-
-def test_jackpoly_json_round_trip(tmp_path, monkeypatch):
-    # through the cache entry: its writer and its one reader
-    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
-    z = cli.cached_zeta((2, 0, 1), 3)
-    back = cli._load_entry(
-        str(tmp_path / (cli._cache_key((2, 0, 1), 3, "x") + ".json")),
-        (2, 0, 1), 3, "x")
-    assert back.alpha == z.alpha and back.basis == "x"
-    assert back.poly == z.poly
-    assert [(f.coeffs, m) for f, m in back.denominator_factors] == [
-        (f.coeffs, m) for f, m in z.denominator_factors]
 
 
 def test_json_from_the_factored_form_matches_the_q_kappa_route():
@@ -771,7 +770,7 @@ def test_cancel_common_multiplies_back_what_a_later_entry_refuses(powers,
     nums = {(d, 2 - d): jack._times_all(cofactors[d], [f] * m)
             for d, m in enumerate(powers)}
     zeta = jack.JackPoly((len(powers) - 1, 0), 2, "x", dict(nums),
-                         (1, ((f, 3),)), check=False)
+                         (1, ((f, 3),)))
     got = jack.cancel_common(zeta, [])
     assert got.den == (1, ((f, 3 - cancelled),))
     assert got.nums == {e: jack._times_all(cofactors[e[0]],
@@ -902,6 +901,21 @@ def test_zeta_p_rescales_the_factored_form_without_a_gcd(monkeypatch):
     jack.clear_caches()
 
 
+def test_packed_zeta_p_multiplies_by_each_top_in_turn():
+    # one Kronecker product by the expanded tops gives the numerators of
+    # one pass per linear factor, on the 209 small keys and on a
+    # composition whose tops and numerators are both wide
+    keys = [(alpha, n) for n in range(1, 5) for d in range(6)
+            for alpha in comb.compositions_of(d, n)]
+    assert len(keys) == 209
+    for alpha, n in keys + [((5, 4, 3, 2, 0, 0, 0), 7)]:
+        tops = jack.p_to_x_factors(alpha)[0]
+        want = {e: jack._times_all(num, tops)
+                for e, num in jack.zeta_x(alpha, n).nums.items()}
+        assert jack.zeta_p(alpha, n).nums == want
+        jack.clear_caches()
+
+
 def _ks_d(alpha):
     """d_alpha of Knop and Sahi as a KappaPoly: prod over the boxes (i, j)
     of (l + 1) kappa + a + 1, a = alpha_i - j and l their leg for
@@ -965,23 +979,20 @@ def test_each_step_multiplies_d_alpha_by_q_over_l():
     jack.clear_caches()
 
 
-def test_a_loaded_zeta_steps_to_the_solved_one(tmp_path, monkeypatch):
-    # a cache load is over d_alpha, computed from alpha, as the route is
-    monkeypatch.setenv("SINGJACK_CACHE_DIR", str(tmp_path))
+def test_a_routed_zeta_steps_to_the_routed_one():
+    # the route ends over d_alpha, computed from alpha, and a step from
+    # there gives the child's own route
     for alpha, n, i in _adjacent_steps():
-        cli.cached_zeta(alpha, n)
-        loaded = cli._load_entry(
-            str(tmp_path / (cli._cache_key(alpha, n, "x") + ".json")),
-            alpha, n, "x")
-        assert loaded.den == jack._ks_denominator(alpha)
-        child = jack.z2sz_step(loaded, i)
+        zeta = jack.zeta_x(alpha, n)
+        assert zeta.den == jack._ks_denominator(alpha)
+        child = jack.z2sz_step(zeta, i)
         assert child.coeffs == jack.zeta_x(child.alpha, n).coeffs
     jack.clear_caches()
 
 
 def test_a_factor_dropped_from_d_alpha_is_refused(monkeypatch):
     # drop one factor that no numerator can spare from d_alpha: the route
-    # still ends over the den it carried, which is then not zeta_den
+    # ends over that den, and its lead at x^alpha is then not 1
     ks = jack._ks_denominator
     count = 0
     for alpha, n in _small_compositions():
@@ -999,7 +1010,7 @@ def test_a_factor_dropped_from_d_alpha_is_refused(monkeypatch):
         monkeypatch.setattr(jack, "_ks_denominator",
                             lambda beta, _a=z.alpha, _c=cut:
                             _c if beta == _a else ks(beta))
-        with pytest.raises(jack.SolveFailure, match="not end over d_alpha"):
+        with pytest.raises(jack.SolveFailure, match="not 1"):
             jack.zeta_x(alpha, n)
         monkeypatch.undo()
         count += 1
